@@ -27,19 +27,19 @@ from .linalg import (
     WilliamsonForm,
     block_split,
     is_psd_hermitian,
-    mode_permutation,
     sqrt_complex_principal,
-    sqrt_spd,
     symplectic_form,
     williamson,
 )
 from .measures import (
     MeasureReport,
+    StackReport,
     fidelity_imaginarity,
     fidelity_imaginarity_single_mode,
     imaginarity,
     imaginarity_single_mode,
     measure_all,
+    measure_stack,
     momentum_indicator,
     tsallis_imaginarity,
     tsallis_imaginarity_single_mode,
@@ -55,7 +55,6 @@ from .states import (
     ZERO_TOL,
     GaussianState,
     coherent_state,
-    conjugation_matrix,
     displaced_squeezed_thermal,
     two_mode_squeezed_vacuum,
 )

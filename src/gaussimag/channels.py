@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import AsymmetricNoise, DimensionMismatch, PhysicalityViolation
 from .linalg import _scaled_tol, symplectic_form
-from .states import GaussianState
+from .states import ZERO_TOL, GaussianState, real_pattern
 
 
 class RealnessClass(enum.Enum):
@@ -83,7 +83,7 @@ class GaussianChannel:
         return cls(obj["T"], obj["N"], d0, tol=tol)
 
 
-def classify_real(channel: GaussianChannel, zero_tol: float = 1e-12) -> RealnessClass:
+def classify_real(channel: GaussianChannel, zero_tol: float = ZERO_TOL) -> RealnessClass:
     """Classify a channel by the sparsity patterns that preserve state realness.
 
     A real channel needs zero momentum shift and a checkerboard noise pattern;
@@ -91,11 +91,7 @@ def classify_real(channel: GaussianChannel, zero_tol: float = 1e-12) -> Realness
     real), covariant real when T couples q only to q and p only to p.
     """
     t, noise, d0 = channel.t, channel.noise, channel.d0
-    base = (
-        float(np.abs(d0[1::2]).max(initial=0.0)) <= zero_tol
-        and float(np.abs(noise[0::2, 1::2]).max()) <= zero_tol
-    )
-    if not base:
+    if not real_pattern(d0, noise, zero_tol):
         return RealnessClass.NOT_REAL
     completely = float(np.abs(t[1::2, :]).max()) <= zero_tol
     covariant = (

@@ -23,8 +23,9 @@ from .channels import GaussianChannel, classify_real
 from .dynamics import BathParams, evolve, trajectory
 from .errors import InvalidMu
 from .linalg import symplectic_form
-from .measures import measure_all
-from .states import GaussianState, coherent_state, displaced_squeezed_thermal, two_mode_squeezed_vacuum
+from .measures import measure_all, measure_stack
+from .states import GaussianState, arrays_from_dict, coherent_state, displaced_squeezed_thermal
+from .states import two_mode_squeezed_vacuum
 
 FAMILIES = ("coherent", "squeezed", "squeezed_thermal", "sv_dynamics", "coherent_dynamics")
 
@@ -202,10 +203,7 @@ def cmd_validate(args) -> int:
     kind = "state" if "cm" in obj else "channel"
     try:
         if kind == "state":
-            state = GaussianState.from_dict(obj)
-            min_eig = float(
-                np.linalg.eigvalsh(state.cm + 1j * symplectic_form(state.n)).min()
-            )
+            state, min_eig = GaussianState.checked(*arrays_from_dict(obj))
             sym = float(np.abs(np.asarray(obj["cm"]) - np.asarray(obj["cm"]).T).max())
             print(f"state: n={state.n}")
             print(f"cm_symmetry_residual={_fmt_csv(sym)}")
@@ -271,23 +269,20 @@ def cmd_sweep(args) -> int:
     spec = _load_spec(args.spec)
     if isinstance(spec, int):
         return spec
-    lines = ["axis,i_gn,m_f,m_t"]
+    grid = spec.grid()
     try:
-        for value in spec.grid():
-            report = measure_all(_state_for_point(spec, value), mu=spec.mu, zero_tol=spec.zero_tol)
-            lines.append(
-                ",".join(
-                    [
-                        _fmt_csv(value),
-                        _fmt_csv(report.imaginarity),
-                        _fmt_csv(report.fidelity_imaginarity),
-                        _fmt_csv(report.tsallis_imaginarity),
-                    ]
-                )
-            )
+        states = [_state_for_point(spec, value) for value in grid]
     except SpecError as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return 1
+    reports = measure_stack(
+        np.stack([s.d for s in states]), np.stack([s.cm for s in states]), spec.mu, spec.zero_tol
+    )
+    lines = ["axis,i_gn,m_f,m_t"]
+    for k, value in enumerate(grid):
+        r = reports.report(k)
+        cells = (value, r.imaginarity, r.fidelity_imaginarity, r.tsallis_imaginarity)
+        lines.append(",".join(_fmt_csv(c) for c in cells))
     _write_lines(lines, args.out)
     return 0
 

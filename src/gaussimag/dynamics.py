@@ -17,8 +17,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import WrongModeCount
-from .measures import MeasureReport, measure_all
-from .states import ZERO_TOL, GaussianState
+from .measures import MeasureReport, measure_stack
+from .states import ZERO_TOL, GaussianState, validate
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,23 @@ def nu_infinity(p: BathParams) -> np.ndarray:
     return out
 
 
-def evolve(state0: GaussianState, p: BathParams, t: float) -> GaussianState:
-    """State at time t: cm interpolates toward nu_infinity, displacement decays."""
+def _evolved(state0: GaussianState, p: BathParams, times: list[float]):
+    # (d, cm) stacks over the time grid: cm interpolates toward nu_infinity,
+    # the displacement decays at half the rate
     if state0.n != 2:
         raise WrongModeCount(f"bath dynamics is defined for 2 modes, got {state0.n}")
+    decay = np.array([math.exp(-p.lam * t) for t in times])[:, None, None]
+    cm = decay * state0.cm + (1.0 - decay) * nu_infinity(p)
+    d = np.array([math.exp(-0.5 * p.lam * t) for t in times])[:, None] * state0.d
+    return d, cm
+
+
+def evolve(state0: GaussianState, p: BathParams, t: float) -> GaussianState:
+    """State at time t: cm interpolates toward nu_infinity, displacement decays."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    decay = math.exp(-p.lam * t)
-    cm = decay * state0.cm + (1.0 - decay) * nu_infinity(p)
-    d = math.exp(-0.5 * p.lam * t) * state0.d
-    return GaussianState(d, cm)
+    d, cm = _evolved(state0, p, [t])
+    return GaussianState(d[0], cm[0])
 
 
 def _sv_abc(r: float, p: BathParams, t: float) -> tuple[float, float, float, float]:
@@ -184,11 +191,15 @@ def trajectory(
         raise ValueError("need at least one time point")
     if any(t < 0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must be sorted and nonnegative")
+    d, cm = _evolved(state0, p, times)
+    cm, _, errors = validate(cm)
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    reports = measure_stack(d, cm, mu=mu, zero_tol=zero_tol)
     detected = _detect_family(state0)
     points = []
-    for t in times:
-        evolved = evolve(state0, p, t)
-        report = measure_all(evolved, mu=mu, zero_tol=zero_tol)
+    for k, t in enumerate(times):
         closed = None
         if detected is not None:
             kind, param = detected
@@ -196,7 +207,7 @@ def trajectory(
                 closed = squeezed_vacuum_imaginarity(param, p, t)
             else:
                 closed = coherent_imaginarity(param, p, t, zero_tol)
-        points.append(TrajectoryPoint(t=t, report=report, closed_form=closed))
+        points.append(TrajectoryPoint(t=t, report=reports.report(k), closed_form=closed))
     flips = tuple(
         b.t for a, b in zip(points, points[1:]) if a.report.h_term != b.report.h_term
     )

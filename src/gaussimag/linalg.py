@@ -1,7 +1,11 @@
 """Dense linear-algebra primitives for covariance-matrix computations.
 
 Quadratures are ordered (q1, p1, ..., qn, pn), so a single mode occupies two
-adjacent rows/columns.  All matrices are plain dense ndarrays.
+adjacent rows/columns.  Matrices are plain dense ndarrays; the stacked
+routines take a leading item axis, ``(B, m, m)``, and run numpy's stacked
+``linalg`` over it.  A failure of one item is recorded in an ``ItemErrors``
+and drops that item from later stages instead of failing the whole stack;
+the single-matrix functions are the one-item case and raise it.
 """
 
 from __future__ import annotations
@@ -14,11 +18,16 @@ import scipy.linalg
 from .errors import ComplexSqrtBranchFailure, WilliamsonResidualError
 
 
-def _scaled_tol(m: np.ndarray, tol: float | None) -> float:
-    # scale-invariant default so boundary (pure) states are accepted
+def _scaled_tol(m: np.ndarray, tol: float | None):
+    # scale-invariant default so boundary (pure) states are accepted; one
+    # tolerance per matrix of a stack
     if tol is not None:
         return tol
-    return 1e-9 * (1.0 + float(np.abs(m).max(initial=0.0)))
+    return 1e-9 * (1.0 + np.abs(m).max(axis=(-2, -1)))
+
+
+def _mT(a: np.ndarray) -> np.ndarray:
+    return a.swapaxes(-1, -2)
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -52,23 +61,117 @@ def is_psd_hermitian(h: np.ndarray, tol: float | None = None) -> bool:
     return bool(np.linalg.eigvalsh(h).min() >= -t)
 
 
-def sqrt_spd(a: np.ndarray) -> np.ndarray:
-    """Principal square root of a symmetric positive definite matrix."""
-    a = np.asarray(a, dtype=float)
-    if float(np.abs(a - a.T).max()) > _scaled_tol(a, None):
-        raise ValueError("matrix is not symmetric")
-    w, v = np.linalg.eigh(0.5 * (a + a.T))
-    if w.min() <= 0.0:
-        raise ValueError("matrix is not positive definite")
-    return (v * np.sqrt(w)) @ v.T
+class ItemErrors:
+    """Per-item failures of a computation over a stack of ``count`` items.
+
+    ``errors[k]`` is None or the exception item k failed with.  ``live`` holds
+    the indices of the items not failed yet; every stage works on those only,
+    so the arrays handed between stages are aligned with ``live``.
+    """
+
+    def __init__(self, count: int):
+        self.errors: list[BaseException | None] = [None] * count
+        self.live = np.arange(count)
+
+    def fail(self, bad: np.ndarray, error, *carry: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Fail live item j where ``bad[j]`` with ``error(j)``; return ``carry`` without them."""
+        if not np.count_nonzero(bad):
+            return carry
+        for j in np.flatnonzero(bad):
+            self.errors[self.live[j]] = error(j)
+        keep = ~bad
+        self.live = self.live[keep]
+        return tuple(a[keep] for a in carry)
+
+    def call(self, fn, *args: np.ndarray, carry: tuple = ()) -> tuple:
+        """``(fn(*args), *carry)`` over the live items, keeping failures per item.
+
+        A stacked ``LinAlgError`` says only that some item failed; it is
+        re-attributed by calling ``fn`` item by item, and the failing items
+        leave the live set before ``fn`` runs on the rest.
+        """
+        try:
+            return (fn(*args), *carry)
+        except np.linalg.LinAlgError:
+            caught = {}
+            for j in range(len(args[0])):
+                try:
+                    fn(*(a[j : j + 1] for a in args))
+                except np.linalg.LinAlgError as exc:
+                    caught[j] = exc
+            bad = np.isin(np.arange(len(args[0])), list(caught))
+            kept = self.fail(bad, caught.__getitem__, *args, *carry)
+            return (fn(*kept[: len(args)]), *kept[len(args) :])
+
+    def narrow(self, before: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Restrict arrays aligned with an earlier live set ``before`` to the items still live."""
+        if len(before) == len(self.live):
+            return arrays
+        keep = np.isin(before, self.live)
+        return tuple(a[keep] for a in arrays)
+
+    def spread(self, values: np.ndarray) -> np.ndarray:
+        """Values of the live items at their stack positions, NaN at the failed ones."""
+        if len(self.live) == len(self.errors):
+            return values
+        out = np.full((len(self.errors), *values.shape[1:]), np.nan)
+        out[self.live] = values
+        return out
+
+    def copy(self) -> "ItemErrors":
+        other = ItemErrors(0)
+        other.errors, other.live = list(self.errors), self.live
+        return other
+
+    def raise_first(self) -> None:
+        for exc in self.errors:
+            if exc is not None:
+                raise exc
 
 
-def _spd_sqrt_invsqrt(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh(0.5 * (a + a.T))
-    if w.min() <= 0.0:
-        raise ValueError("matrix is not positive definite")
-    sw = np.sqrt(w)
-    return (v * sw) @ v.T, (v / sw) @ v.T
+def sqrt_principal_stack(
+    a: np.ndarray, errors: ItemErrors, cond_limit: float = 1e8, clamp_zero_tol: float = 0.0
+) -> np.ndarray:
+    """Principal square roots of a stack ``(L, m, m)`` aligned with ``errors.live``.
+
+    Items whose root is undefined or unreliable fail with
+    ``ComplexSqrtBranchFailure``; the result covers the items still live.
+    See ``sqrt_complex_principal`` for the method.
+    """
+    (w, v), a = errors.call(np.linalg.eig, a, carry=(a,))
+    scale = np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))[:, None]
+    if clamp_zero_tol > 0.0:
+        clamped = np.abs(w) <= clamp_zero_tol * scale
+        w = np.where(clamped, 0.0, w)
+    else:
+        clamped = np.zeros(w.shape, dtype=bool)
+    on_negative_axis = ~clamped & (w.real <= 1e-13 * scale) & (np.abs(w.imag) <= 1e-13 * scale)
+    a, w, v = errors.fail(
+        on_negative_axis.any(axis=-1),
+        lambda j: ComplexSqrtBranchFailure(
+            "eigenvalue on the closed negative real axis; principal branch undefined"
+        ),
+        a, w, v,
+    )
+    eig = np.linalg.cond(v) <= cond_limit if len(a) else np.ones(0, dtype=bool)
+    if eig.all():
+        root = (v * np.sqrt(w)[:, None, :]) @ np.linalg.inv(v)
+    else:
+        root = np.empty_like(a)
+        root[eig] = (v[eig] * np.sqrt(w[eig])[:, None, :]) @ np.linalg.inv(v[eig])
+        # near-defective eigenvector basis: Schur method is the reliable route
+        for j in np.flatnonzero(~eig):
+            root[j] = scipy.linalg.sqrtm(a[j])
+    residual = np.abs(root @ root - a).max(axis=(-2, -1), initial=0.0)
+    limit = 1e-10 * (1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0))
+    (root,) = errors.fail(
+        residual > limit,
+        lambda j: ComplexSqrtBranchFailure(
+            f"square-root reconstruction residual {residual[j]:.3e} above tolerance"
+        ),
+        root,
+    )
+    return root
 
 
 def sqrt_complex_principal(
@@ -97,56 +200,25 @@ def sqrt_complex_principal(
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("input must be a square matrix")
-    w, v = np.linalg.eig(a)
-    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    if clamp_zero_tol > 0.0:
-        clamped = np.abs(w) <= clamp_zero_tol * scale
-    else:
-        clamped = np.zeros(w.shape, dtype=bool)
-    w = np.where(clamped, 0.0, w)
-    on_negative_axis = (
-        ~clamped & (w.real <= 1e-13 * scale) & (np.abs(w.imag) <= 1e-13 * scale)
-    )
-    if np.any(on_negative_axis):
-        raise ComplexSqrtBranchFailure(
-            "eigenvalue on the closed negative real axis; principal branch undefined"
-        )
-    if np.linalg.cond(v) <= cond_limit:
-        root = (v * np.sqrt(w)) @ np.linalg.inv(v)
-    else:
-        # near-defective eigenvector basis: Schur method is the reliable route
-        root = scipy.linalg.sqrtm(a)
-    residual = float(np.abs(root @ root - a).max())
-    if residual > 1e-10 * (1.0 + float(np.abs(a).max())):
-        raise ComplexSqrtBranchFailure(
-            f"square-root reconstruction residual {residual:.3e} above tolerance"
-        )
-    return root
+    errors = ItemErrors(1)
+    root = sqrt_principal_stack(a[None], errors, cond_limit, clamp_zero_tol)
+    errors.raise_first()
+    return root[0]
 
 
-def logdet_spd(a: np.ndarray) -> float:
-    """log(det(a)) of a symmetric positive definite matrix via Cholesky."""
+def logdet_spd(a: np.ndarray):
+    """log(det(a)) of a symmetric positive definite matrix via Cholesky.
+
+    A stack ``(..., m, m)`` gives an array of log-determinants; any item that
+    is not positive definite raises ``LinAlgError`` for the whole call.
+    """
     chol = np.linalg.cholesky(a)
-    return 2.0 * float(np.log(np.diag(chol)).sum())
-
-
-def det_spd(a: np.ndarray) -> float:
-    return float(np.exp(logdet_spd(a)))
-
-
-def mode_permutation(n: int) -> np.ndarray:
-    """Permutation matrix mapping (q1,p1,...,qn,pn) to (q1,...,qn,p1,...,pn)."""
-    if n < 1:
-        raise ValueError(f"mode count must be >= 1, got {n}")
-    p = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        p[k, 2 * k] = 1.0
-        p[n + k, 2 * k + 1] = 1.0
-    return p
+    out = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def grouped_index(n: int) -> np.ndarray:
-    """Index array i with v[i] == mode_permutation(n) @ v."""
+    """Index array reordering (q1, p1, ..., qn, pn) to (q1, ..., qn, p1, ..., pn)."""
     return np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
 
 
@@ -160,16 +232,12 @@ class ModeBlocks:
 
 
 def block_split(cm: np.ndarray, n: int) -> ModeBlocks:
-    """Split a 2n x 2n covariance matrix into position/momentum blocks."""
+    """Split a 2n x 2n covariance matrix (or a stack of them) into position/momentum blocks."""
     cm = np.asarray(cm, dtype=float)
-    if cm.shape != (2 * n, 2 * n):
+    if cm.ndim < 2 or cm.shape[-2:] != (2 * n, 2 * n):
         raise ValueError(f"expected a {2 * n}x{2 * n} matrix, got {cm.shape}")
-    idx = grouped_index(n)
-    reordered = cm[np.ix_(idx, idx)]
     return ModeBlocks(
-        a11=reordered[:n, :n].copy(),
-        a12=reordered[:n, n:].copy(),
-        a22=reordered[n:, n:].copy(),
+        a11=cm[..., 0::2, 0::2], a12=cm[..., 0::2, 1::2], a22=cm[..., 1::2, 1::2]
     )
 
 
@@ -184,11 +252,58 @@ class WilliamsonForm:
         return np.diag(np.repeat(self.nus, 2))
 
 
-def _fix_phase(w: np.ndarray) -> np.ndarray:
-    # deterministic phase: rotate the largest-magnitude component onto the positive real axis
-    j = int(np.argmax(np.abs(w)))
-    phase = w[j] / abs(w[j])
-    return w / phase
+def williamson_stack(
+    cm: np.ndarray, errors: ItemErrors, tol: float = 1e-8
+) -> tuple[np.ndarray, np.ndarray]:
+    """Symplectic normal forms of a stack ``(L, 2n, 2n)`` aligned with ``errors.live``.
+
+    Returns ``(s, nus)`` for the items still live.  Items that are not
+    positive definite fail with ``ValueError``, items whose construction does
+    not reproduce the input within ``tol`` with ``WilliamsonResidualError``.
+    See ``williamson`` for the method.
+    """
+    n = cm.shape[-1] // 2
+    delta = symplectic_form(n)
+    (w, v), cm = errors.call(np.linalg.eigh, 0.5 * (cm + _mT(cm)), carry=(cm,))
+    cm, w, v = errors.fail(
+        w.min(axis=-1) <= 0.0, lambda j: ValueError("matrix is not positive definite"), cm, w, v
+    )
+    sw = np.sqrt(w)[:, None, :]
+    root, inv_root = (v * sw) @ _mT(v), (v / sw) @ _mT(v)
+    skew = inv_root @ delta @ inv_root
+    skew = 0.5 * (skew - _mT(skew))
+    # Hermitian companion i*skew has spectrum {+-1/nu_l}
+    (eigvals, eigvecs), cm, root = errors.call(np.linalg.eigh, 1j * skew, carry=(cm, root))
+    cm, root, eigvals, eigvecs = errors.fail(
+        (eigvals > 0.0).sum(axis=-1) != n,
+        lambda j: WilliamsonResidualError("could not pair the canonical eigenvalues"),
+        cm, root, eigvals, eigvecs,
+    )
+    # eigenvalues ascend, so the n positive ones come last and give descending nus
+    vecs = eigvecs[..., n:]
+    # deterministic phase: rotate each vector's largest-magnitude component
+    # onto the positive real axis (hypot is the scalar abs; numpy's vectorized
+    # complex abs may differ from it in the last bit)
+    pivot = vecs[np.arange(len(vecs))[:, None], np.abs(vecs).argmax(axis=-2), np.arange(n)]
+    vecs = vecs / (pivot / np.hypot(pivot.real, pivot.imag))[:, None, :]
+    canonicalizer = np.empty(cm.shape)
+    canonicalizer[..., 0::2] = np.sqrt(2.0) * vecs.imag
+    canonicalizer[..., 1::2] = np.sqrt(2.0) * vecs.real
+    nus = 1.0 / eigvals[..., n:]
+    s = (root @ canonicalizer) * (1.0 / np.sqrt(nus)).repeat(2, axis=-1)[:, None, :]
+
+    def frobenius(m):
+        return np.sqrt((m * m).sum(axis=(-2, -1)))
+
+    res_cm = frobenius((s * nus.repeat(2, axis=-1)[:, None, :]) @ _mT(s) - cm) / frobenius(cm)
+    res_sympl = frobenius(s @ delta @ _mT(s) - delta)
+    return errors.fail(
+        (res_cm > tol) | (res_sympl > tol),
+        lambda j: WilliamsonResidualError(
+            f"reconstruction residuals {res_cm[j]:.3e} / {res_sympl[j]:.3e} exceed tol={tol:.1e}"
+        ),
+        s, nus,
+    )
 
 
 def williamson(cm: np.ndarray, tol: float = 1e-8) -> WilliamsonForm:
@@ -213,33 +328,7 @@ def williamson(cm: np.ndarray, tol: float = 1e-8) -> WilliamsonForm:
     cm = np.asarray(cm, dtype=float)
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] % 2:
         raise ValueError("input must be a 2n x 2n matrix")
-    n = cm.shape[0] // 2
-    delta = symplectic_form(n)
-    root, inv_root = _spd_sqrt_invsqrt(cm)
-    skew = inv_root @ delta @ inv_root
-    skew = 0.5 * (skew - skew.T)
-    # Hermitian companion i*skew has spectrum {+-1/nu_l}
-    eigvals, eigvecs = np.linalg.eigh(1j * skew)
-    cols = []
-    nus = []
-    for idx in range(2 * n):
-        if eigvals[idx] <= 0.0:
-            continue
-        w = _fix_phase(eigvecs[:, idx])
-        cols.append(np.sqrt(2.0) * w.imag)
-        cols.append(np.sqrt(2.0) * w.real)
-        nus.append(1.0 / eigvals[idx])
-    if len(nus) != n:
-        raise WilliamsonResidualError("could not pair the canonical eigenvalues")
-    canonicalizer = np.column_stack(cols)
-    nus_arr = np.asarray(nus)  # ascending eigvals give descending nus
-    s = root @ canonicalizer @ np.diag(np.repeat(1.0 / np.sqrt(nus_arr), 2))
-
-    diag = np.diag(np.repeat(nus_arr, 2))
-    res_cm = np.linalg.norm(s @ diag @ s.T - cm) / np.linalg.norm(cm)
-    res_sympl = np.linalg.norm(s @ delta @ s.T - delta)
-    if res_cm > tol or res_sympl > tol:
-        raise WilliamsonResidualError(
-            f"reconstruction residuals {res_cm:.3e} / {res_sympl:.3e} exceed tol={tol:.1e}"
-        )
-    return WilliamsonForm(s=s, nus=nus_arr)
+    errors = ItemErrors(1)
+    s, nus = williamson_stack(cm[None], errors, tol)
+    errors.raise_first()
+    return WilliamsonForm(s=s[0], nus=nus[0])

@@ -11,23 +11,61 @@ Three quantifiers of how far a state is from having a real density operator:
   evaluated through the symplectic normal form.
 
 Single-mode closed forms of all three are provided for cross-validation.
+
+All three are computed by one stacked core, ``measure_stack``, over arrays
+``d: (B, 2n)`` and ``cm: (B, 2n, 2n)``; the single-state functions are its
+one-item case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ComplexSqrtBranchFailure, InvalidMu, NonRealResult, WilliamsonResidualError
-from .linalg import block_split, det_spd, logdet_spd, sqrt_complex_principal, symplectic_form, williamson
-from .states import ZERO_TOL, GaussianState, conjugation_matrix
+from .linalg import (
+    ItemErrors,
+    block_split,
+    logdet_spd,
+    sqrt_principal_stack,
+    symplectic_form,
+    williamson_stack,
+)
+from .states import ZERO_TOL, GaussianState, momentum_displaced, momentum_signs
+
+
+def _solve_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # stacked solve with one right-hand-side vector per item
+    return np.linalg.solve(a, b[..., None])[..., 0]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # per-item dot products, summed as ``a[k] @ b[k]`` sums them
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    # a math-module function item by item: numpy's vectorized exp, expm1 and
+    # power may differ from it in the last bit, which would move results
+    return np.array([fn(v) for v in x.tolist()])
 
 
 def momentum_indicator(state: GaussianState, zero_tol: float = ZERO_TOL) -> int:
     """0/1 indicator of any nonzero momentum displacement (l1-norm above zero_tol)."""
-    return int(float(np.abs(state.d[1::2]).sum()) > zero_tol)
+    return int(momentum_displaced(state.d, zero_tol))
+
+
+def _imaginarity_stack(d: np.ndarray, cm: np.ndarray, zero_tol: float):
+    # (value, indicator, log dets of cm, A11 and A22) per item; raises
+    # LinAlgError when any covariance matrix or block is not positive definite
+    blocks = block_split(cm, cm.shape[-1] // 2)
+    log_dets = logdet_spd(cm), logdet_spd(blocks.a11), logdet_spd(blocks.a22)
+    h = momentum_displaced(d, zero_tol)
+    det_part = -_libm(math.expm1, log_dets[0] - log_dets[1] - log_dets[2])  # 1 - ratio
+    return np.maximum(0.0, det_part) + h, h, *log_dets
 
 
 def imaginarity(state: GaussianState, zero_tol: float = ZERO_TOL) -> float:
@@ -38,10 +76,7 @@ def imaginarity(state: GaussianState, zero_tol: float = ZERO_TOL) -> float:
     covariance matrix.  Zero exactly on real states; the indicator lifts the
     value into [1, 2] whenever any momentum quadrature is displaced.
     """
-    blocks = block_split(state.cm, state.n)
-    log_ratio = logdet_spd(state.cm) - logdet_spd(blocks.a11) - logdet_spd(blocks.a22)
-    det_part = -math.expm1(log_ratio)  # 1 - ratio, accurate near zero
-    return max(0.0, det_part) + momentum_indicator(state, zero_tol)
+    return float(_imaginarity_stack(state.d[None], state.cm[None], zero_tol)[0][0])
 
 
 def imaginarity_single_mode(
@@ -61,6 +96,39 @@ def imaginarity_single_mode(
     return 1.0 - 1.0 / (1.0 + s2) + h
 
 
+def _w_chain_stack(half_cm1: np.ndarray, half_cm2: np.ndarray, errors: ItemErrors):
+    # (w_aux, f_tot4) of the stacked chain, for the items still live
+    n = half_cm1.shape[-1] // 2
+    eye = np.eye(2 * n)
+    i_delta = 1j * symplectic_form(n)
+    w1 = -2.0 * half_cm1 @ i_delta
+    w2 = -2.0 * half_cm2 @ i_delta
+    w_aux = -errors.call(np.linalg.solve, w1 + w2, eye + w2 @ w1)[0]
+    inv_sq, w_aux = errors.call(
+        np.linalg.solve, w_aux @ w_aux, np.broadcast_to(eye, w_aux.shape), carry=(w_aux,)
+    )
+    # pure modes put the argument exactly on the PSD boundary; clamp the
+    # rounding noise around its zero eigenvalues
+    before = errors.live
+    root = sqrt_principal_stack(eye - inv_sq, errors, clamp_zero_tol=1e-12)
+    (w_aux,) = errors.narrow(before, w_aux)
+    f_tot4 = np.linalg.det((root + eye) @ w_aux @ i_delta)
+    w_aux, f_tot4 = errors.fail(
+        np.abs(f_tot4.imag) > 1e-9 * (1.0 + np.abs(f_tot4.real)),
+        lambda j: NonRealResult(
+            f"total-fidelity determinant has imaginary part {f_tot4[j].imag:.3e}"
+        ),
+        w_aux, f_tot4,
+    )
+    return errors.fail(
+        f_tot4.real <= 0.0,
+        lambda j: NonRealResult(
+            f"total-fidelity determinant is not positive: {f_tot4[j].real:.3e}"
+        ),
+        w_aux, f_tot4,
+    )
+
+
 def _fidelity_w_chain(half_cm1: np.ndarray, half_cm2: np.ndarray) -> dict:
     """Auxiliary-matrix chain of the closed-form Gaussian fidelity.
 
@@ -69,22 +137,30 @@ def _fidelity_w_chain(half_cm1: np.ndarray, half_cm2: np.ndarray) -> dict:
     un-normalized total fidelity.  The square root must stay on the principal
     branch, so the determinant is checked for a spurious imaginary residue.
     """
-    n = half_cm1.shape[0] // 2
-    eye = np.eye(2 * n)
-    i_delta = 1j * symplectic_form(n)
-    w1 = -2.0 * half_cm1 @ i_delta
-    w2 = -2.0 * half_cm2 @ i_delta
-    w_aux = -np.linalg.solve(w1 + w2, eye + w2 @ w1)
-    inv_sq = np.linalg.solve(w_aux @ w_aux, eye)
-    # pure modes put the argument exactly on the PSD boundary; clamp the
-    # rounding noise around its zero eigenvalues
-    root = sqrt_complex_principal(eye - inv_sq, clamp_zero_tol=1e-12)
-    f_tot4 = complex(np.linalg.det((root + eye) @ w_aux @ i_delta))
-    if abs(f_tot4.imag) > 1e-9 * (1.0 + abs(f_tot4.real)):
-        raise NonRealResult(f"total-fidelity determinant has imaginary part {f_tot4.imag:.3e}")
-    if f_tot4.real <= 0.0:
-        raise NonRealResult(f"total-fidelity determinant is not positive: {f_tot4.real:.3e}")
-    return {"w_aux": w_aux, "f_tot4": f_tot4}
+    errors = ItemErrors(1)
+    w_aux, f_tot4 = _w_chain_stack(
+        np.asarray(half_cm1, dtype=float)[None], np.asarray(half_cm2, dtype=float)[None], errors
+    )
+    errors.raise_first()
+    return {"w_aux": w_aux[0], "f_tot4": complex(f_tot4[0])}
+
+
+def _fidelity_stack(d, cm, conj_d, conj_cm, errors: ItemErrors) -> dict:
+    # fidelity chain between each state and its partner state, for the items still live
+    before = errors.live
+    w_aux, f_tot4 = _w_chain_stack(0.5 * cm, 0.5 * conj_cm, errors)
+    d, cm, conj_d, conj_cm = errors.narrow(before, d, cm, conj_d, conj_cm)
+    cm_sum = cm + conj_cm
+    log_det, w_aux, f_tot4, cm_sum, dd = errors.call(
+        logdet_spd, 0.5 * cm_sum, carry=(w_aux, f_tot4, cm_sum, d - conj_d)
+    )
+    f0 = _libm(lambda v: v**0.25, f_tot4.real) / _libm(lambda v: v**0.25, np.exp(log_det))
+    x, w_aux, f_tot4, f0, dd = errors.call(
+        _solve_vectors, cm_sum, dd, carry=(w_aux, f_tot4, f0, dd)
+    )
+    exponent = -0.25 * _dot(dd, x)
+    value = 1.0 - f0 * _libm(math.exp, exponent)
+    return {"w_aux": w_aux, "f_tot4": f_tot4, "f0": f0, "exponent": exponent, "value": value}
 
 
 def _fidelity_chain(state: GaussianState, conj: GaussianState | None = None) -> dict:
@@ -95,13 +171,10 @@ def _fidelity_chain(state: GaussianState, conj: GaussianState | None = None) -> 
     """
     if conj is None:
         conj = state.conjugate()
-    chain = _fidelity_w_chain(0.5 * state.cm, 0.5 * conj.cm)
-    cm_sum = state.cm + conj.cm
-    f0 = chain["f_tot4"].real ** 0.25 / det_spd(0.5 * cm_sum) ** 0.25
-    dd = state.d - conj.d
-    exponent = -0.25 * float(dd @ np.linalg.solve(cm_sum, dd))
-    value = 1.0 - f0 * math.exp(exponent)
-    return {**chain, "f0": f0, "exponent": exponent, "value": value}
+    errors = ItemErrors(1)
+    chain = _fidelity_stack(state.d[None], state.cm[None], conj.d[None], conj.cm[None], errors)
+    errors.raise_first()
+    return {k: v[0] if v.ndim > 1 else v[0].item() for k, v in chain.items()}
 
 
 def fidelity_imaginarity(state: GaussianState, conj: GaussianState | None = None) -> float:
@@ -137,32 +210,49 @@ def _mu_weights(nus: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray, np.
     return factors, scale_mu, scale_1mu
 
 
+def _check_mu(mu: float) -> None:
+    if not 0.0 < mu < 1.0:
+        raise InvalidMu(f"mu must be in (0, 1), got {mu}")
+
+
+def _tsallis_stack(d: np.ndarray, cm: np.ndarray, mu: float, errors: ItemErrors) -> np.ndarray:
+    # Tsallis-type measure of each state, for the items still live
+    n = cm.shape[-1] // 2
+    before = errors.live
+    s, nus = williamson_stack(cm, errors)
+    (d,) = errors.narrow(before, d)
+    factors, scale_mu, scale_1mu = _mu_weights(nus, mu)
+    s_t = s.swapaxes(-1, -2)
+    cm_mu = (s * scale_mu.repeat(2, axis=-1)[:, None, :]) @ s_t
+    cm_1mu = (s * scale_1mu.repeat(2, axis=-1)[:, None, :]) @ s_t
+    o = momentum_signs(n)
+    # conjugation by diag(o) only flips signs, so it is applied elementwise
+    cm_sum = cm_mu + np.outer(o, o) * cm_1mu
+    cm_sum = 0.5 * (cm_sum + cm_sum.swapaxes(-1, -2))
+    log_det, factors, cm_sum, d = errors.call(logdet_spd, cm_sum, carry=(factors, cm_sum, d))
+    prefactor = 2.0**n * np.prod(factors, axis=-1) / np.sqrt(np.exp(log_det))
+    dd = d - o * d
+    x, prefactor, dd = errors.call(_solve_vectors, cm_sum, dd, carry=(prefactor, dd))
+    exponent = -0.5 * _dot(dd, x)
+    return 1.0 - prefactor * _libm(math.exp, exponent)
+
+
 def tsallis_imaginarity(state: GaussianState, mu: float) -> float:
     """One minus the Tsallis-type overlap of order mu between state and conjugate.
 
     Needs the full symplectic normal form of the covariance matrix, so this is
     the most expensive of the three measures.
     """
-    if not 0.0 < mu < 1.0:
-        raise InvalidMu(f"mu must be in (0, 1), got {mu}")
-    n = state.n
-    form = williamson(state.cm)
-    factors, scale_mu, scale_1mu = _mu_weights(form.nus, mu)
-    cm_mu = form.s @ np.diag(np.repeat(scale_mu, 2)) @ form.s.T
-    cm_1mu = form.s @ np.diag(np.repeat(scale_1mu, 2)) @ form.s.T
-    o = conjugation_matrix(n)
-    cm_sum = cm_mu + o @ cm_1mu @ o
-    cm_sum = 0.5 * (cm_sum + cm_sum.T)
-    prefactor = 2.0**n * float(np.prod(factors)) / math.sqrt(det_spd(cm_sum))
-    dd = state.d - o @ state.d
-    exponent = -0.5 * float(dd @ np.linalg.solve(cm_sum, dd))
-    return 1.0 - prefactor * math.exp(exponent)
+    _check_mu(mu)
+    errors = ItemErrors(1)
+    value = _tsallis_stack(state.d[None], state.cm[None], mu, errors)
+    errors.raise_first()
+    return float(value[0])
 
 
 def tsallis_imaginarity_single_mode(n_th: float, zeta: complex, alpha: complex, mu: float) -> float:
     """Closed form of ``tsallis_imaginarity`` on displaced squeezed thermal states."""
-    if not 0.0 < mu < 1.0:
-        raise InvalidMu(f"mu must be in (0, 1), got {mu}")
+    _check_mu(mu)
     if n_th < 0:
         raise ValueError(f"thermal photon number must be >= 0, got {n_th}")
     zeta = complex(zeta)
@@ -222,28 +312,100 @@ _NUMERIC_FAILURES = (
 )
 
 
+def _describe(exc: BaseException | None) -> str | None:
+    return None if exc is None else f"{type(exc).__name__}: {exc}"
+
+
+@dataclass
+class StackReport:
+    """All three measures of a stack of B states, as arrays over the stack.
+
+    Item k holds what ``measure_all`` reports on state k: a failed value is
+    NaN, and ``failures[k]`` holds the exceptions of its (imaginarity,
+    fidelity, Tsallis) paths, None where the path succeeded.
+    """
+
+    mu: float
+    zero_tol: float
+    imaginarity: np.ndarray  # (B,)
+    h_term: np.ndarray  # (B,) 0/1
+    log_dets: np.ndarray  # (B, 3): log det of cm, A11, A22
+    fidelity_imaginarity: np.ndarray  # (B,)
+    tsallis_imaginarity: np.ndarray  # (B,)
+    failures: list[tuple[BaseException | None, BaseException | None, BaseException | None]]
+
+    def report(self, k: int) -> MeasureReport:
+        """Item k as a ``MeasureReport``, with failures as error strings.
+
+        Raises what ``measure_all`` raises on state k: a failure of the
+        covariance-ratio measure, or one of the fragile paths that is not a
+        numeric failure.
+        """
+        imag_exc, fid_exc, ts_exc = self.failures[k]
+        if imag_exc is not None:
+            raise imag_exc
+        for exc in (fid_exc, ts_exc):
+            if exc is not None and not isinstance(exc, _NUMERIC_FAILURES):
+                raise exc
+        fidelity = None if fid_exc is not None else float(self.fidelity_imaginarity[k])
+        tsallis = None if ts_exc is not None else float(self.tsallis_imaginarity[k])
+        det_cm, det_a11, det_a22 = np.exp(self.log_dets[k]).tolist()
+        return MeasureReport(
+            imaginarity=float(self.imaginarity[k]),
+            h_term=int(self.h_term[k]),
+            det_cm=det_cm,
+            det_pos_block=det_a11,
+            det_mom_block=det_a22,
+            zero_tol=self.zero_tol,
+            mu=self.mu,
+            fidelity_imaginarity=fidelity,
+            tsallis_imaginarity=tsallis,
+            fidelity_error=_describe(fid_exc),
+            tsallis_error=_describe(ts_exc),
+        )
+
+
+def measure_stack(
+    d: np.ndarray, cm: np.ndarray, mu: float = 0.5, zero_tol: float = ZERO_TOL
+) -> StackReport:
+    """Evaluate all three measures on a stack of valid states in one pass.
+
+    Args:
+        d: displacements, shape (B, 2n).
+        cm: covariance matrices, shape (B, 2n, 2n), already validated.
+        mu: Tsallis order in (0, 1).
+        zero_tol: threshold of the momentum indicator.
+
+    A failure stays with its item: the item's value is NaN, its exception is
+    kept in ``failures``, and it takes no part in later stages.  Items that
+    fail the covariance-ratio measure skip the fragile paths.
+    """
+    _check_mu(mu)
+    d = np.asarray(d, dtype=float)
+    cm = np.asarray(cm, dtype=float)
+    base = ItemErrors(len(cm))
+    ((value, h, *log_dets),) = base.call(partial(_imaginarity_stack, zero_tol=zero_tol), d, cm)
+    d, cm = base.narrow(np.arange(len(cm)), d, cm)
+    o = momentum_signs(cm.shape[-1] // 2)
+    fid, ts = base.copy(), base.copy()
+    fidelity = _fidelity_stack(d, cm, o * d, np.outer(o, o) * cm, fid)["value"]
+    tsallis = _tsallis_stack(d, cm, mu, ts)
+    return StackReport(
+        mu=mu,
+        zero_tol=zero_tol,
+        imaginarity=base.spread(value),
+        h_term=base.spread(1.0 * h),
+        log_dets=base.spread(np.stack(log_dets, axis=-1)),
+        fidelity_imaginarity=fid.spread(fidelity),
+        tsallis_imaginarity=ts.spread(tsallis),
+        failures=list(zip(base.errors, fid.errors, ts.errors)),
+    )
+
+
 def measure_all(state: GaussianState, mu: float = 0.5, zero_tol: float = ZERO_TOL) -> MeasureReport:
     """Evaluate all three measures; the fragile paths may fail and are flagged.
 
     The covariance-ratio measure always succeeds on a valid state.  Failures of
     the fidelity or Tsallis path are captured as messages instead of raising.
     """
-    blocks = block_split(state.cm, state.n)
-    report = MeasureReport(
-        imaginarity=imaginarity(state, zero_tol),
-        h_term=momentum_indicator(state, zero_tol),
-        det_cm=det_spd(state.cm),
-        det_pos_block=det_spd(blocks.a11),
-        det_mom_block=det_spd(blocks.a22),
-        zero_tol=zero_tol,
-        mu=mu,
-    )
-    try:
-        report.fidelity_imaginarity = fidelity_imaginarity(state)
-    except _NUMERIC_FAILURES as exc:
-        report.fidelity_error = f"{type(exc).__name__}: {exc}"
-    try:
-        report.tsallis_imaginarity = tsallis_imaginarity(state, mu)
-    except _NUMERIC_FAILURES as exc:
-        report.tsallis_error = f"{type(exc).__name__}: {exc}"
-    return report
+    return measure_stack(state.d[None], state.cm[None], mu, zero_tol).report(0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import grouped_index, mode_permutation
+from .linalg import grouped_index
 from .states import GaussianState
 
 
@@ -14,8 +14,8 @@ def random_orthogonal_symplectic(n: int, rng: np.random.Generator) -> np.ndarray
     q, r = np.linalg.qr(z)
     u = q * (np.diag(r) / np.abs(np.diag(r)))
     grouped = np.block([[u.real, -u.imag], [u.imag, u.real]])
-    p = mode_permutation(n)
-    return p.T @ grouped @ p
+    # (q..., p...) order back to (q1, p1, ...): entry (a*n+i, b*n+j) moves to (2i+a, 2j+b)
+    return grouped.reshape(2, n, 2, n).transpose(1, 0, 3, 2).reshape(2 * n, 2 * n)
 
 
 def random_symplectic(n: int, rng: np.random.Generator, max_squeeze: float = 1.0) -> np.ndarray:

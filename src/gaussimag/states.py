@@ -11,17 +11,75 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import AsymmetricCM, DimensionMismatch, UncertaintyViolation
-from .linalg import _scaled_tol, symplectic_form
+from .linalg import ItemErrors, _scaled_tol, symplectic_form
 
 #: absolute threshold below which displacement/CM entries count as zero
 ZERO_TOL = 1e-12
 
 
-def conjugation_matrix(n: int) -> np.ndarray:
-    """diag(1, -1, ..., 1, -1): flips every momentum quadrature."""
+def momentum_displaced(d: np.ndarray, zero_tol: float = ZERO_TOL):
+    """Whether any momentum quadrature is displaced: l1 norm of d[1::2] above zero_tol.
+
+    The one realness test on displacements; a stack ``(B, 2n)`` gives one flag per item.
+    """
+    return np.abs(d[..., 1::2]).sum(axis=-1) > zero_tol
+
+
+def real_pattern(d: np.ndarray, cm: np.ndarray, zero_tol: float = ZERO_TOL) -> bool:
+    """True iff no momentum quadrature is displaced and every q-p covariance vanishes."""
+    if momentum_displaced(d, zero_tol):
+        return False
+    return float(np.abs(cm[0::2, 1::2]).max()) <= zero_tol
+
+
+def momentum_signs(n: int) -> np.ndarray:
+    """(1, -1, ..., 1, -1): conjugation flips the sign of every momentum quadrature."""
     o = np.ones(2 * n)
     o[1::2] = -1.0
-    return np.diag(o)
+    return o
+
+
+def validate(cm: np.ndarray, tol: float | None = None):
+    """Validate a stack of covariance matrices ``(B, 2n, 2n)``.
+
+    Returns ``(cm, margin, errors)``: the symmetrized matrices, each item's
+    physicality margin (the smallest eigenvalue of cm + i*Delta, NaN where
+    that eigenproblem failed) and a list holding None or the
+    ``AsymmetricCM``/``UncertaintyViolation``/``LinAlgError`` of each item.
+    """
+    errors = ItemErrors(len(cm))
+    t = _scaled_tol(cm, tol)
+    cm_t = cm.swapaxes(-1, -2)
+    asymmetric = np.abs(cm - cm_t).max(axis=(-2, -1)) > t
+    cm = 0.5 * (cm + cm_t)
+    (eigs,) = errors.call(np.linalg.eigvalsh, cm + 1j * symplectic_form(cm.shape[-1] // 2))
+    margin = errors.spread(eigs.min(axis=-1))
+    bad = asymmetric | (margin < -t)
+    for k in np.flatnonzero(bad) if np.count_nonzero(bad) else ():
+        errors.errors[k] = (
+            AsymmetricCM("covariance matrix is not symmetric within tolerance")
+            if asymmetric[k]
+            else UncertaintyViolation(
+                f"uncertainty principle violated: min eig of cm + i*Delta is {margin[k]:.3e}"
+            )
+        )
+    return cm, margin, errors.errors
+
+
+def _checked(d, cm, tol: float | None) -> tuple[np.ndarray, np.ndarray, float]:
+    d = np.array(d, dtype=float)
+    cm = np.array(cm, dtype=float)
+    if d.ndim != 1 or d.size < 2 or d.size % 2 != 0:
+        raise DimensionMismatch(f"displacement must have even length >= 2, got shape {d.shape}")
+    n = d.size // 2
+    if cm.shape != (2 * n, 2 * n):
+        raise DimensionMismatch(
+            f"covariance matrix shape {cm.shape} does not match {2 * n} quadratures"
+        )
+    cm, margin, errors = validate(cm[None], tol)
+    if errors[0] is not None:
+        raise errors[0]
+    return d, cm[0], float(margin[0])
 
 
 class GaussianState:
@@ -36,27 +94,25 @@ class GaussianState:
     __slots__ = ("n", "d", "cm")
 
     def __init__(self, d, cm, tol: float | None = None):
-        d = np.array(d, dtype=float)
-        cm = np.array(cm, dtype=float)
-        if d.ndim != 1 or d.size < 2 or d.size % 2 != 0:
-            raise DimensionMismatch(f"displacement must have even length >= 2, got shape {d.shape}")
-        n = d.size // 2
-        if cm.shape != (2 * n, 2 * n):
-            raise DimensionMismatch(
-                f"covariance matrix shape {cm.shape} does not match {2 * n} quadratures"
-            )
-        t = _scaled_tol(cm, tol)
-        if float(np.abs(cm - cm.T).max()) > t:
-            raise AsymmetricCM("covariance matrix is not symmetric within tolerance")
-        cm = 0.5 * (cm + cm.T)
-        min_eig = float(np.linalg.eigvalsh(cm + 1j * symplectic_form(n)).min())
-        if min_eig < -t:
-            raise UncertaintyViolation(
-                f"uncertainty principle violated: min eig of cm + i*Delta is {min_eig:.3e}"
-            )
+        self._set(*_checked(d, cm, tol)[:2])
+
+    @classmethod
+    def checked(cls, d, cm, tol: float | None = None) -> tuple["GaussianState", float]:
+        """Validated state together with its physicality margin (min eig of cm + i*Delta)."""
+        d, cm, margin = _checked(d, cm, tol)
+        return cls._trusted(d, cm), margin
+
+    @classmethod
+    def _trusted(cls, d: np.ndarray, cm: np.ndarray) -> "GaussianState":
+        # for arrays whose physicality follows from how they were built
+        state = object.__new__(cls)
+        state._set(d, cm)
+        return state
+
+    def _set(self, d: np.ndarray, cm: np.ndarray) -> None:
         d.setflags(write=False)
         cm.setflags(write=False)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", d.size // 2)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "cm", cm)
 
@@ -68,15 +124,13 @@ class GaussianState:
 
     def conjugate(self) -> "GaussianState":
         """State of the complex-conjugate density operator: d -> O d, cm -> O cm O."""
-        o = np.ones(2 * self.n)
-        o[1::2] = -1.0
-        return GaussianState(o * self.d, np.outer(o, o) * self.cm)
+        o = momentum_signs(self.n)
+        # no re-validation: O cm O + i*Delta = O conj(cm + i*Delta) O has the same spectrum
+        return GaussianState._trusted(o * self.d, np.outer(o, o) * self.cm)
 
     def is_real(self, zero_tol: float = ZERO_TOL) -> bool:
         """True iff all momentum displacements and all q-p covariances vanish."""
-        if float(np.abs(self.d[1::2]).max(initial=0.0)) > zero_tol:
-            return False
-        return float(np.abs(self.cm[0::2, 1::2]).max()) <= zero_tol
+        return real_pattern(self.d, self.cm, zero_tol)
 
     def reduce(self, modes: Sequence[int]) -> "GaussianState":
         """Restrict to a subset of modes (1-based), keeping the given order."""
@@ -89,18 +143,24 @@ class GaussianState:
             if not 1 <= m <= self.n:
                 raise ValueError(f"mode {m} out of range 1..{self.n}")
         idx = np.concatenate([[2 * (m - 1), 2 * m - 1] for m in modes])
-        return GaussianState(self.d[idx], self.cm[np.ix_(idx, idx)])
+        # no re-validation: a principal submatrix of the PSD cm + i*Delta is PSD
+        return GaussianState._trusted(self.d[idx], self.cm[np.ix_(idx, idx)])
 
     def to_dict(self) -> dict:
         return {"n": self.n, "d": self.d.tolist(), "cm": self.cm.tolist()}
 
     @classmethod
     def from_dict(cls, obj: dict, tol: float | None = None) -> "GaussianState":
-        d = np.asarray(obj["d"], dtype=float)
-        cm = np.asarray(obj["cm"], dtype=float)
-        if "n" in obj and 2 * int(obj["n"]) != d.size:
-            raise DimensionMismatch(f"declared n={obj['n']} but displacement has {d.size} entries")
-        return cls(d, cm, tol=tol)
+        return cls(*arrays_from_dict(obj), tol=tol)
+
+
+def arrays_from_dict(obj: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(d, cm) of a state dict, with its declared mode count checked."""
+    d = np.asarray(obj["d"], dtype=float)
+    cm = np.asarray(obj["cm"], dtype=float)
+    if "n" in obj and 2 * int(obj["n"]) != d.size:
+        raise DimensionMismatch(f"declared n={obj['n']} but displacement has {d.size} entries")
+    return d, cm
 
 
 def coherent_state(alphas: Sequence[complex]) -> GaussianState:

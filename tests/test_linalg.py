@@ -5,10 +5,9 @@ from hypothesis import given, strategies as st
 from gaussimag.errors import ComplexSqrtBranchFailure, WilliamsonResidualError
 from gaussimag.linalg import (
     block_split,
+    grouped_index,
     is_psd_hermitian,
-    mode_permutation,
     sqrt_complex_principal,
-    sqrt_spd,
     symplectic_form,
     williamson,
 )
@@ -56,26 +55,6 @@ class TestPsdCheck:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             is_psd_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestSqrtSpd:
-    def test_scalar_multiple(self):
-        np.testing.assert_allclose(sqrt_spd(4.0 * np.eye(3)), 2.0 * np.eye(3))
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(sqrt_spd(np.diag([9.0, 1.0])), np.diag([3.0, 1.0]))
-
-    def test_random_reconstruction(self, rng):
-        for _ in range(25):
-            a = random_hermitian_pd(5, rng).real
-            a = 0.5 * (a + a.T)
-            b = sqrt_spd(a)
-            assert np.abs(b - b.T).max() < 1e-12
-            assert np.abs(b @ b - a).max() <= 1e-10 * np.abs(a).max()
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            sqrt_spd(np.diag([1.0, -2.0]))
 
 
 class TestSqrtComplexPrincipal:
@@ -169,19 +148,29 @@ class TestWilliamson:
 
 class TestModeReordering:
     def test_single_mode_is_identity(self):
-        np.testing.assert_array_equal(mode_permutation(1), np.eye(2))
+        np.testing.assert_array_equal(grouped_index(1), [0, 1])
 
     def test_two_mode_displacement(self):
-        p = mode_permutation(2)
-        np.testing.assert_array_equal(p @ np.array([1.0, 2.0, 3.0, 4.0]), [1.0, 3.0, 2.0, 4.0])
+        v = np.array([1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(v[grouped_index(2)], [1.0, 3.0, 2.0, 4.0])
 
     @given(st.integers(min_value=1, max_value=4))
     def test_brute_force_index_map(self, n):
-        p = mode_permutation(n)
-        np.testing.assert_array_equal(p @ p.T, np.eye(2 * n))
+        # grouped_index reorders (q1, p1, ..., qn, pn) to (q1, ..., qn, p1, ..., pn)
+        idx = grouped_index(n)
+        np.testing.assert_array_equal(np.sort(idx), np.arange(2 * n))
         v = np.arange(2 * n, dtype=float)
         expected = np.concatenate([v[0::2], v[1::2]])
-        np.testing.assert_array_equal(p @ v, expected)
+        np.testing.assert_array_equal(v[idx], expected)
+
+    def test_block_split_matches_grouped_reordering(self, rng):
+        for n in (1, 2, 3):
+            cm = random_cm(n, rng)
+            grouped = cm[np.ix_(grouped_index(n), grouped_index(n))]
+            blocks = block_split(cm, n)
+            np.testing.assert_array_equal(blocks.a11, grouped[:n, :n])
+            np.testing.assert_array_equal(blocks.a12, grouped[:n, n:])
+            np.testing.assert_array_equal(blocks.a22, grouped[n:, n:])
 
     def test_block_split_identity(self):
         blocks = block_split(np.eye(4), 2)

@@ -219,10 +219,11 @@ class TestMeasureAll:
     def test_fragile_path_failure_is_flagged(self, monkeypatch, rng):
         import gaussimag.measures as measures
 
-        def boom(state, conj=None):
-            raise NonRealResult("synthetic failure")
+        def boom(d, cm, conj_d, conj_cm, errors):
+            errors.fail(np.ones(len(errors.live), dtype=bool), lambda j: NonRealResult("synthetic failure"))
+            return {"value": np.empty(0)}
 
-        monkeypatch.setattr(measures, "fidelity_imaginarity", boom)
+        monkeypatch.setattr(measures, "_fidelity_stack", boom)
         report = measures.measure_all(random_state(2, rng))
         assert report.fidelity_imaginarity is None
         assert "synthetic failure" in report.fidelity_error

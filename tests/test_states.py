@@ -10,8 +10,8 @@ from gaussimag.sampling import random_state
 from gaussimag.states import (
     GaussianState,
     coherent_state,
-    conjugation_matrix,
     displaced_squeezed_thermal,
+    momentum_signs,
     two_mode_squeezed_vacuum,
 )
 
@@ -77,9 +77,10 @@ class TestRealness:
 
 class TestConjugation:
     def test_matrix_shape(self):
-        np.testing.assert_array_equal(conjugation_matrix(2), np.diag([1.0, -1.0, 1.0, -1.0]))
-        o = conjugation_matrix(3)
-        np.testing.assert_array_equal(o @ o, np.eye(6))
+        # conjugation is diag(1, -1, ..., 1, -1), kept as its sign vector
+        np.testing.assert_array_equal(momentum_signs(2), [1.0, -1.0, 1.0, -1.0])
+        o = momentum_signs(3)
+        np.testing.assert_array_equal(o * o, np.ones(6))
 
     def test_coherent_example(self):
         conj = coherent_state([1j]).conjugate()
