@@ -88,7 +88,9 @@ def evolve(state0: GaussianState, p: BathParams, t: float) -> GaussianState:
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     d, cm = _evolved(state0, p, [t])
-    return GaussianState(d[0], cm[0])
+    # no re-validation: a convex combination of physical covariance matrices is
+    # physical, and nu_infinity is physical by the (n_th, R) parameterization
+    return GaussianState._trusted(d[0], cm[0])
 
 
 def _sv_abc(r: float, p: BathParams, t: float) -> tuple[float, float, float, float]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ComplexSqrtBranchFailure, WilliamsonResidualError
 
@@ -129,6 +128,31 @@ class ItemErrors:
                 raise exc
 
 
+# cap on the coupled Newton iteration: a Jordan block with eigenvalue of
+# magnitude 1e-15 to 1e15 reaches its stopping residual within 30 steps
+_NEWTON_STEPS = 100
+
+
+def _sqrt_newton(a: np.ndarray) -> np.ndarray:
+    """Principal square root of one matrix by the coupled Newton iteration.
+
+    Denman-Beavers: ``y, z <- (y + z^-1)/2, (z + y^-1)/2`` from ``y = a,
+    z = I`` converges to ``(a^1/2, a^-1/2)`` whenever no eigenvalue of ``a``
+    lies on the closed negative real axis, defective or not (Higham 1997).
+    A singular iterate gives NaN, which the caller's residual check rejects.
+    """
+    y, z = a, np.eye(len(a), dtype=a.dtype)
+    tol = 1e-14 * (1.0 + np.abs(a).max())
+    for _ in range(_NEWTON_STEPS):
+        try:
+            y, z = 0.5 * (y + np.linalg.inv(z)), 0.5 * (z + np.linalg.inv(y))
+        except np.linalg.LinAlgError:
+            return np.full_like(a, np.nan)
+        if np.abs(y @ y - a).max() <= tol:
+            break
+    return y
+
+
 def sqrt_principal_stack(
     a: np.ndarray, errors: ItemErrors, cond_limit: float = 1e8, clamp_zero_tol: float = 0.0
 ) -> np.ndarray:
@@ -136,7 +160,9 @@ def sqrt_principal_stack(
 
     Items whose root is undefined or unreliable fail with
     ``ComplexSqrtBranchFailure``; the result covers the items still live.
-    See ``sqrt_complex_principal`` for the method.
+    Each root comes from an eigendecomposition, or from the coupled Newton
+    iteration where the eigenvectors are near-defective; see
+    ``sqrt_complex_principal``.
     """
     (w, v), a = errors.call(np.linalg.eig, a, carry=(a,))
     scale = np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))[:, None]
@@ -159,13 +185,13 @@ def sqrt_principal_stack(
     else:
         root = np.empty_like(a)
         root[eig] = (v[eig] * np.sqrt(w[eig])[:, None, :]) @ np.linalg.inv(v[eig])
-        # near-defective eigenvector basis: Schur method is the reliable route
+        # near-defective eigenvector basis: the Newton iteration needs no eigenvectors
         for j in np.flatnonzero(~eig):
-            root[j] = scipy.linalg.sqrtm(a[j])
+            root[j] = _sqrt_newton(a[j])
     residual = np.abs(root @ root - a).max(axis=(-2, -1), initial=0.0)
     limit = 1e-10 * (1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0))
     (root,) = errors.fail(
-        residual > limit,
+        ~(residual <= limit),  # NaN residual included
         lambda j: ComplexSqrtBranchFailure(
             f"square-root reconstruction residual {residual[j]:.3e} above tolerance"
         ),
@@ -180,14 +206,15 @@ def sqrt_complex_principal(
     """Principal square root of a complex square matrix.
 
     Uses an eigendecomposition; when the eigenvector matrix is ill-conditioned
-    (condition number above ``cond_limit``) falls back to a Schur-based method.
+    (condition number above ``cond_limit``) falls back to the coupled Newton
+    (Denman-Beavers) iteration, which needs no eigenvectors.
     The principal branch requires the spectrum to avoid the closed negative
     real axis, so every eigenvalue of the result lies in the right half-plane.
 
     Args:
         a: square complex matrix.
         cond_limit: eigenvector-matrix condition number beyond which the
-            Schur fallback is used.
+            Newton fallback is used.
         clamp_zero_tol: when positive, eigenvalues of magnitude below
             clamp_zero_tol * max(1, spectral radius) are treated as exact
             zeros instead of branch errors (for arguments that sit on the
@@ -195,7 +222,8 @@ def sqrt_complex_principal(
 
     Raises:
         ComplexSqrtBranchFailure: if an eigenvalue sits on the closed negative
-            real axis, or the reconstruction residual is above 1e-10 relative.
+            real axis, or the reconstruction residual is above 1e-10 relative
+            (which includes a Newton fallback that does not converge).
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -125,6 +125,18 @@ class TestEvolve:
             out = evolve(s0, BATH, float(t))
             assert np.linalg.eigvalsh(out.cm + 1j * delta).min() >= -1e-9
 
+    @pytest.mark.parametrize(
+        "s0", [two_mode_squeezed_vacuum(1.2), coherent_state([2 + 1j, -1j])], ids=["sv", "coherent"]
+    )
+    def test_matches_validated_construction(self, s0):
+        # evolve skips validation; the validating constructor must agree bit for bit
+        for t in np.linspace(0, 80, 41):
+            out = evolve(s0, BATH, float(t))
+            ref = GaussianState(out.d, out.cm)
+            np.testing.assert_array_equal(out.cm, ref.cm)
+            np.testing.assert_array_equal(out.d, ref.d)
+            assert not out.cm.flags.writeable and not out.d.flags.writeable
+
     def test_wrong_mode_count(self):
         with pytest.raises(WrongModeCount):
             evolve(coherent_state([1j]), BATH, 1.0)

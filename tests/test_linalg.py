@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import gaussimag
 from gaussimag.errors import ComplexSqrtBranchFailure, WilliamsonResidualError
 from gaussimag.linalg import (
     block_split,
@@ -94,6 +100,44 @@ class TestSqrtComplexPrincipal:
         jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         root = sqrt_complex_principal(jordan)
         np.testing.assert_allclose(root, [[1.0, 0.5], [0.0, 1.0]], atol=1e-12)
+
+    def test_three_by_three_jordan_block(self):
+        jordan = 4.0 * np.eye(3, dtype=complex) + np.diag([1.0, 1.0], 1)
+        root = sqrt_complex_principal(jordan)
+        exact = [[2.0, 1 / 4, -1 / 64], [0.0, 2.0, 1 / 4], [0.0, 0.0, 2.0]]
+        np.testing.assert_allclose(root, exact, atol=1e-12)
+
+    def test_near_defective_complex_matrix(self, rng):
+        # a similarity transform of a 3x3 Jordan block split by 1e-9
+        s = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        lam = 2.0 + 1.0j
+        j = np.diag([lam, lam + 1e-9, lam + 2e-9]) + np.diag([1.0, 1.0], 1)
+        a = s @ j @ np.linalg.inv(s)
+        assert np.linalg.cond(np.linalg.eig(a)[1]) > 1e8  # takes the fallback branch
+        root = sqrt_complex_principal(a)
+        assert np.abs(root @ root - a).max() <= 1e-10 * (1 + np.abs(a).max())
+        assert np.linalg.eigvals(root).real.min() > 0.0
+        # the eigenvector route alone misses the residual guard here
+        with pytest.raises(ComplexSqrtBranchFailure):
+            sqrt_complex_principal(a, cond_limit=np.inf)
+
+    def test_nilpotent_has_no_root(self):
+        # zero eigenvalues pass the clamp, but the fallback meets a singular
+        # matrix; its NaN must fail the residual check, not come back as a root
+        with pytest.raises(ComplexSqrtBranchFailure, match="residual nan"):
+            sqrt_complex_principal(np.array([[0.0, 1.0], [0.0, 0.0]]), clamp_zero_tol=1e-12)
+
+
+def test_import_does_not_load_scipy():
+    # scipy.linalg would triple the import time and add a second OpenBLAS
+    src = str(Path(gaussimag.__file__).resolve().parents[1])
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run(
+        [sys.executable, "-c", "import gaussimag, sys; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestWilliamson:
