@@ -13,20 +13,20 @@ def random_orthogonal_symplectic(n: int, rng: np.random.Generator) -> np.ndarray
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     u = q * (np.diag(r) / np.abs(np.diag(r)))
-    grouped = np.block([[u.real, -u.imag], [u.imag, u.real]])
-    # (q..., p...) order back to (q1, p1, ...): entry (a*n+i, b*n+j) moves to (2i+a, 2j+b)
-    return grouped.reshape(2, n, 2, n).transpose(1, 0, 3, 2).reshape(2 * n, 2 * n)
+    # the complex matrix u as the real block [[Re u, -Im u], [Im u, Re u]] of
+    # the grouped (q..., p...) order, written straight into (q1, p1, ...) order
+    out = np.empty((2 * n, 2 * n))
+    out[0::2, 0::2] = out[1::2, 1::2] = u.real
+    out[0::2, 1::2] = -u.imag
+    out[1::2, 0::2] = u.imag
+    return out
 
 
 def random_symplectic(n: int, rng: np.random.Generator, max_squeeze: float = 1.0) -> np.ndarray:
     """Random symplectic matrix as passive * squeeze * passive."""
     rs = rng.uniform(0.0, max_squeeze, size=n)
-    squeeze = np.diag(np.ravel([(np.exp(r), np.exp(-r)) for r in rs]))
-    return (
-        random_orthogonal_symplectic(n, rng)
-        @ squeeze
-        @ random_orthogonal_symplectic(n, rng)
-    )
+    squeeze = np.exp(np.column_stack((rs, -rs))).ravel()
+    return (random_orthogonal_symplectic(n, rng) * squeeze) @ random_orthogonal_symplectic(n, rng)
 
 
 def random_cm(
@@ -40,7 +40,7 @@ def random_cm(
     nus = 1.0 + rng.exponential(thermal_scale, size=n)
     nus[rng.random(n) < pure_prob] = 1.0
     s = random_symplectic(n, rng, max_squeeze)
-    return s @ np.diag(np.repeat(nus, 2)) @ s.T
+    return (s * np.repeat(nus, 2)) @ s.T
 
 
 def random_state(

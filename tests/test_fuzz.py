@@ -1,0 +1,106 @@
+"""The stacked fuzz suites against a per-case oracle on the one-state public path."""
+
+import numpy as np
+import pytest
+
+from gaussimag.channels import RealnessClass, random_real_channel
+from gaussimag.fuzz import DEFAULT_TOLS, SUITES, FuzzResult, _case_rng, run_suite
+from gaussimag.linalg import symplectic_form, williamson
+from gaussimag.measures import imaginarity
+from gaussimag.sampling import inject_cross_entry, random_cm, random_real_state, random_state
+
+CASES = 60
+
+
+def monotonicity_margin(rng, case, tol):
+    n = int(rng.integers(1, 4))
+    state = random_state(n, rng)
+    kind = (RealnessClass.COMPLETELY_REAL, RealnessClass.COVARIANT_REAL)[case % 2]
+    out = random_real_channel(n, kind, rng).apply(state)
+    margin = imaginarity(out) - imaginarity(state) - tol
+    if kind is RealnessClass.COMPLETELY_REAL:
+        breaking = imaginarity(out) - 1e-10
+        if not out.is_real():
+            breaking = max(breaking, 1.0)
+        margin = max(margin, breaking)
+    return margin
+
+
+def faithfulness_margin(rng, case, tol):
+    real = random_real_state(int(rng.integers(1, 5)), rng)
+    if case % 2 == 0:
+        return imaginarity(real) - tol
+    eps = float(np.exp(rng.uniform(np.log(1e-3), np.log(0.1))))
+    return 1e-8 - imaginarity(inject_cross_entry(real, rng, eps))
+
+
+def hierarchy_margin(rng, case, tol):
+    n = int(rng.integers(2, 5))
+    state = random_state(n, rng)
+    full = imaginarity(state)
+    margin = float("-inf")
+    for mask in range(1, 2**n - 1):
+        modes = [m + 1 for m in range(n) if mask >> m & 1]
+        margin = max(margin, imaginarity(state.reduce(modes)) - full - tol)
+    perm = [int(m) + 1 for m in rng.permutation(n)]
+    return max(margin, abs(imaginarity(state.reduce(perm)) - full) - 1e-12)
+
+
+def williamson_margin(rng, case, tol):
+    n = int(rng.integers(1, 5))
+    cm = random_cm(n, rng)
+    form = williamson(cm, tol=float("inf"))
+    delta = symplectic_form(n)
+    res_cm = np.linalg.norm(form.s @ form.diagonal() @ form.s.T - cm) / np.linalg.norm(cm)
+    res_sympl = float(np.linalg.norm(form.s @ delta @ form.s.T - delta))
+    return max(res_cm, res_sympl) - tol
+
+
+ORACLES = {
+    "monotonicity": monotonicity_margin,
+    "faithfulness": faithfulness_margin,
+    "hierarchy": hierarchy_margin,
+    "williamson": williamson_margin,
+}
+
+
+def recorded_margins(monkeypatch, suite, seed, count, tol=None):
+    recorded = []
+    record = FuzzResult.record
+
+    def spy(self, case, margin):
+        recorded.append((case, margin))
+        record(self, case, margin)
+
+    monkeypatch.setattr(FuzzResult, "record", spy)
+    return run_suite(suite, seed=seed, count=count, tol=tol), recorded
+
+
+@pytest.mark.parametrize("suite", SUITES)
+@pytest.mark.parametrize("seed", [3, 2024])
+def test_margins_match_the_per_case_oracle(monkeypatch, suite, seed):
+    result, recorded = recorded_margins(monkeypatch, suite, seed, CASES)
+    tol = DEFAULT_TOLS[suite]
+    expected = [
+        (case, ORACLES[suite](_case_rng(seed, case), case, tol)) for case in range(CASES)
+    ]
+    assert recorded == expected  # bit for bit, in case order
+    assert result.failures == 0
+    assert result.worst_margin == max(m for _, m in expected)
+
+
+@pytest.mark.parametrize("suite", ["hierarchy", "williamson"])
+def test_failing_cases_keep_case_order(suite):
+    # with tol=-1 every case of these two suites fails (the other two have
+    # terms that do not move with tol): each case is recorded once, under its
+    # own index and in case order, although the scoring runs by mode count
+    result = run_suite(suite, seed=5, count=25, tol=-1.0)
+    assert result.failures == 25
+    assert [case for case, _ in result.failing_cases] == list(range(10))
+    assert "FAIL case=0 seed=(5,0)" in result.summary()
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_zero_cases(suite):
+    result = run_suite(suite, seed=0, count=0)
+    assert (result.failures, result.failing_cases, result.worst_margin) == (0, [], float("-inf"))
