@@ -7,8 +7,8 @@ import enum
 import numpy as np
 
 from .errors import AsymmetricNoise, DimensionMismatch, PhysicalityViolation
-from .linalg import _scaled_tol, symplectic_form
-from .states import ZERO_TOL, GaussianState, real_pattern
+from .linalg import _mT, _scaled_tol, symplectic_form
+from .states import ZERO_TOL, GaussianState, checked_stack, real_pattern
 
 
 class RealnessClass(enum.Enum):
@@ -47,9 +47,19 @@ class GaussianChannel:
             raise PhysicalityViolation(
                 f"channel condition N + i(Delta - T Delta T^T) has min eig {min_eig:.3e}"
             )
+        self._set(t, noise, d0)
+
+    @classmethod
+    def _trusted(cls, t: np.ndarray, noise: np.ndarray, d0: np.ndarray) -> "GaussianChannel":
+        # for arrays whose physicality follows from how they were built
+        channel = object.__new__(cls)
+        channel._set(t, noise, d0)
+        return channel
+
+    def _set(self, t: np.ndarray, noise: np.ndarray, d0: np.ndarray) -> None:
         for arr in (t, noise, d0):
             arr.setflags(write=False)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", d0.size // 2)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "noise", noise)
         object.__setattr__(self, "d0", d0)
@@ -63,9 +73,10 @@ class GaussianChannel:
     def apply(self, state: GaussianState) -> GaussianState:
         if state.n != self.n:
             raise DimensionMismatch(f"channel has {self.n} modes, state has {state.n}")
-        d_out = self.t @ state.d + self.d0
-        cm_out = self.t @ state.cm @ self.t.T + self.noise
-        return GaussianState(d_out, cm_out)
+        d, cm = apply_stack(
+            self.t[None], self.noise[None], self.d0[None], state.d[None], state.cm[None]
+        )
+        return GaussianState._trusted(d[0], cm[0])
 
     def to_dict(self) -> dict:
         return {
@@ -107,6 +118,50 @@ def classify_real(channel: GaussianChannel, zero_tol: float = ZERO_TOL) -> Realn
     return RealnessClass.NOT_REAL
 
 
+def apply_stack(
+    t: np.ndarray, noise: np.ndarray, d0: np.ndarray, d: np.ndarray, cm: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs ``(d, cm)`` of channels ``(t, noise, d0)`` on states ``(d, cm)``, stacks of B.
+
+    The output covariance matrices are validated; the first failed item raises.
+    """
+    d_out = (t @ d[..., None])[..., 0] + d0
+    cm_out = t @ cm @ _mT(t) + noise
+    return d_out, checked_stack(cm_out)[0]
+
+
+def draw_real_channel(n: int, kind: RealnessClass, rng: np.random.Generator) -> tuple:
+    """Raw draws ``(t, g, d0)`` of ``random_real_channel``, T and d0 on their allowed support."""
+    if kind not in (RealnessClass.COMPLETELY_REAL, RealnessClass.COVARIANT_REAL):
+        raise ValueError(f"kind must be completely or covariant real, got {kind}")
+    t = rng.uniform(-1.0, 1.0, size=(2 * n, 2 * n))
+    if kind is RealnessClass.COMPLETELY_REAL:
+        t[1::2, :] = 0.0
+    else:
+        t[0::2, 1::2] = 0.0
+        t[1::2, 0::2] = 0.0
+    g = rng.normal(size=(2 * n, 2 * n))
+    d0 = rng.normal(size=2 * n)
+    d0[1::2] = 0.0
+    return t, g, d0
+
+
+def real_channel_stack(draws: list[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Channels ``(t, noise, d0)`` of ``draw_real_channel`` draws of one mode count, stacked."""
+    t, g, d0 = map(np.stack, zip(*draws))
+    noise = g @ _mT(g)
+    # zeroing the q-p cross entries keeps the matrix PSD (block projection)
+    noise[:, 0::2, 1::2] = 0.0
+    noise[:, 1::2, 0::2] = 0.0
+    delta = symplectic_form(d0.shape[-1] // 2)
+    condition = noise + 1j * (delta - t @ delta @ _mT(t))
+    min_eig = np.linalg.eigvalsh(condition).min(axis=-1)
+    short = min_eig < 0.0
+    shift = -min_eig[short] + 1e-12 * (1.0 + np.abs(min_eig[short]))
+    noise[short] += shift[:, None, None] * np.eye(len(delta))
+    return t, noise, d0
+
+
 def random_real_channel(n: int, kind: RealnessClass, seed) -> GaussianChannel:
     """Sample a random channel with the requested realness pattern.
 
@@ -120,25 +175,8 @@ def random_real_channel(n: int, kind: RealnessClass, seed) -> GaussianChannel:
         kind: COMPLETELY_REAL or COVARIANT_REAL.
         seed: int seed or a numpy Generator.
     """
-    if kind not in (RealnessClass.COMPLETELY_REAL, RealnessClass.COVARIANT_REAL):
-        raise ValueError(f"kind must be completely or covariant real, got {kind}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    t = rng.uniform(-1.0, 1.0, size=(2 * n, 2 * n))
-    if kind is RealnessClass.COMPLETELY_REAL:
-        t[1::2, :] = 0.0
-    else:
-        t[0::2, 1::2] = 0.0
-        t[1::2, 0::2] = 0.0
-    g = rng.normal(size=(2 * n, 2 * n))
-    noise = g @ g.T
-    # zeroing the q-p cross entries keeps the matrix PSD (block projection)
-    noise[0::2, 1::2] = 0.0
-    noise[1::2, 0::2] = 0.0
-    d0 = rng.normal(size=2 * n)
-    d0[1::2] = 0.0
-    delta = symplectic_form(n)
-    condition = noise + 1j * (delta - t @ delta @ t.T)
-    min_eig = float(np.linalg.eigvalsh(condition).min())
-    if min_eig < 0.0:
-        noise = noise + (-min_eig + 1e-12 * (1.0 + abs(min_eig))) * np.eye(2 * n)
-    return GaussianChannel(t, noise, d0)
+    t, noise, d0 = real_channel_stack([draw_real_channel(n, kind, rng)])
+    # no re-validation: the noise is a block-projected Gram matrix plus a
+    # nonnegative shift, and the shift makes the channel condition PSD
+    return GaussianChannel._trusted(t[0], noise[0], d0[0])

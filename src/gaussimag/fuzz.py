@@ -5,9 +5,9 @@ Each suite draws its cases from per-case child generators seeded as
 A case's margin is the signed amount by which it approaches its bound;
 positive margin means the property failed.
 
-A suite first draws and validates every case, one generator at a time, then
-scores the drawn states of one mode count in one stacked call; margins are
-recorded in case order.
+A suite first takes every case's raw random numbers, one generator at a
+time, then builds, validates and scores the cases of one mode count in
+stacked calls; margins are recorded in case order.
 """
 
 from __future__ import annotations
@@ -18,11 +18,27 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import RealnessClass, classify_real, random_real_channel
+from .channels import (
+    GaussianChannel,
+    RealnessClass,
+    apply_stack,
+    classify_real,
+    draw_real_channel,
+    real_channel_stack,
+)
 from .linalg import ItemErrors, symplectic_form, williamson_stack
 from .measures import _imaginarity_stack
-from .sampling import inject_cross_entry, random_cm, random_real_state, random_state
-from .states import ZERO_TOL
+from .sampling import (
+    cm_stack,
+    cross_entry_stack,
+    draw_cm,
+    draw_cross_entry,
+    draw_real_state,
+    draw_state,
+    real_state_stack,
+    state_stack,
+)
+from .states import ZERO_TOL, real_pattern
 
 SUITES = ("monotonicity", "faithfulness", "hierarchy", "williamson")
 
@@ -70,22 +86,12 @@ def _case_rng(seed: int, case: int) -> np.random.Generator:
     return np.random.default_rng([seed, case])
 
 
-def _by_mode_count(cms: list[np.ndarray]) -> dict[int, list[int]]:
-    # positions of the items of each mode count, in item order
+def _by_mode_count(ns: list[int]) -> dict[int, list[int]]:
+    # positions of the cases of each mode count, in case order
     groups = {}
-    for k, cm in enumerate(cms):
-        groups.setdefault(len(cm) // 2, []).append(k)
+    for k, n in enumerate(ns):
+        groups.setdefault(n, []).append(k)
     return groups
-
-
-def _imaginarities(states) -> np.ndarray:
-    """``imaginarity`` of each state, in order, from one stacked call per mode count."""
-    values = np.empty(len(states))
-    for pos in _by_mode_count([s.cm for s in states]).values():
-        d = np.stack([states[k].d for k in pos])
-        cm = np.stack([states[k].cm for k in pos])
-        values[pos] = _imaginarity_stack(d, cm, ZERO_TOL)[0]
-    return values
 
 
 @cache
@@ -107,55 +113,69 @@ def run_monotonicity(seed: int, count: int, tol: float) -> FuzzResult:
     Completely real channels must additionally output exactly-real states.
     """
     kinds = (RealnessClass.COMPLETELY_REAL, RealnessClass.COVARIANT_REAL)
-    states, out_real = [], np.ones(count, dtype=bool)
+    ns, state_draws, channel_draws = [], [], []
     for case in range(count):
         rng = _case_rng(seed, case)
         n = int(rng.integers(1, 4))
-        state = random_state(n, rng)
-        kind = kinds[case % 2]
-        channel = random_real_channel(n, kind, rng)
-        out = channel.apply(state)
-        if kind is RealnessClass.COMPLETELY_REAL:
-            out_real[case] = out.is_real()
-            assert classify_real(channel) in (kind, RealnessClass.BOTH)
-        states += [state, out]
-    values = _imaginarities(states).reshape(count, 2)
-    breaking = values[:, 1] - 1e-10
+        ns.append(n)
+        state_draws.append(draw_state(n, rng))
+        channel_draws.append(draw_real_channel(n, kinds[case % 2], rng))
+    values, out_real = np.empty((2, count)), np.ones(count, dtype=bool)
+    for pos in _by_mode_count(ns).values():
+        d, cm = state_stack([state_draws[k] for k in pos])
+        t, noise, d0 = real_channel_stack([channel_draws[k] for k in pos])
+        d_out, cm_out = apply_stack(t, noise, d0, d, cm)
+        for j, k in enumerate(pos):
+            if kinds[k % 2] is RealnessClass.COMPLETELY_REAL:
+                out_real[k] = real_pattern(d_out[j], cm_out[j])
+                channel = GaussianChannel._trusted(t[j], noise[j], d0[j])
+                assert classify_real(channel) in (kinds[0], RealnessClass.BOTH)
+        # each input and its output, scored in one stack
+        both = _imaginarity_stack(
+            np.concatenate([d, d_out]), np.concatenate([cm, cm_out]), ZERO_TOL
+        )[0]
+        values[:, pos] = both.reshape(2, len(pos))
+    breaking = values[1] - 1e-10
     breaking = np.where(out_real, breaking, np.maximum(breaking, 1.0))
-    margin = values[:, 1] - values[:, 0] - tol
+    margin = values[1] - values[0] - tol
     margin = np.where(np.arange(count) % 2 == 0, np.maximum(margin, breaking), margin)
     return FuzzResult("monotonicity", count, tol, seed).record_all(margin)
 
 
 def run_faithfulness(seed: int, count: int, tol: float) -> FuzzResult:
     """Real-patterned states measure ~0; planted cross entries measure > 0."""
-    states = []
+    ns, real_draws, planted = [], [], {}
     for case in range(count):
         rng = _case_rng(seed, case)
         n = int(rng.integers(1, 5))
-        real = random_real_state(n, rng)
-        if case % 2 == 0:
-            states.append(real)
-        else:
+        ns.append(n)
+        real_draws.append(draw_real_state(n, rng))
+        if case % 2 == 1:
             eps = float(np.exp(rng.uniform(np.log(1e-3), np.log(0.1))))
-            states.append(inject_cross_entry(real, rng, eps))
-    values = _imaginarities(states)
+            planted[case] = draw_cross_entry(n, rng, eps)
+    values = np.empty(count)
+    for pos in _by_mode_count(ns).values():
+        d, cm = real_state_stack([real_draws[k] for k in pos])
+        odd = [j for j, k in enumerate(pos) if k in planted]
+        if odd:
+            cm[odd] = cross_entry_stack(cm[odd], [planted[pos[j]] for j in odd])
+        values[pos] = _imaginarity_stack(d, cm, ZERO_TOL)[0]
     margin = np.where(np.arange(count) % 2 == 0, values - tol, 1e-8 - values)
     return FuzzResult("faithfulness", count, tol, seed).record_all(margin)
 
 
 def run_hierarchy(seed: int, count: int, tol: float) -> FuzzResult:
     """Reduction never raises imaginarity; mode permutations never change it."""
-    states, perms = [], []
+    ns, draws, perms = [], [], []
     for case in range(count):
         rng = _case_rng(seed, case)
         n = int(rng.integers(2, 5))
-        states.append(random_state(n, rng))
+        ns.append(n)
+        draws.append(draw_state(n, rng))
         perms.append(rng.permutation(n))
     margin = np.empty(count)
-    for n, pos in _by_mode_count([s.cm for s in states]).items():
-        d = np.stack([states[k].d for k in pos])
-        cm = np.stack([states[k].cm for k in pos])
+    for n, pos in _by_mode_count(ns).items():
+        d, cm = state_stack([draws[k] for k in pos])
         # each state and its mode permutation, scored in one stack
         items = np.arange(len(pos))[:, None]
         perm = 2 * np.stack([perms[k] for k in pos])[:, :, None] + (0, 1)
@@ -181,13 +201,14 @@ def run_hierarchy(seed: int, count: int, tol: float) -> FuzzResult:
 
 def run_williamson(seed: int, count: int, tol: float) -> FuzzResult:
     """Symplectic normal form reconstructs random covariance matrices."""
-    cms = []
+    ns, draws = [], []
     for case in range(count):
         rng = _case_rng(seed, case)
-        cms.append(random_cm(int(rng.integers(1, 5)), rng))
+        ns.append(int(rng.integers(1, 5)))
+        draws.append(draw_cm(ns[-1], rng))
     margin = np.empty(count)
-    for n, pos in _by_mode_count(cms).items():
-        cm = np.stack([cms[k] for k in pos])
+    for n, pos in _by_mode_count(ns).items():
+        cm = cm_stack([draws[k] for k in pos])
         # residuals are measured here against the suite tolerance, so the
         # internal residual guard is disabled
         errors = ItemErrors(len(pos))
@@ -210,6 +231,16 @@ _RUNNERS = {
 
 
 def run_suite(suite: str, seed: int = 0, count: int = 1000, tol: float | None = None) -> FuzzResult:
+    """Run ``count`` cases of one suite; ``tol`` defaults to ``DEFAULT_TOLS[suite]``.
+
+    ``tol`` moves the bound of each suite's main property only.  Three
+    bounds stay fixed whatever ``tol`` is:
+
+    - faithfulness: a planted cross entry must measure above 1e-8;
+    - monotonicity: a completely real channel's output must measure at most
+      1e-10 (and be exactly real);
+    - hierarchy: a mode permutation may move the measure by at most 1e-12.
+    """
     if suite not in _RUNNERS:
         raise KeyError(f"unknown suite {suite!r}; choose from {SUITES}")
     if tol is None:

@@ -153,6 +153,25 @@ def _sqrt_newton(a: np.ndarray) -> np.ndarray:
     return y
 
 
+def _norm1(m: np.ndarray) -> np.ndarray:
+    # matrix 1-norm of each item: the largest column sum of absolute values
+    return np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0)
+
+
+def _inv_or_nan(m: np.ndarray) -> np.ndarray:
+    """Inverses of a stack ``(L, k, k)``; NaN for each exactly singular item."""
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        out = np.full_like(m, np.nan)
+        for j in range(len(m)):
+            try:
+                out[j] = np.linalg.inv(m[j])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
 def sqrt_principal_stack(
     a: np.ndarray, errors: ItemErrors, cond_limit: float = 1e8, clamp_zero_tol: float = 0.0
 ) -> np.ndarray:
@@ -162,7 +181,10 @@ def sqrt_principal_stack(
     ``ComplexSqrtBranchFailure``; the result covers the items still live.
     Each root comes from an eigendecomposition, or from the coupled Newton
     iteration where the eigenvectors are near-defective; see
-    ``sqrt_complex_principal``.
+    ``sqrt_complex_principal``.  Near-defective means that the 1-norm
+    condition number ``|v|_1 |v^-1|_1`` of the eigenvector matrix ``v``
+    exceeds ``cond_limit``; it reuses the inverse the eigenvector root needs
+    and lies within a factor m of the 2-norm condition number.
     """
     (w, v), a = errors.call(np.linalg.eig, a, carry=(a,))
     scale = np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))[:, None]
@@ -179,12 +201,14 @@ def sqrt_principal_stack(
         ),
         a, w, v,
     )
-    eig = np.linalg.cond(v) <= cond_limit if len(a) else np.ones(0, dtype=bool)
+    v_inv = _inv_or_nan(v)
+    # NaN (an exactly singular basis) compares False and takes the fallback
+    eig = _norm1(v) * _norm1(v_inv) <= cond_limit
     if eig.all():
-        root = (v * np.sqrt(w)[:, None, :]) @ np.linalg.inv(v)
+        root = (v * np.sqrt(w)[:, None, :]) @ v_inv
     else:
         root = np.empty_like(a)
-        root[eig] = (v[eig] * np.sqrt(w[eig])[:, None, :]) @ np.linalg.inv(v[eig])
+        root[eig] = (v[eig] * np.sqrt(w[eig])[:, None, :]) @ v_inv[eig]
         # near-defective eigenvector basis: the Newton iteration needs no eigenvectors
         for j in np.flatnonzero(~eig):
             root[j] = _sqrt_newton(a[j])
@@ -206,15 +230,15 @@ def sqrt_complex_principal(
     """Principal square root of a complex square matrix.
 
     Uses an eigendecomposition; when the eigenvector matrix is ill-conditioned
-    (condition number above ``cond_limit``) falls back to the coupled Newton
-    (Denman-Beavers) iteration, which needs no eigenvectors.
+    (1-norm condition number above ``cond_limit``) falls back to the coupled
+    Newton (Denman-Beavers) iteration, which needs no eigenvectors.
     The principal branch requires the spectrum to avoid the closed negative
     real axis, so every eigenvalue of the result lies in the right half-plane.
 
     Args:
         a: square complex matrix.
-        cond_limit: eigenvector-matrix condition number beyond which the
-            Newton fallback is used.
+        cond_limit: eigenvector-matrix condition number ``|v|_1 |v^-1|_1``
+            beyond which the Newton fallback is used.
         clamp_zero_tol: when positive, eigenvalues of magnitude below
             clamp_zero_tol * max(1, spectral radius) are treated as exact
             zeros instead of branch errors (for arguments that sit on the

@@ -66,6 +66,15 @@ def validate(cm: np.ndarray, tol: float | None = None):
     return cm, margin, errors.errors
 
 
+def checked_stack(cm: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``validate`` that raises the first failed item's error; returns ``(cm, margin)``."""
+    cm, margin, errors = validate(cm, tol)
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return cm, margin
+
+
 def _checked(d, cm, tol: float | None) -> tuple[np.ndarray, np.ndarray, float]:
     d = np.array(d, dtype=float)
     cm = np.array(cm, dtype=float)
@@ -76,9 +85,7 @@ def _checked(d, cm, tol: float | None) -> tuple[np.ndarray, np.ndarray, float]:
         raise DimensionMismatch(
             f"covariance matrix shape {cm.shape} does not match {2 * n} quadratures"
         )
-    cm, margin, errors = validate(cm[None], tol)
-    if errors[0] is not None:
-        raise errors[0]
+    cm, margin = checked_stack(cm[None], tol)
     return d, cm[0], float(margin[0])
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,23 @@ class TestRandomRealChannels:
             n = int(rng.integers(1, 4))
             ch = random_real_channel(n, RealnessClass.COVARIANT_REAL, rng)
             assert ch.apply(random_real_state(n, rng)).is_real()
+
+    def test_full_validation_accepts_every_drawn_channel(self):
+        # drawn channels skip validation: the full constructor must accept each
+        # of them and keep its arrays; the digest pins the draws themselves
+        # (recorded with numpy 2.4.6 and its bundled OpenBLAS on x86-64)
+        digest = hashlib.sha256()
+        for kind in (RealnessClass.COMPLETELY_REAL, RealnessClass.COVARIANT_REAL):
+            for n in range(1, 5):
+                for seed in range(200):
+                    ch = random_real_channel(n, kind, seed)
+                    full = GaussianChannel(ch.t, ch.noise, ch.d0)
+                    drawn = b"".join(a.tobytes() for a in (ch.t, ch.noise, ch.d0))
+                    assert drawn == b"".join(a.tobytes() for a in (full.t, full.noise, full.d0))
+                    digest.update(drawn)
+        assert digest.hexdigest() == (
+            "c1a588968e5cb2670879c9cb648c93bab28d9c2c4308a4cfda3e0ead3193d54a"
+        )
 
     def test_rejects_other_kinds(self, rng):
         with pytest.raises(ValueError):

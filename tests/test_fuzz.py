@@ -100,6 +100,18 @@ def test_failing_cases_keep_case_order(suite):
     assert "FAIL case=0 seed=(5,0)" in result.summary()
 
 
+@pytest.mark.parametrize(
+    "suite, failures",
+    [("monotonicity", 13), ("faithfulness", 13), ("hierarchy", 25), ("williamson", 25)],
+)
+def test_fixed_bounds_do_not_move_with_tol(suite, failures):
+    # tol=-1 fails every case of hierarchy and williamson, but faithfulness's
+    # planted cases keep their fixed 1e-8 bound and pass, and so do the
+    # completely-real monotonicity cases whose input measures exactly 1 (the
+    # output measures 0, so the margin is 0 and the fixed 1e-10 term is below)
+    assert run_suite(suite, seed=5, count=25, tol=-1.0).failures == failures
+
+
 @pytest.mark.parametrize("suite", SUITES)
 def test_zero_cases(suite):
     result = run_suite(suite, seed=0, count=0)

@@ -10,10 +10,12 @@ from hypothesis import given, strategies as st
 import gaussimag
 from gaussimag.errors import ComplexSqrtBranchFailure, WilliamsonResidualError
 from gaussimag.linalg import (
+    ItemErrors,
     block_split,
     grouped_index,
     is_psd_hermitian,
     sqrt_complex_principal,
+    sqrt_principal_stack,
     symplectic_form,
     williamson,
 )
@@ -114,6 +116,7 @@ class TestSqrtComplexPrincipal:
         j = np.diag([lam, lam + 1e-9, lam + 2e-9]) + np.diag([1.0, 1.0], 1)
         a = s @ j @ np.linalg.inv(s)
         assert np.linalg.cond(np.linalg.eig(a)[1]) > 1e8  # takes the fallback branch
+        assert np.linalg.cond(np.linalg.eig(a)[1], 1) > 1e8  # |v|_1 |v^-1|_1, the branch test
         root = sqrt_complex_principal(a)
         assert np.abs(root @ root - a).max() <= 1e-10 * (1 + np.abs(a).max())
         assert np.linalg.eigvals(root).real.min() > 0.0
@@ -127,17 +130,40 @@ class TestSqrtComplexPrincipal:
         with pytest.raises(ComplexSqrtBranchFailure, match="residual nan"):
             sqrt_complex_principal(np.array([[0.0, 1.0], [0.0, 0.0]]), clamp_zero_tol=1e-12)
 
+    def test_singular_eigenvector_basis_in_a_stack(self, rng):
+        # eig returns an exactly singular basis for the 3x3 nilpotent Jordan
+        # block; that item takes the fallback and fails alone, and its
+        # neighbour keeps the root it gets on its own
+        nilpotent = np.diag([1.0, 1.0], 1).astype(complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(np.linalg.eig(nilpotent)[1])
+        regular = random_hermitian_pd(3, rng)
+        errors = ItemErrors(2)
+        root = sqrt_principal_stack(np.stack([nilpotent, regular]), errors, clamp_zero_tol=1e-12)
+        assert isinstance(errors.errors[0], ComplexSqrtBranchFailure)
+        assert "residual nan" in str(errors.errors[0])
+        assert errors.errors[1] is None
+        assert root[0].tobytes() == sqrt_complex_principal(regular).tobytes()
+
 
 def test_import_does_not_load_scipy():
-    # scipy.linalg would triple the import time and add a second OpenBLAS
+    # scipy.linalg would triple the import time and add a second OpenBLAS;
+    # numpy.ma (pulled in by np.unique) adds 2.2 MB to a fuzz run's peak RSS
     src = str(Path(gaussimag.__file__).resolve().parents[1])
     path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    out = subprocess.run(
-        [sys.executable, "-c", "import gaussimag, sys; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
+    code = (
+        "import gaussimag, sys\n"
+        "print('scipy' in sys.modules)\n"
+        "from gaussimag import fuzz\n"
+        "for suite in fuzz.SUITES:\n"
+        "    fuzz.run_suite(suite, count=20)\n"
+        "print('scipy' in sys.modules, 'numpy.ma' in sys.modules)\n"
     )
-    assert out.stdout.strip() == "False"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "False", "False"]
 
 
 class TestWilliamson:
