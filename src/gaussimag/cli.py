@@ -14,18 +14,20 @@ import argparse
 import json
 import math
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from . import fuzz
 from .channels import GaussianChannel, classify_real
-from .dynamics import BathParams, evolve, trajectory
+from .dynamics import BathParams, _evolved, trajectory
 from .errors import InvalidMu
 from .linalg import symplectic_form
 from .measures import measure_all, measure_stack
-from .states import GaussianState, arrays_from_dict, coherent_state, displaced_squeezed_thermal
-from .states import two_mode_squeezed_vacuum
+from .states import GaussianState, arrays_from_dict, coherent_stack, squeezed_thermal_stack
+from .states import two_mode_squeezed_stack, validate
 
 FAMILIES = ("coherent", "squeezed", "squeezed_thermal", "sv_dynamics", "coherent_dynamics")
 
@@ -80,6 +82,7 @@ class SweepSpec:
             axis = obj["axis"]
             grid = obj["grid"]
             start, stop, count = float(grid["start"]), float(grid["stop"]), int(grid["count"])
+            fixed = {k: float(v) for k, v in dict(obj.get("fixed", {})).items()}
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"missing or malformed spec field: {exc}") from exc
         if family not in FAMILIES:
@@ -89,7 +92,6 @@ class SweepSpec:
         allowed = FAMILY_PARAMS[family]
         if axis not in allowed:
             raise SpecError(f"axis {axis!r} does not belong to family {family!r}")
-        fixed = dict(obj.get("fixed", {}))
         for key in fixed:
             if key not in allowed:
                 raise SpecError(f"fixed parameter {key!r} does not belong to family {family!r}")
@@ -113,68 +115,89 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.count)
 
 
-def _squeezed_zeta(params: dict) -> complex:
-    if "s" in params:
-        if any(k in params for k in ("theta", "abs_zeta", "re_zeta", "im_zeta")):
-            raise SpecError("parameter 's' fixes theta=pi/2 and cannot be combined")
-        s = params["s"]
-        if s < 0:
-            raise SpecError(f"s must be >= 0, got {s}")
-        return 1j * 0.5 * math.asinh(math.sqrt(s))
-    if "re_zeta" in params or "im_zeta" in params:
-        if "theta" in params or "abs_zeta" in params:
-            raise SpecError("give zeta either in cartesian or polar form, not both")
-        return complex(params.get("re_zeta", 0.0), params.get("im_zeta", 0.0))
-    r = params.get("abs_zeta", 0.0)
-    theta = params.get("theta", 0.0)
-    return r * complex(math.cos(theta), math.sin(theta))
+def _flag(errors: list, bad: np.ndarray, message) -> None:
+    # a grid point keeps the error of its first failed check
+    for k in np.flatnonzero(bad):
+        errors[k] = errors[k] or SpecError(message(k))
 
 
-def _state_for_point(spec: SweepSpec, value: float) -> GaussianState:
-    params = dict(spec.fixed)
-    params[spec.axis] = float(value)
-    family = spec.family
-    if family == "coherent":
-        return coherent_state([complex(params.get("re_alpha", 0.0), params.get("im_alpha", 0.0))])
-    if family == "squeezed":
-        return displaced_squeezed_thermal(0.0, _squeezed_zeta(params), 0.0)
-    if family == "squeezed_thermal":
-        alpha = complex(params.get("re_alpha", 0.0), params.get("im_alpha", 0.0))
-        zeta = _squeezed_zeta({k: v for k, v in params.items() if k not in ("n_th", "re_alpha", "im_alpha")})
-        return displaced_squeezed_thermal(params.get("n_th", 0.0), zeta, alpha)
-    bath, t = _bath_and_time(params)
-    return evolve(_dynamics_initial(family, params), bath, t)
+def _at_point(spec: SweepSpec, value: float, exc: Exception) -> str:
+    return f"{spec.axis}={_fmt_csv(value)}: {type(exc).__name__}: {exc}"
 
 
-def _bath_and_time(params: dict) -> tuple[BathParams, float]:
-    try:
-        bath = BathParams(
-            lam=float(params["lam"]),
-            n_th=float(params["n_th"]),
-            big_r=float(params.get("R", 0.0)),
-            phi=float(params.get("phi", 0.0)),
-        )
-    except KeyError as exc:
-        raise SpecError(f"dynamics family needs parameter {exc}") from exc
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
-    t = float(params.get("t", 0.0))
-    if t < 0:
-        raise SpecError(f"time must be >= 0, got {t}")
-    return bath, t
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    # complex(re, im) item by item: re + 1j * im would turn a real part -0.0 into 0.0
+    return np.array([complex(a, b) for a, b in zip(re.tolist(), im.tolist())], dtype=complex)
 
 
-def _dynamics_initial(family: str, params: dict) -> GaussianState:
-    if family == "sv_dynamics":
+def _grid_baths(p: dict, given: set, errors: list) -> list:
+    # the bath of every grid point; each distinct one is built and checked once
+    for key in ("lam", "n_th"):
+        if key not in given:
+            raise SpecError(f"dynamics family needs parameter {key!r}")
+    keys = list(zip(*(p[k].tolist() for k in ("lam", "n_th", "R", "phi"))))
+    made = dict.fromkeys(keys)
+    for key in made:
         try:
-            return two_mode_squeezed_vacuum(float(params["r"]))
-        except KeyError as exc:
-            raise SpecError(f"sv_dynamics needs parameter {exc}") from exc
-    alphas = [
-        complex(params.get("re_alpha1", 0.0), params.get("im_alpha1", 0.0)),
-        complex(params.get("re_alpha2", 0.0), params.get("im_alpha2", 0.0)),
-    ]
-    return coherent_state(alphas)
+            made[key] = BathParams(*key)
+        except ValueError as exc:
+            made[key] = str(exc)
+    _flag(errors, [isinstance(made[key], str) for key in keys], lambda k: made[keys[k]])
+    return [made[key] for key in keys]
+
+
+def _grid_inputs(spec: SweepSpec, grid: np.ndarray):
+    """``(build, inputs, dynamics, errors)`` of the grid points, checked as one-point specs are.
+
+    ``build(*inputs)`` stacks the states (the initial states of a dynamics
+    family, whose ``(baths, times)`` are ``dynamics``); ``errors[k]`` is the
+    SpecError of point k's first failed check, and its inputs are then unused.
+    """
+    given = {*spec.fixed, spec.axis}
+    fixed = {k: np.full_like(grid, v) for k, v in spec.fixed.items()}
+    p = defaultdict(lambda: np.zeros_like(grid), fixed, **{spec.axis: grid})
+    errors = [None] * len(grid)
+    alpha = _complex(p["re_alpha"], p["im_alpha"])
+    if spec.family == "coherent":
+        return coherent_stack, (alpha[:, None],), None, errors
+    if spec.family.endswith("_dynamics"):
+        baths = _grid_baths(p, given, errors)
+        _flag(errors, p["t"] < 0, lambda k: f"time must be >= 0, got {p['t'][k]}")
+        if spec.family == "sv_dynamics":
+            missing = np.full(len(grid), "r" not in given)
+            _flag(errors, missing, lambda _: "sv_dynamics needs parameter 'r'")
+            return two_mode_squeezed_stack, (p["r"],), (baths, p["t"]), errors
+        alphas = np.stack([_complex(p[f"re_alpha{j}"], p[f"im_alpha{j}"]) for j in (1, 2)], axis=-1)
+        return coherent_stack, (alphas,), (baths, p["t"]), errors
+    if "s" in given:
+        if given & {"theta", "abs_zeta", "re_zeta", "im_zeta"}:
+            raise SpecError("parameter 's' fixes theta=pi/2 and cannot be combined")
+        _flag(errors, p["s"] < 0, lambda k: f"s must be >= 0, got {p['s'][k]}")
+        zeta = np.array([1j * 0.5 * math.asinh(math.sqrt(max(s, 0.0))) for s in p["s"].tolist()])
+    elif given & {"re_zeta", "im_zeta"}:
+        if given & {"theta", "abs_zeta"}:
+            raise SpecError("give zeta either in cartesian or polar form, not both")
+        zeta = _complex(p["re_zeta"], p["im_zeta"])
+    else:
+        polar = zip(p["abs_zeta"].tolist(), p["theta"].tolist())
+        zeta = np.array([r * complex(math.cos(t), math.sin(t)) for r, t in polar], dtype=complex)
+    n_th = p["n_th"]
+    _flag(errors, n_th < 0, lambda k: f"thermal photon number must be >= 0, got {n_th[k]}")
+    return squeezed_thermal_stack, (n_th, zeta, alpha), None, errors
+
+
+def _grid_states(spec: SweepSpec, grid: np.ndarray):
+    """Validated ``(d, cm)`` stacks of the longest valid grid prefix and the SpecError ending it."""
+    build, inputs, dynamics, errors = _grid_inputs(spec, grid)
+    keep = next((k for k, exc in enumerate(errors) if exc), len(grid))
+    d, cm = build(*(a[:keep] for a in inputs))
+    cm, _, failed = validate(cm)
+    _flag(errors, list(map(bool, failed)), lambda k: _at_point(spec, grid[k], failed[k]))
+    keep = next((k for k, exc in enumerate(errors) if exc), len(grid))
+    d, cm = d[:keep], cm[:keep]
+    if dynamics is not None:  # evolution keeps a state physical
+        d, cm = _evolved(d, cm, dynamics[0][:keep], dynamics[1][:keep])
+    return d, cm, errors[keep] if keep < len(grid) else None
 
 
 def _load_json(path: str):
@@ -270,19 +293,22 @@ def cmd_sweep(args) -> int:
     if isinstance(spec, int):
         return spec
     grid = spec.grid()
+    lines = ["axis,i_gn,m_f,m_t"]
     try:
-        states = [_state_for_point(spec, value) for value in grid]
+        d, cm, error = _grid_states(spec, grid)
+        reports = measure_stack(d, cm, spec.mu, spec.zero_tol)
+        for k, value in enumerate(grid[: len(d)]):
+            try:
+                r = reports.report(k)
+            except ValueError as exc:
+                raise SpecError(_at_point(spec, value, exc)) from exc
+            cells = (value, r.imaginarity, r.fidelity_imaginarity, r.tsallis_imaginarity)
+            lines.append(",".join(_fmt_csv(c) for c in cells))
+        if error is not None:
+            raise error
     except SpecError as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return 1
-    reports = measure_stack(
-        np.stack([s.d for s in states]), np.stack([s.cm for s in states]), spec.mu, spec.zero_tol
-    )
-    lines = ["axis,i_gn,m_f,m_t"]
-    for k, value in enumerate(grid):
-        r = reports.report(k)
-        cells = (value, r.imaginarity, r.fidelity_imaginarity, r.tsallis_imaginarity)
-        lines.append(",".join(_fmt_csv(c) for c in cells))
     _write_lines(lines, args.out)
     return 0
 
@@ -297,13 +323,18 @@ def cmd_dynamics(args) -> int:
     if spec.axis != "t":
         print(f"invalid spec: dynamics sweeps the axis 't', got {spec.axis!r}", file=sys.stderr)
         return 1
+    grid = spec.grid()
     try:
-        bath, _ = _bath_and_time(spec.fixed)
-        state0 = _dynamics_initial(spec.family, spec.fixed)
-    except SpecError as exc:
-        print(f"invalid spec: {exc}", file=sys.stderr)
+        build, inputs, (baths, _), errors = _grid_inputs(spec, grid)
+        if any(errors):
+            raise next(filter(None, errors))
+        # the initial state does not depend on t
+        state0 = GaussianState(*(a[0] for a in build(*(a[:1] for a in inputs))))
+        result = trajectory(state0, baths[0], grid, mu=spec.mu, zero_tol=spec.zero_tol)
+    except ValueError as exc:
+        message = exc if isinstance(exc, SpecError) else f"{type(exc).__name__}: {exc}"
+        print(f"invalid spec: {message}", file=sys.stderr)
         return 1
-    result = trajectory(state0, bath, spec.grid(), mu=spec.mu, zero_tol=spec.zero_tol)
     lines = ["t,i_gn,i_gn_closed,h_term"]
     for point in result.points:
         lines.append(
@@ -372,10 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: parse_args returns a fresh namespace on every call
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; normalize the contract
         return 2 if exc.code not in (0, None) else 0

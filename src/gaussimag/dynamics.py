@@ -12,13 +12,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import WrongModeCount
-from .measures import MeasureReport, measure_stack
-from .states import ZERO_TOL, GaussianState, validate
+from .measures import MeasureReport, _libm, measure_stack
+from .states import ZERO_TOL, GaussianState, checked_stack
 
 
 @dataclass(frozen=True)
@@ -35,11 +36,16 @@ class BathParams:
             raise ValueError(f"damping rate must be > 0, got {self.lam}")
         if self.n_th < 0:
             raise ValueError(f"thermal photon number must be >= 0, got {self.n_th}")
-        derived = bath_derived(self)
+        derived = self.derived
         # guards hand-entered parameters; the (n_th, R) parameterization
         # satisfies |M|^2 = N(N+1) - n_th(n_th+1) identically
         if abs(derived.m) ** 2 > derived.n * (derived.n + 1.0) + 1e-9:
             raise ValueError("bath squeezing exceeds the physical bound |M|^2 <= N(N+1)")
+
+    @cached_property
+    def derived(self) -> "BathDerived":
+        """``bath_derived`` of this bath, computed once."""
+        return bath_derived(self)
 
 
 class BathDerived(NamedTuple):
@@ -57,55 +63,51 @@ def bath_derived(p: BathParams) -> BathDerived:
     return BathDerived(n=n, m=m, l_plus=n + m.real, l_minus=n - m.real)
 
 
-def nu_infinity(p: BathParams) -> np.ndarray:
-    """Stationary covariance matrix: two identical single-mode blocks."""
-    d = bath_derived(p)
-    block = np.array(
-        [
-            [1.0 + 2.0 * d.l_plus, 2.0 * d.m.imag],
-            [2.0 * d.m.imag, 1.0 + 2.0 * d.l_minus],
-        ]
-    )
-    out = np.zeros((4, 4))
-    out[:2, :2] = block
-    out[2:, 2:] = block
+def _nu_stack(baths: Sequence[BathParams]) -> np.ndarray:
+    # stationary covariance matrices (B, 4, 4), one per bath
+    derived = np.array([(d.l_plus, d.l_minus, d.m.imag) for d in (p.derived for p in baths)])
+    lp, lm, mi = derived.reshape(-1, 3).T
+    block = np.stack((1.0 + 2.0 * lp, 2.0 * mi, 2.0 * mi, 1.0 + 2.0 * lm), axis=-1)
+    out = np.zeros((len(baths), 4, 4))
+    out[:, :2, :2] = out[:, 2:, 2:] = block.reshape(-1, 2, 2)
     return out
 
 
-def _evolved(state0: GaussianState, p: BathParams, times: list[float]):
-    # (d, cm) stacks over the time grid: cm interpolates toward nu_infinity,
-    # the displacement decays at half the rate
-    if state0.n != 2:
-        raise WrongModeCount(f"bath dynamics is defined for 2 modes, got {state0.n}")
-    decay = np.array([math.exp(-p.lam * t) for t in times])[:, None, None]
-    cm = decay * state0.cm + (1.0 - decay) * nu_infinity(p)
-    d = np.array([math.exp(-0.5 * p.lam * t) for t in times])[:, None] * state0.d
-    return d, cm
+def nu_infinity(p: BathParams) -> np.ndarray:
+    """Stationary covariance matrix: two identical single-mode blocks."""
+    return _nu_stack([p])[0]
+
+
+def _evolved(d0: np.ndarray, cm0: np.ndarray, baths: Sequence[BathParams], times: np.ndarray):
+    # (d, cm) stacks: item k is initial state k at times[k] under baths[k], a
+    # single initial state or bath serving every item; cm interpolates toward
+    # nu_infinity, the displacement decays at half the rate
+    if d0.shape[-1] != 4:
+        raise WrongModeCount(f"bath dynamics is defined for 2 modes, got {d0.shape[-1] // 2}")
+    lam = np.array([p.lam for p in baths])
+    decay = _libm(math.exp, -lam * times)[:, None, None]
+    cm = decay * cm0 + (1.0 - decay) * _nu_stack(baths)
+    return _libm(math.exp, -0.5 * lam * times)[:, None] * d0, cm
 
 
 def evolve(state0: GaussianState, p: BathParams, t: float) -> GaussianState:
     """State at time t: cm interpolates toward nu_infinity, displacement decays."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    d, cm = _evolved(state0, p, [t])
+    d, cm = _evolved(state0.d, state0.cm, [p], np.array([t], dtype=float))
     # no re-validation: a convex combination of physical covariance matrices is
     # physical, and nu_infinity is physical by the (n_th, R) parameterization
     return GaussianState._trusted(d[0], cm[0])
 
 
-def _sv_abc(r: float, p: BathParams, t: float) -> tuple[float, float, float, float]:
-    d = bath_derived(p)
-    decay = math.exp(-p.lam * t)
-    a_plus = 2.0 * decay * math.cosh(2 * r) + (1.0 - decay) * (1.0 + 2.0 * d.l_plus)
-    a_minus = 2.0 * decay * math.cosh(2 * r) + (1.0 - decay) * (1.0 + 2.0 * d.l_minus)
-    b = 2.0 * decay * math.sinh(2 * r)
-    c = 2.0 * (1.0 - decay) * d.m.imag
-    return a_plus, a_minus, b, c
-
-
 def squeezed_vacuum_imaginarity(r: float, p: BathParams, t: float) -> float:
     """Closed-form imaginarity at time t for a two-mode squeezed-vacuum start."""
-    ap, am, b, c = _sv_abc(r, p, t)
+    d = p.derived
+    decay = math.exp(-p.lam * t)
+    ap = 2.0 * decay * math.cosh(2 * r) + (1.0 - decay) * (1.0 + 2.0 * d.l_plus)
+    am = 2.0 * decay * math.cosh(2 * r) + (1.0 - decay) * (1.0 + 2.0 * d.l_minus)
+    b = 2.0 * decay * math.sinh(2 * r)
+    c = 2.0 * (1.0 - decay) * d.m.imag
     det = (
         b**4
         + c**4
@@ -126,7 +128,7 @@ def coherent_imaginarity(
     The damped displacement never reaches zero at finite time, so the
     indicator term equals its initial value throughout.
     """
-    d = bath_derived(p)
+    d = p.derived
     decay = math.exp(-p.lam * t)
     a_plus = decay + (1.0 - decay) * (1.0 + 2.0 * d.l_plus)
     a_minus = decay + (1.0 - decay) * (1.0 + 2.0 * d.l_minus)
@@ -193,11 +195,8 @@ def trajectory(
         raise ValueError("need at least one time point")
     if any(t < 0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must be sorted and nonnegative")
-    d, cm = _evolved(state0, p, times)
-    cm, _, errors = validate(cm)
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    d, cm = _evolved(state0.d, state0.cm, [p], np.array(times))
+    cm = checked_stack(cm)[0]
     reports = measure_stack(d, cm, mu=mu, zero_tol=zero_tol)
     detected = _detect_family(state0)
     points = []

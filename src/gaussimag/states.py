@@ -54,12 +54,14 @@ def validate(cm: np.ndarray, tol: float | None = None):
     cm = 0.5 * (cm + cm_t)
     (eigs,) = errors.call(np.linalg.eigvalsh, cm + 1j * symplectic_form(cm.shape[-1] // 2))
     margin = errors.spread(eigs.min(axis=-1))
-    bad = asymmetric | (margin < -t)
+    # a NaN margin (a non-finite cm) proves nothing, so it fails too
+    bad = asymmetric | ~(margin >= -t)
     for k in np.flatnonzero(bad) if np.count_nonzero(bad) else ():
         errors.errors[k] = (
             AsymmetricCM("covariance matrix is not symmetric within tolerance")
             if asymmetric[k]
-            else UncertaintyViolation(
+            else errors.errors[k]
+            or UncertaintyViolation(
                 f"uncertainty principle violated: min eig of cm + i*Delta is {margin[k]:.3e}"
             )
         )
@@ -170,15 +172,30 @@ def arrays_from_dict(obj: dict) -> tuple[np.ndarray, np.ndarray]:
     return d, cm
 
 
+def coherent_stack(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(d, cm)`` stacks of products of coherent states, one per row of ``alphas`` ``(B, n)``."""
+    d = 2.0 * np.ascontiguousarray(alphas, dtype=complex).view(float)  # (Re, Im) pairs
+    return d, np.tile(np.eye(d.shape[-1]), (len(d), 1, 1))
+
+
 def coherent_state(alphas: Sequence[complex]) -> GaussianState:
     """Product of single-mode coherent states: d interleaves (2 Re a, 2 Im a), cm = I."""
-    alphas = [complex(a) for a in alphas]
-    if not alphas:
+    alphas = np.array([complex(a) for a in alphas])
+    if not alphas.size:
         raise ValueError("need at least one mode")
-    d = np.empty(2 * len(alphas))
-    d[0::2] = [2.0 * a.real for a in alphas]
-    d[1::2] = [2.0 * a.imag for a in alphas]
-    return GaussianState(d, np.eye(2 * len(alphas)))
+    return GaussianState(*(a[0] for a in coherent_stack(alphas[None])))
+
+
+def squeezed_thermal_stack(n_th: np.ndarray, zeta: np.ndarray, alpha: np.ndarray):
+    """``(d, cm)`` stacks of ``displaced_squeezed_thermal`` over ``(B,)`` parameter arrays."""
+    # hypot is the scalar abs(complex); numpy's vectorized complex abs may differ in the last bit
+    r = np.hypot(zeta.real, zeta.imag)
+    theta = np.where(r > 0, np.angle(zeta), 0.0)
+    ch, sh = np.cosh(2 * r), np.sinh(2 * r)
+    c, s = np.cos(theta) * sh, np.sin(theta) * sh
+    cm = np.stack((ch + c, s, s, ch - c), axis=-1).reshape(-1, 2, 2)
+    d = np.stack((2.0 * alpha.real, 2.0 * alpha.imag), axis=-1)
+    return d, (1.0 + 2.0 * n_th)[:, None, None] * cm
 
 
 def displaced_squeezed_thermal(n_th: float, zeta: complex, alpha: complex) -> GaussianState:
@@ -190,18 +207,16 @@ def displaced_squeezed_thermal(n_th: float, zeta: complex, alpha: complex) -> Ga
     """
     if n_th < 0:
         raise ValueError(f"thermal photon number must be >= 0, got {n_th}")
-    zeta = complex(zeta)
-    r = abs(zeta)
-    theta = np.angle(zeta) if r > 0 else 0.0
-    ch, sh = np.cosh(2 * r), np.sinh(2 * r)
-    cm = (1.0 + 2.0 * n_th) * np.array(
-        [
-            [ch + np.cos(theta) * sh, np.sin(theta) * sh],
-            [np.sin(theta) * sh, ch - np.cos(theta) * sh],
-        ]
-    )
-    alpha = complex(alpha)
-    return GaussianState([2.0 * alpha.real, 2.0 * alpha.imag], cm)
+    stacks = squeezed_thermal_stack(*(np.array([x]) for x in (n_th, complex(zeta), complex(alpha))))
+    return GaussianState(*(a[0] for a in stacks))
+
+
+def two_mode_squeezed_stack(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(d, cm)`` stacks of ``two_mode_squeezed_vacuum`` over squeezings ``r`` ``(B,)``."""
+    ch, sh = 2.0 * np.cosh(2 * r), 2.0 * np.sinh(2 * r)
+    z = np.zeros_like(ch)
+    cm = np.stack((ch, z, sh, z, z, ch, z, -sh, sh, z, ch, z, z, -sh, z, ch), axis=-1)
+    return np.zeros((len(r), 4)), cm.reshape(-1, 4, 4)
 
 
 def two_mode_squeezed_vacuum(r: float) -> GaussianState:
@@ -210,13 +225,4 @@ def two_mode_squeezed_vacuum(r: float) -> GaussianState:
     Note the r=0 limit is cm = 2*I, deliberately not the single-mode vacuum
     normalization; the dynamics closed forms assume this scaling.
     """
-    ch, sh = 2.0 * np.cosh(2 * r), 2.0 * np.sinh(2 * r)
-    cm = np.array(
-        [
-            [ch, 0.0, sh, 0.0],
-            [0.0, ch, 0.0, -sh],
-            [sh, 0.0, ch, 0.0],
-            [0.0, -sh, 0.0, ch],
-        ]
-    )
-    return GaussianState(np.zeros(4), cm)
+    return GaussianState(*(a[0] for a in two_mode_squeezed_stack(np.array([r], dtype=float))))

@@ -194,6 +194,46 @@ class TestSweep:
         assert main(["sweep", str(path)]) == 2
 
 
+class TestBadGridValues:
+    """A bad grid point is an invalid spec (exit 1), reported for the first such point."""
+
+    def run(self, tmp_path, command, family, axis, grid, fixed):
+        spec = {"family": family, "axis": axis, "grid": grid, "fixed": fixed}
+        assert main([command, write_json(tmp_path / "spec.json", spec)]) == 1
+
+    def test_negative_thermal_photon_number(self, tmp_path, capsys):
+        grid = {"start": -1, "stop": 1, "count": 5}
+        fixed = {"abs_zeta": 0.3, "theta": 1.0}
+        self.run(tmp_path, "sweep", "squeezed_thermal", "n_th", grid, fixed)
+        assert capsys.readouterr().err == (
+            "invalid spec: thermal photon number must be >= 0, got -1.0\n"
+        )
+
+    @pytest.mark.parametrize("command", ["sweep", "dynamics"])
+    def test_negative_time(self, tmp_path, capsys, command):
+        fixed = {"r": 1.0, "n_th": 1.5, "R": 1.0, "phi": 15.0, "lam": 0.1}
+        self.run(tmp_path, command, "sv_dynamics", "t", {"start": -1, "stop": 1, "count": 5}, fixed)
+        assert capsys.readouterr().err == "invalid spec: time must be >= 0, got -1.0\n"
+
+    def test_overflowing_squeezing(self, tmp_path, capsys):
+        # abs_zeta 0, 100, ..., 400: cosh(2|zeta|) overflows from 300 on, and
+        # the covariance-ratio measure already fails at 100
+        with np.errstate(all="ignore"):
+            grid = {"start": 0, "stop": 400, "count": 5}
+            self.run(tmp_path, "sweep", "squeezed", "abs_zeta", grid, {"theta": 1.0})
+        assert capsys.readouterr().err.endswith(
+            "invalid spec: abs_zeta=100: LinAlgError: Matrix is not positive definite\n"
+        )
+
+    def test_descending_time_grid(self, tmp_path, capsys):
+        fixed = {"r": 1.0, "n_th": 1.5, "lam": 0.1}
+        grid = {"start": 1, "stop": 0, "count": 3}
+        self.run(tmp_path, "dynamics", "sv_dynamics", "t", grid, fixed)
+        assert capsys.readouterr().err == (
+            "invalid spec: ValueError: times must be sorted and nonnegative\n"
+        )
+
+
 class TestDynamics:
     def test_dual_path_columns_agree(self, dynamics_spec, capsys):
         assert main(["dynamics", dynamics_spec]) == 0
@@ -311,6 +351,23 @@ class TestFuzzCommand:
         first = capsys.readouterr().out
         assert main(["fuzz", "--suite", "faithfulness", "--count", "30", "--seed", "5"]) == 0
         assert capsys.readouterr().out == first
+
+
+class TestRepeatedCalls:
+    """One parser serves every call in a process; no option leaks into the next call."""
+
+    def test_out_does_not_leak(self, sweep_spec, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        assert main(["sweep", sweep_spec, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["sweep", sweep_spec]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    def test_mu_does_not_leak(self, coherent_file, capsys):
+        assert main(["measure", coherent_file, "--mu", "0.3"]) == 0
+        assert json.loads(capsys.readouterr().out)["mu"] == 0.3
+        assert main(["measure", coherent_file]) == 0
+        assert json.loads(capsys.readouterr().out)["mu"] == 0.5
 
 
 class TestUsageErrors:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gaussimag import fuzz
 from gaussimag.channels import RealnessClass, random_real_channel
 from gaussimag.fuzz import DEFAULT_TOLS, SUITES, FuzzResult, _case_rng, run_suite
 from gaussimag.linalg import symplectic_form, williamson
@@ -87,6 +88,21 @@ def test_margins_match_the_per_case_oracle(monkeypatch, suite, seed):
     assert recorded == expected  # bit for bit, in case order
     assert result.failures == 0
     assert result.worst_margin == max(m for _, m in expected)
+
+
+def test_non_real_output_fails_every_completely_real_case(monkeypatch):
+    # a completely real channel's output must be exactly real, whatever it measures
+    _, plain = recorded_margins(monkeypatch, "monotonicity", 3, CASES)
+    plain = list(plain)
+    monkeypatch.setattr(fuzz, "real_pattern", lambda d, cm: False)
+    result, patched = recorded_margins(monkeypatch, "monotonicity", 3, CASES)
+    assert [case for case, _ in patched] == list(range(CASES))
+    for (case, margin), (_, plain_margin) in zip(patched, plain):
+        if case % 2 == 0:  # completely real channel
+            assert margin >= 1 - 1e-10
+        else:  # covariant real channel: untouched
+            assert margin == plain_margin
+    assert result.failures == CASES // 2
 
 
 @pytest.mark.parametrize("suite", ["hierarchy", "williamson"])

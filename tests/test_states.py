@@ -30,6 +30,11 @@ class TestValidation:
         with pytest.raises(AsymmetricCM):
             GaussianState(np.zeros(2), np.array([[1.0, 0.3], [-0.3, 1.0]]))
 
+    def test_non_finite_cm_rejected(self):
+        # its margin comes out NaN, which proves nothing about physicality
+        with np.errstate(invalid="ignore"), pytest.raises(UncertaintyViolation, match="nan"):
+            GaussianState(np.zeros(2), np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             GaussianState(np.zeros(3), np.eye(2))
