@@ -29,8 +29,6 @@ from .measures import measure_all, measure_stack
 from .states import GaussianState, arrays_from_dict, coherent_stack, squeezed_thermal_stack
 from .states import two_mode_squeezed_stack, validate
 
-FAMILIES = ("coherent", "squeezed", "squeezed_thermal", "sv_dynamics", "coherent_dynamics")
-
 FAMILY_PARAMS = {
     "coherent": {"re_alpha", "im_alpha"},
     "squeezed": {"theta", "abs_zeta", "s", "re_zeta", "im_zeta"},
@@ -41,9 +39,15 @@ FAMILY_PARAMS = {
     },
 }
 
+FAMILIES = tuple(FAMILY_PARAMS)
+
 
 class SpecError(ValueError):
     """Sweep/dynamics spec file is structurally or semantically invalid."""
+
+
+class _ParseError(Exception):
+    """An input file could not be read or is not what the command expects (exit 2)."""
 
 
 def _fmt_json(value) -> str:
@@ -201,8 +205,11 @@ def _grid_states(spec: SweepSpec, grid: np.ndarray):
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _ParseError(exc) from exc
 
 
 def _write_lines(lines: list[str], out: str | None):
@@ -215,14 +222,9 @@ def _write_lines(lines: list[str], out: str | None):
 
 
 def cmd_validate(args) -> int:
-    try:
-        obj = _load_json(args.path)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    obj = _load_json(args.path)
     if not isinstance(obj, dict) or not ("cm" in obj or "T" in obj):
-        print("parse error: file is neither a state ('cm') nor a channel ('T')", file=sys.stderr)
-        return 2
+        raise _ParseError("file is neither a state ('cm') nor a channel ('T')")
     kind = "state" if "cm" in obj else "channel"
     try:
         if kind == "state":
@@ -248,11 +250,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    try:
-        obj = _load_json(args.path)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    obj = _load_json(args.path)
     try:
         state = GaussianState.from_dict(obj)
         report = measure_all(state, mu=args.mu, zero_tol=args.zero_tol)
@@ -276,11 +274,7 @@ def cmd_measure(args) -> int:
 
 
 def _load_spec(path: str) -> SweepSpec | int:
-    try:
-        obj = _load_json(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    obj = _load_json(path)
     try:
         return SweepSpec.from_dict(obj)
     except SpecError as exc:
@@ -413,7 +407,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; normalize the contract
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        # an overflowing grid is reported as an invalid spec, not as numpy warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except _ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import WrongModeCount
 from .measures import MeasureReport, _libm, measure_stack
-from .states import ZERO_TOL, GaussianState, checked_stack
+from .states import ZERO_TOL, GaussianState
 
 
 @dataclass(frozen=True)
@@ -195,8 +195,8 @@ def trajectory(
         raise ValueError("need at least one time point")
     if any(t < 0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must be sorted and nonnegative")
+    # no re-validation, as in evolve: a convex combination of physical matrices is physical
     d, cm = _evolved(state0.d, state0.cm, [p], np.array(times))
-    cm = checked_stack(cm)[0]
     reports = measure_stack(d, cm, mu=mu, zero_tol=zero_tol)
     detected = _detect_family(state0)
     points = []

@@ -258,15 +258,14 @@ def sqrt_complex_principal(
     return root[0]
 
 
-def logdet_spd(a: np.ndarray):
-    """log(det(a)) of a symmetric positive definite matrix via Cholesky.
+def logdet_spd(a: np.ndarray) -> np.ndarray:
+    """log(det(a)) of each symmetric positive definite matrix of a stack ``(..., m, m)``.
 
-    A stack ``(..., m, m)`` gives an array of log-determinants; any item that
-    is not positive definite raises ``LinAlgError`` for the whole call.
+    Computed via Cholesky; any item that is not positive definite raises
+    ``LinAlgError`` for the whole call.
     """
     chol = np.linalg.cholesky(a)
-    out = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def grouped_index(n: int) -> np.ndarray:
@@ -306,13 +305,14 @@ class WilliamsonForm:
 
 def williamson_stack(
     cm: np.ndarray, errors: ItemErrors, tol: float = 1e-8
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symplectic normal forms of a stack ``(L, 2n, 2n)`` aligned with ``errors.live``.
 
-    Returns ``(s, nus)`` for the items still live.  Items that are not
-    positive definite fail with ``ValueError``, items whose construction does
-    not reproduce the input within ``tol`` with ``WilliamsonResidualError``.
-    See ``williamson`` for the method.
+    Returns ``(s, nus, residual)`` for the items still live, ``residual`` the
+    larger of the two Frobenius reconstruction residuals (relative for the cm
+    round trip, absolute for ``s Delta s^T = Delta``).  Items that are not
+    positive definite fail with ``ValueError``, items whose residual exceeds
+    ``tol`` with ``WilliamsonResidualError``.  See ``williamson`` for the method.
     """
     n = cm.shape[-1] // 2
     delta = symplectic_form(n)
@@ -354,7 +354,7 @@ def williamson_stack(
         lambda j: WilliamsonResidualError(
             f"reconstruction residuals {res_cm[j]:.3e} / {res_sympl[j]:.3e} exceed tol={tol:.1e}"
         ),
-        s, nus,
+        s, nus, np.maximum(res_cm, res_sympl),
     )
 
 
@@ -381,6 +381,6 @@ def williamson(cm: np.ndarray, tol: float = 1e-8) -> WilliamsonForm:
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] % 2:
         raise ValueError("input must be a 2n x 2n matrix")
     errors = ItemErrors(1)
-    s, nus = williamson_stack(cm[None], errors, tol)
+    s, nus, _ = williamson_stack(cm[None], errors, tol)
     errors.raise_first()
     return WilliamsonForm(s=s[0], nus=nus[0])

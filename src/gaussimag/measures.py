@@ -20,7 +20,7 @@ one-item case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -79,6 +79,16 @@ def imaginarity(state: GaussianState, zero_tol: float = ZERO_TOL) -> float:
     return float(_imaginarity_stack(state.d[None], state.cm[None], zero_tol)[0][0])
 
 
+def _squeezing_terms(n_th: float, zeta: complex) -> tuple[float, float, float]:
+    # (r, theta, sin^2(theta) sinh^2(2r)) of a squeezed thermal mode, zeta = r e^{i theta}
+    if n_th < 0:
+        raise ValueError(f"thermal photon number must be >= 0, got {n_th}")
+    zeta = complex(zeta)
+    r = abs(zeta)
+    theta = np.angle(zeta) if r > 0 else 0.0
+    return r, theta, math.sin(theta) ** 2 * math.sinh(2 * r) ** 2
+
+
 def imaginarity_single_mode(
     n_th: float, zeta: complex, alpha: complex, zero_tol: float = ZERO_TOL
 ) -> float:
@@ -87,11 +97,7 @@ def imaginarity_single_mode(
     Equals 1 - 1/(1 + sin^2(theta) sinh^2(2|zeta|)) plus 1 when Im(alpha) is
     nonzero; independent of the thermal photon number.
     """
-    if n_th < 0:
-        raise ValueError(f"thermal photon number must be >= 0, got {n_th}")
-    zeta = complex(zeta)
-    theta = np.angle(zeta) if abs(zeta) > 0 else 0.0
-    s2 = math.sin(theta) ** 2 * math.sinh(2 * abs(zeta)) ** 2
+    _, _, s2 = _squeezing_terms(n_th, zeta)
     h = 1.0 if 2.0 * abs(complex(alpha).imag) > zero_tol else 0.0
     return 1.0 - 1.0 / (1.0 + s2) + h
 
@@ -184,12 +190,7 @@ def fidelity_imaginarity(state: GaussianState, conj: GaussianState | None = None
 
 def fidelity_imaginarity_single_mode(n_th: float, zeta: complex, alpha: complex) -> float:
     """Closed form of ``fidelity_imaginarity`` on displaced squeezed thermal states."""
-    if n_th < 0:
-        raise ValueError(f"thermal photon number must be >= 0, got {n_th}")
-    zeta = complex(zeta)
-    r = abs(zeta)
-    theta = np.angle(zeta) if r > 0 else 0.0
-    s2 = math.sin(theta) ** 2 * math.sinh(2 * r) ** 2
+    r, theta, s2 = _squeezing_terms(n_th, zeta)
     im_a = complex(alpha).imag
     numer = math.exp(
         -2.0 * im_a**2 / ((2 * n_th + 1) * (math.cosh(2 * r) - math.cos(theta) * math.sinh(2 * r)))
@@ -219,7 +220,7 @@ def _tsallis_stack(d: np.ndarray, cm: np.ndarray, mu: float, errors: ItemErrors)
     # Tsallis-type measure of each state, for the items still live
     n = cm.shape[-1] // 2
     before = errors.live
-    s, nus = williamson_stack(cm, errors)
+    s, nus, _ = williamson_stack(cm, errors)
     (d,) = errors.narrow(before, d)
     factors, scale_mu, scale_1mu = _mu_weights(nus, mu)
     s_t = s.swapaxes(-1, -2)
@@ -253,12 +254,7 @@ def tsallis_imaginarity(state: GaussianState, mu: float) -> float:
 def tsallis_imaginarity_single_mode(n_th: float, zeta: complex, alpha: complex, mu: float) -> float:
     """Closed form of ``tsallis_imaginarity`` on displaced squeezed thermal states."""
     _check_mu(mu)
-    if n_th < 0:
-        raise ValueError(f"thermal photon number must be >= 0, got {n_th}")
-    zeta = complex(zeta)
-    r = abs(zeta)
-    theta = np.angle(zeta) if r > 0 else 0.0
-    s2 = math.sin(theta) ** 2 * math.sinh(2 * r) ** 2
+    r, theta, s2 = _squeezing_terms(n_th, zeta)
     x = n_th / (n_th + 1.0)
     pm = (1.0 - x**mu) * (1.0 - x ** (1.0 - mu))
     g = 2.0 * (1.0 - x) / pm
@@ -289,19 +285,7 @@ class MeasureReport:
     tsallis_error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "imaginarity": self.imaginarity,
-            "h_term": self.h_term,
-            "det_cm": self.det_cm,
-            "det_pos_block": self.det_pos_block,
-            "det_mom_block": self.det_mom_block,
-            "zero_tol": self.zero_tol,
-            "mu": self.mu,
-            "fidelity_imaginarity": self.fidelity_imaginarity,
-            "tsallis_imaginarity": self.tsallis_imaginarity,
-            "fidelity_error": self.fidelity_error,
-            "tsallis_error": self.tsallis_error,
-        }
+        return asdict(self)
 
 
 _NUMERIC_FAILURES = (

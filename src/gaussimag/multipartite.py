@@ -58,6 +58,12 @@ def partition_imaginarity(
     return imaginarity(state, zero_tol)
 
 
+def _reduction_check(state, modes, tol: float, zero_tol: float) -> HierarchyCheck:
+    lhs = imaginarity(state.reduce(modes), zero_tol)
+    rhs = imaginarity(state, zero_tol)
+    return HierarchyCheck(holds=lhs <= rhs + tol, lhs=lhs, rhs=rhs)
+
+
 def check_reduction_hierarchy(
     state: GaussianState,
     modes: Sequence[int],
@@ -73,9 +79,7 @@ def check_reduction_hierarchy(
     if len(modes) >= state.n:
         if sorted(modes) == list(range(1, state.n + 1)):
             raise ValueError("subset must be proper")
-    lhs = imaginarity(state.reduce(modes), zero_tol)
-    rhs = imaginarity(state, zero_tol)
-    return HierarchyCheck(holds=lhs <= rhs + tol, lhs=lhs, rhs=rhs)
+    return _reduction_check(state, modes, tol, zero_tol)
 
 
 def check_refinement_hierarchy(
@@ -97,7 +101,4 @@ def check_refinement_hierarchy(
     for sub, block in zip(fine.blocks, coarse.blocks):
         if not set(sub) <= set(block):
             raise ValueError(f"refinement block {sub} is not contained in {block}")
-    kept = fine.modes()
-    lhs = imaginarity(state.reduce(kept), zero_tol)
-    rhs = imaginarity(state, zero_tol)
-    return HierarchyCheck(holds=lhs <= rhs + tol, lhs=lhs, rhs=rhs)
+    return _reduction_check(state, fine.modes(), tol, zero_tol)

@@ -19,6 +19,12 @@ from .states import GaussianState, checked_stack
 # physical cone; a planted entry may be up to half of it
 _CROSS_MARGIN = 0.25
 
+# distribution parameters of the draw_cm and draw_state draws
+_THERMAL_SCALE = 1.0
+_PURE_PROB = 0.3
+_DISPLACEMENT_SCALE = 1.0
+_ZERO_DISPLACEMENT_PROB = 0.25
+
 
 def draw_haar(n: int, rng: np.random.Generator) -> np.ndarray:
     """Complex Ginibre matrix ``(n, n)``, the raw draw of one Haar unitary."""
@@ -40,13 +46,8 @@ def orthogonal_symplectic_stack(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def random_orthogonal_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Orthogonal symplectic matrix (passive transformation) from a Haar unitary."""
-    return orthogonal_symplectic_stack(draw_haar(n, rng)[None])[0]
-
-
 def draw_symplectic(n: int, rng: np.random.Generator, max_squeeze: float = 1.0) -> tuple:
-    """Raw draws ``(rs, z1, z2)`` of ``random_symplectic``."""
+    """Raw draws ``(rs, z1, z2)`` of one ``symplectic_stack`` item."""
     rs = rng.uniform(0.0, max_squeeze, size=n)
     return rs, draw_haar(n, rng), draw_haar(n, rng)
 
@@ -58,21 +59,10 @@ def symplectic_stack(rs: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> np.ndarr
     return (passive[: len(rs)] * squeeze[:, None, :]) @ passive[len(rs) :]
 
 
-def random_symplectic(n: int, rng: np.random.Generator, max_squeeze: float = 1.0) -> np.ndarray:
-    """Random symplectic matrix as passive * squeeze * passive."""
-    return symplectic_stack(*(a[None] for a in draw_symplectic(n, rng, max_squeeze)))[0]
-
-
-def draw_cm(
-    n: int,
-    rng: np.random.Generator,
-    max_squeeze: float = 1.0,
-    thermal_scale: float = 1.0,
-    pure_prob: float = 0.3,
-) -> tuple:
+def draw_cm(n: int, rng: np.random.Generator, max_squeeze: float = 1.0) -> tuple:
     """Raw draws ``(nus, rs, z1, z2)`` of ``random_cm``."""
-    nus = 1.0 + rng.exponential(thermal_scale, size=n)
-    nus[rng.random(n) < pure_prob] = 1.0
+    nus = 1.0 + rng.exponential(_THERMAL_SCALE, size=n)
+    nus[rng.random(n) < _PURE_PROB] = 1.0
     return (nus, *draw_symplectic(n, rng, max_squeeze))
 
 
@@ -83,30 +73,18 @@ def cm_stack(draws: list[tuple]) -> np.ndarray:
     return (s * nus.repeat(2, axis=-1)[:, None, :]) @ _mT(s)
 
 
-def random_cm(
-    n: int,
-    rng: np.random.Generator,
-    max_squeeze: float = 1.0,
-    thermal_scale: float = 1.0,
-    pure_prob: float = 0.3,
-) -> np.ndarray:
+def random_cm(n: int, rng: np.random.Generator, max_squeeze: float = 1.0) -> np.ndarray:
     """Valid covariance matrix built from a random symplectic normal form."""
-    return cm_stack([draw_cm(n, rng, max_squeeze, thermal_scale, pure_prob)])[0]
+    return cm_stack([draw_cm(n, rng, max_squeeze)])[0]
 
 
-def draw_state(
-    n: int,
-    rng: np.random.Generator,
-    max_squeeze: float = 1.0,
-    displacement_scale: float = 1.0,
-    zero_displacement_prob: float = 0.25,
-) -> tuple:
+def draw_state(n: int, rng: np.random.Generator, max_squeeze: float = 1.0) -> tuple:
     """Raw draws ``(d, cm_draw)`` of ``random_state``."""
     cm = draw_cm(n, rng, max_squeeze=max_squeeze)
-    if rng.random() < zero_displacement_prob:
+    if rng.random() < _ZERO_DISPLACEMENT_PROB:
         d = np.zeros(2 * n)
     else:
-        d = rng.normal(scale=displacement_scale, size=2 * n)
+        d = rng.normal(scale=_DISPLACEMENT_SCALE, size=2 * n)
     return d, cm
 
 
@@ -116,16 +94,9 @@ def state_stack(draws: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(d), checked_stack(cm_stack(cms))[0]
 
 
-def random_state(
-    n: int,
-    rng: np.random.Generator,
-    max_squeeze: float = 1.0,
-    displacement_scale: float = 1.0,
-    zero_displacement_prob: float = 0.25,
-) -> GaussianState:
+def random_state(n: int, rng: np.random.Generator, max_squeeze: float = 1.0) -> GaussianState:
     """Random valid state; displacement is zeroed with some probability."""
-    draw = draw_state(n, rng, max_squeeze, displacement_scale, zero_displacement_prob)
-    d, cm = state_stack([draw])
+    d, cm = state_stack([draw_state(n, rng, max_squeeze)])
     return GaussianState._trusted(d[0], cm[0])
 
 

@@ -98,6 +98,11 @@ class TestMeasure:
         assert report["tsallis_imaginarity"] == pytest.approx(1 - math.exp(-4), abs=1e-10)
         assert report["h_term"] == 1
         assert report["fidelity_error"] is None
+        assert list(report) == [
+            "imaginarity", "h_term", "det_cm", "det_pos_block", "det_mom_block", "zero_tol",
+            "mu", "fidelity_imaginarity", "tsallis_imaginarity", "fidelity_error",
+            "tsallis_error",
+        ]
 
     def test_csv_output(self, coherent_file, capsys):
         assert main(["measure", coherent_file, "--format", "csv"]) == 0
@@ -194,6 +199,27 @@ class TestSweep:
         assert main(["sweep", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "measure", "sweep", "dynamics"])
+class TestUnreadableInput:
+    """A file that cannot be read or parsed as JSON is a parse error (exit 2)."""
+
+    def test_missing_file(self, tmp_path, capsys, command):
+        assert main([command, str(tmp_path / "nope.json")]) == 2
+        assert capsys.readouterr().err.startswith("parse error:")
+
+    def test_malformed_json(self, tmp_path, capsys, command):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("parse error:")
+
+
+def test_unwritable_out_propagates(sweep_spec, tmp_path):
+    # only reading the input maps to exit 2; a failed write of --out raises
+    with pytest.raises(OSError):
+        main(["sweep", sweep_spec, "--out", str(tmp_path / "no_dir" / "out.csv")])
+
+
 class TestBadGridValues:
     """A bad grid point is an invalid spec (exit 1), reported for the first such point."""
 
@@ -217,11 +243,11 @@ class TestBadGridValues:
 
     def test_overflowing_squeezing(self, tmp_path, capsys):
         # abs_zeta 0, 100, ..., 400: cosh(2|zeta|) overflows from 300 on, and
-        # the covariance-ratio measure already fails at 100
-        with np.errstate(all="ignore"):
-            grid = {"start": 0, "stop": 400, "count": 5}
-            self.run(tmp_path, "sweep", "squeezed", "abs_zeta", grid, {"theta": 1.0})
-        assert capsys.readouterr().err.endswith(
+        # the covariance-ratio measure already fails at 100; the overflow
+        # raises no numpy warning, so the error line is all of stderr
+        grid = {"start": 0, "stop": 400, "count": 5}
+        self.run(tmp_path, "sweep", "squeezed", "abs_zeta", grid, {"theta": 1.0})
+        assert capsys.readouterr().err == (
             "invalid spec: abs_zeta=100: LinAlgError: Matrix is not positive definite\n"
         )
 

@@ -18,11 +18,12 @@ from gaussimag.sampling import (
     cross_entry_stack,
     draw_cm,
     draw_cross_entry,
+    draw_haar,
     draw_real_state,
     draw_state,
     inject_cross_entry,
+    orthogonal_symplectic_stack,
     random_cm,
-    random_orthogonal_symplectic,
     random_real_state,
     random_state,
     real_state_stack,
@@ -45,7 +46,7 @@ ITEMS = 8  # items per stack in the byte-identity tests
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_orthogonal_symplectic(n, rng):
-    o = random_orthogonal_symplectic(n, rng)
+    o = orthogonal_symplectic_stack(draw_haar(n, rng)[None])[0]
     delta = symplectic_form(n)
     assert np.abs(o @ o.T - np.eye(2 * n)).max() <= 1e-12
     assert np.abs(o @ delta @ o.T - delta).max() <= 1e-12

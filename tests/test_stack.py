@@ -7,7 +7,7 @@ from gaussimag.dynamics import BathParams, evolve, trajectory
 from gaussimag.errors import AsymmetricCM, ComplexSqrtBranchFailure, UncertaintyViolation
 from gaussimag.linalg import symplectic_form
 from gaussimag.measures import fidelity_imaginarity, imaginarity, measure_all, measure_stack
-from gaussimag.sampling import random_state, random_symplectic
+from gaussimag.sampling import draw_symplectic, random_state, symplectic_stack
 from gaussimag.states import (
     GaussianState,
     coherent_state,
@@ -131,7 +131,7 @@ class TestPureStateOracle:
         for n in (1, 2, 3, 4):
             states = []
             for _ in range(100):
-                s = random_symplectic(n, rng, max_squeeze=1.0)
+                s = symplectic_stack(*(a[None] for a in draw_symplectic(n, rng)))[0]
                 states.append(GaussianState(rng.normal(size=2 * n), s @ s.T))
             reports = measure_stack(*stack(states), mu=mu)
             assert not any(f != (None, None, None) for f in reports.failures)
