@@ -23,7 +23,7 @@ class GaussianChannel:
 
     __slots__ = ("n", "t", "noise", "d0")
 
-    def __init__(self, t, noise, d0, tol: float | None = None):
+    def __init__(self, t, noise, d0):
         t = np.array(t, dtype=float)
         noise = np.array(noise, dtype=float)
         d0 = np.array(d0, dtype=float)
@@ -34,7 +34,7 @@ class GaussianChannel:
             raise DimensionMismatch(
                 f"matrix shapes {t.shape}, {noise.shape} do not match {2 * n} quadratures"
             )
-        tl = _scaled_tol(noise, tol)
+        tl = _scaled_tol(noise)
         if float(np.abs(noise - noise.T).max()) > tl:
             raise AsymmetricNoise("noise matrix is not symmetric within tolerance")
         noise = 0.5 * (noise + noise.T)
@@ -43,7 +43,7 @@ class GaussianChannel:
         delta = symplectic_form(n)
         condition = noise + 1j * (delta - t @ delta @ t.T)
         min_eig = float(np.linalg.eigvalsh(condition).min())
-        if min_eig < -_scaled_tol(condition, tol):
+        if min_eig < -_scaled_tol(condition):
             raise PhysicalityViolation(
                 f"channel condition N + i(Delta - T Delta T^T) has min eig {min_eig:.3e}"
             )
@@ -87,11 +87,11 @@ class GaussianChannel:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict, tol: float | None = None) -> "GaussianChannel":
+    def from_dict(cls, obj: dict) -> "GaussianChannel":
         d0 = np.asarray(obj["d0"], dtype=float)
         if "n" in obj and 2 * int(obj["n"]) != d0.size:
             raise DimensionMismatch(f"declared n={obj['n']} but shift has {d0.size} entries")
-        return cls(obj["T"], obj["N"], d0, tol=tol)
+        return cls(obj["T"], obj["N"], d0)
 
 
 def classify_real(channel: GaussianChannel, zero_tol: float = ZERO_TOL) -> RealnessClass:

@@ -23,11 +23,10 @@ import numpy as np
 from . import fuzz
 from .channels import GaussianChannel, classify_real
 from .dynamics import BathParams, _evolved, trajectory
-from .errors import InvalidMu
 from .linalg import symplectic_form
 from .measures import measure_all, measure_stack
-from .states import GaussianState, arrays_from_dict, coherent_stack, squeezed_thermal_stack
-from .states import two_mode_squeezed_stack, validate
+from .states import ZERO_TOL, GaussianState, arrays_from_dict, coherent_stack
+from .states import squeezed_thermal_stack, two_mode_squeezed_stack, validate
 
 FAMILY_PARAMS = {
     "coherent": {"re_alpha", "im_alpha"},
@@ -112,7 +111,7 @@ class SweepSpec:
             count=count,
             fixed=fixed,
             mu=mu,
-            zero_tol=float(obj.get("zero_tol", 1e-12)),
+            zero_tol=float(obj.get("zero_tol", ZERO_TOL)),
         )
 
     def grid(self) -> np.ndarray:
@@ -254,7 +253,7 @@ def cmd_measure(args) -> int:
     try:
         state = GaussianState.from_dict(obj)
         report = measure_all(state, mu=args.mu, zero_tol=args.zero_tol)
-    except (ValueError, InvalidMu) as exc:
+    except ValueError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
@@ -273,62 +272,41 @@ def cmd_measure(args) -> int:
     return 0
 
 
-def _load_spec(path: str) -> SweepSpec | int:
-    obj = _load_json(path)
-    try:
-        return SweepSpec.from_dict(obj)
-    except SpecError as exc:
-        print(f"invalid spec: {exc}", file=sys.stderr)
-        return 1
-
-
 def cmd_sweep(args) -> int:
-    spec = _load_spec(args.spec)
-    if isinstance(spec, int):
-        return spec
+    spec = SweepSpec.from_dict(_load_json(args.spec))
     grid = spec.grid()
     lines = ["axis,i_gn,m_f,m_t"]
-    try:
-        d, cm, error = _grid_states(spec, grid)
-        reports = measure_stack(d, cm, spec.mu, spec.zero_tol)
-        for k, value in enumerate(grid[: len(d)]):
-            try:
-                r = reports.report(k)
-            except ValueError as exc:
-                raise SpecError(_at_point(spec, value, exc)) from exc
-            cells = (value, r.imaginarity, r.fidelity_imaginarity, r.tsallis_imaginarity)
-            lines.append(",".join(_fmt_csv(c) for c in cells))
-        if error is not None:
-            raise error
-    except SpecError as exc:
-        print(f"invalid spec: {exc}", file=sys.stderr)
-        return 1
+    d, cm, error = _grid_states(spec, grid)
+    reports = measure_stack(d, cm, spec.mu, spec.zero_tol)
+    for k, value in enumerate(grid[: len(d)]):
+        try:
+            r = reports.report(k)
+        except ValueError as exc:
+            raise SpecError(_at_point(spec, value, exc)) from exc
+        cells = (value, r.imaginarity, r.fidelity_imaginarity, r.tsallis_imaginarity)
+        lines.append(",".join(_fmt_csv(c) for c in cells))
+    if error is not None:
+        raise error
     _write_lines(lines, args.out)
     return 0
 
 
 def cmd_dynamics(args) -> int:
-    spec = _load_spec(args.spec)
-    if isinstance(spec, int):
-        return spec
+    spec = SweepSpec.from_dict(_load_json(args.spec))
     if spec.family not in ("sv_dynamics", "coherent_dynamics"):
-        print(f"invalid spec: dynamics needs a dynamics family, got {spec.family!r}", file=sys.stderr)
-        return 1
+        raise SpecError(f"dynamics needs a dynamics family, got {spec.family!r}")
     if spec.axis != "t":
-        print(f"invalid spec: dynamics sweeps the axis 't', got {spec.axis!r}", file=sys.stderr)
-        return 1
+        raise SpecError(f"dynamics sweeps the axis 't', got {spec.axis!r}")
     grid = spec.grid()
+    build, inputs, (baths, _), errors = _grid_inputs(spec, grid)
+    if any(errors):
+        raise next(filter(None, errors))
     try:
-        build, inputs, (baths, _), errors = _grid_inputs(spec, grid)
-        if any(errors):
-            raise next(filter(None, errors))
         # the initial state does not depend on t
         state0 = GaussianState(*(a[0] for a in build(*(a[:1] for a in inputs))))
         result = trajectory(state0, baths[0], grid, mu=spec.mu, zero_tol=spec.zero_tol)
     except ValueError as exc:
-        message = exc if isinstance(exc, SpecError) else f"{type(exc).__name__}: {exc}"
-        print(f"invalid spec: {message}", file=sys.stderr)
-        return 1
+        raise SpecError(f"{type(exc).__name__}: {exc}") from exc
     lines = ["t,i_gn,i_gn_closed,h_term"]
     for point in result.points:
         lines.append(
@@ -374,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="evaluate all measures on a state JSON file")
     p.add_argument("path")
     p.add_argument("--mu", type=float, default=0.5)
-    p.add_argument("--zero-tol", type=float, default=1e-12, dest="zero_tol")
+    p.add_argument("--zero-tol", type=float, default=ZERO_TOL, dest="zero_tol")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_measure)
 
@@ -414,6 +392,9 @@ def main(argv=None) -> int:
     except _ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    except SpecError as exc:
+        print(f"invalid spec: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -137,15 +137,15 @@ def coherent_imaginarity(
     return 1.0 + h0 - (a_plus * a_minus - c**2) ** 2 / (a_plus**2 * a_minus**2)
 
 
-def _detect_family(state0: GaussianState, atol: float = 1e-12):
+def _detect_family(state0: GaussianState):
     """Recognize the two initial families that have printed closed forms."""
     if state0.n != 2:
         return None
     cm, d = state0.cm, state0.d
-    if np.allclose(cm, np.eye(4), atol=atol):
+    if np.allclose(cm, np.eye(4), atol=ZERO_TOL):
         alphas = (complex(d[0], d[1]) / 2.0, complex(d[2], d[3]) / 2.0)
         return ("coherent", alphas)
-    if float(np.abs(d).max()) <= atol:
+    if float(np.abs(d).max()) <= ZERO_TOL:
         ch, sh = cm[0, 0] / 2.0, cm[0, 2] / 2.0
         pattern = np.array(
             [
@@ -155,7 +155,8 @@ def _detect_family(state0: GaussianState, atol: float = 1e-12):
                 [0.0, -2 * sh, 0.0, 2 * ch],
             ]
         )
-        if ch >= 1.0 and abs(ch**2 - sh**2 - 1.0) <= 1e-9 and np.allclose(cm, pattern, atol=atol):
+        hyperbolic = abs(ch**2 - sh**2 - 1.0) <= 1e-9
+        if ch >= 1.0 and hyperbolic and np.allclose(cm, pattern, atol=ZERO_TOL):
             return ("squeezed_vacuum", 0.5 * math.asinh(sh))
     return None
 

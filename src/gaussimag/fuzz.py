@@ -86,11 +86,16 @@ def _case_rng(seed: int, case: int) -> np.random.Generator:
     return np.random.default_rng([seed, case])
 
 
-def _by_mode_count(ns: list[int]) -> dict[int, list[int]]:
-    # positions of the cases of each mode count, in case order
+def _draw_by_mode_count(seed: int, count: int, modes: tuple[int, int], draw) -> dict:
+    # {n: (cases, draws)}, cases in case order: case k takes n = rng.integers(*modes),
+    # then draw(k, n, rng), from the generator _case_rng(seed, k)
     groups = {}
-    for k, n in enumerate(ns):
-        groups.setdefault(n, []).append(k)
+    for case in range(count):
+        rng = _case_rng(seed, case)
+        n = int(rng.integers(*modes))
+        cases, draws = groups.setdefault(n, ([], []))
+        cases.append(case)
+        draws.append(draw(case, n, rng))
     return groups
 
 
@@ -109,17 +114,15 @@ def run_monotonicity(seed: int, count: int, tol: float) -> FuzzResult:
     Completely real channels must additionally output exactly-real states.
     """
     kinds = (RealnessClass.COMPLETELY_REAL, RealnessClass.COVARIANT_REAL)
-    ns, state_draws, channel_draws = [], [], []
-    for case in range(count):
-        rng = _case_rng(seed, case)
-        n = int(rng.integers(1, 4))
-        ns.append(n)
-        state_draws.append(draw_state(n, rng))
-        channel_draws.append(draw_real_channel(n, kinds[case % 2], rng))
+
+    def draw(case, n, rng):
+        return draw_state(n, rng), draw_real_channel(n, kinds[case % 2], rng)
+
     values, out_real = np.empty((2, count)), np.ones(count, dtype=bool)
-    for pos in _by_mode_count(ns).values():
-        d, cm = state_stack([state_draws[k] for k in pos])
-        t, noise, d0 = real_channel_stack([channel_draws[k] for k in pos])
+    for pos, draws in _draw_by_mode_count(seed, count, (1, 4), draw).values():
+        state_draws, channel_draws = zip(*draws)
+        d, cm = state_stack(state_draws)
+        t, noise, d0 = real_channel_stack(channel_draws)
         d_out, cm_out = apply_stack(t, noise, d0, d, cm)
         for j, k in enumerate(pos):
             if kinds[k % 2] is RealnessClass.COMPLETELY_REAL:
@@ -140,21 +143,21 @@ def run_monotonicity(seed: int, count: int, tol: float) -> FuzzResult:
 
 def run_faithfulness(seed: int, count: int, tol: float) -> FuzzResult:
     """Real-patterned states measure ~0; planted cross entries measure > 0."""
-    ns, real_draws, planted = [], [], {}
-    for case in range(count):
-        rng = _case_rng(seed, case)
-        n = int(rng.integers(1, 5))
-        ns.append(n)
-        real_draws.append(draw_real_state(n, rng))
-        if case % 2 == 1:
-            eps = float(np.exp(rng.uniform(np.log(1e-3), np.log(0.1))))
-            planted[case] = draw_cross_entry(n, rng, eps)
+
+    def draw(case, n, rng):
+        real = draw_real_state(n, rng)
+        if case % 2 == 0:
+            return real, None
+        eps = float(np.exp(rng.uniform(np.log(1e-3), np.log(0.1))))
+        return real, draw_cross_entry(n, rng, eps)
+
     values = np.empty(count)
-    for pos in _by_mode_count(ns).values():
-        d, cm = real_state_stack([real_draws[k] for k in pos])
-        odd = [j for j, k in enumerate(pos) if k in planted]
+    for pos, draws in _draw_by_mode_count(seed, count, (1, 5), draw).values():
+        real_draws, planted = zip(*draws)
+        d, cm = real_state_stack(real_draws)
+        odd = [j for j, k in enumerate(pos) if k % 2 == 1]
         if odd:
-            cm[odd] = cross_entry_stack(cm[odd], [planted[pos[j]] for j in odd])
+            cm[odd] = cross_entry_stack(cm[odd], [planted[j] for j in odd])
         values[pos] = _imaginarity_stack(d, cm, ZERO_TOL)[0]
     margin = np.where(np.arange(count) % 2 == 0, values - tol, 1e-8 - values)
     return FuzzResult("faithfulness", count, tol, seed).record_all(margin)
@@ -162,19 +165,17 @@ def run_faithfulness(seed: int, count: int, tol: float) -> FuzzResult:
 
 def run_hierarchy(seed: int, count: int, tol: float) -> FuzzResult:
     """Reduction never raises imaginarity; mode permutations never change it."""
-    ns, draws, perms = [], [], []
-    for case in range(count):
-        rng = _case_rng(seed, case)
-        n = int(rng.integers(2, 5))
-        ns.append(n)
-        draws.append(draw_state(n, rng))
-        perms.append(rng.permutation(n))
+
+    def draw(case, n, rng):
+        return draw_state(n, rng), rng.permutation(n)
+
     margin = np.empty(count)
-    for n, pos in _by_mode_count(ns).items():
-        d, cm = state_stack([draws[k] for k in pos])
+    for n, (pos, draws) in _draw_by_mode_count(seed, count, (2, 5), draw).items():
+        state_draws, perms = zip(*draws)
+        d, cm = state_stack(state_draws)
         # each state and its mode permutation, scored in one stack
         items = np.arange(len(pos))[:, None]
-        perm = 2 * np.stack([perms[k] for k in pos])[:, :, None] + (0, 1)
+        perm = 2 * np.stack(perms)[:, :, None] + (0, 1)
         perm = perm.reshape(len(pos), 2 * n)
         both = _imaginarity_stack(
             np.concatenate([d, d[items, perm]]),
@@ -197,14 +198,10 @@ def run_hierarchy(seed: int, count: int, tol: float) -> FuzzResult:
 
 def run_williamson(seed: int, count: int, tol: float) -> FuzzResult:
     """Symplectic normal form reconstructs random covariance matrices."""
-    ns, draws = [], []
-    for case in range(count):
-        rng = _case_rng(seed, case)
-        ns.append(int(rng.integers(1, 5)))
-        draws.append(draw_cm(ns[-1], rng))
     margin = np.empty(count)
-    for pos in _by_mode_count(ns).values():
-        cm = cm_stack([draws[k] for k in pos])
+    groups = _draw_by_mode_count(seed, count, (1, 5), lambda case, n, rng: draw_cm(n, rng))
+    for pos, draws in groups.values():
+        cm = cm_stack(draws)
         # residuals are measured here against the suite tolerance, so the
         # internal residual guard is disabled
         errors = ItemErrors(len(pos))

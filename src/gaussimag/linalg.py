@@ -17,11 +17,9 @@ import numpy as np
 from .errors import ComplexSqrtBranchFailure, WilliamsonResidualError
 
 
-def _scaled_tol(m: np.ndarray, tol: float | None):
-    # scale-invariant default so boundary (pure) states are accepted; one
-    # tolerance per matrix of a stack
-    if tol is not None:
-        return tol
+def _scaled_tol(m: np.ndarray):
+    # the one validation tolerance: scale-invariant so boundary (pure) states
+    # are accepted; one tolerance per matrix of a stack
     return 1e-9 * (1.0 + np.abs(m).max(axis=(-2, -1)))
 
 
@@ -40,21 +38,20 @@ def symplectic_form(n: int) -> np.ndarray:
     return delta
 
 
-def is_psd_hermitian(h: np.ndarray, tol: float | None = None) -> bool:
+def is_psd_hermitian(h: np.ndarray) -> bool:
     """Check whether a Hermitian matrix is positive semidefinite within tolerance.
 
     Args:
         h: square Hermitian matrix (real symmetric or complex).
-        tol: absolute eigenvalue tolerance; defaults to 1e-9 * (1 + max|h|).
 
     Returns:
-        True iff the smallest eigenvalue is >= -tol.
+        True iff the smallest eigenvalue is >= -tol, tol = 1e-9 * (1 + max|h|).
 
     Raises:
         ValueError: if ``h`` is not Hermitian within the same tolerance.
     """
     h = np.asarray(h)
-    t = _scaled_tol(h, tol)
+    t = _scaled_tol(h)
     if float(np.abs(h - h.conj().T).max()) > t:
         raise ValueError("matrix is not Hermitian within tolerance")
     return bool(np.linalg.eigvalsh(h).min() >= -t)

@@ -151,41 +151,37 @@ def _fidelity_w_chain(half_cm1: np.ndarray, half_cm2: np.ndarray) -> dict:
     return {"w_aux": w_aux[0], "f_tot4": complex(f_tot4[0])}
 
 
-def _fidelity_stack(d, cm, conj_d, conj_cm, errors: ItemErrors) -> dict:
-    # fidelity chain between each state and its partner state, for the items still live
+def _fidelity_stack(d: np.ndarray, cm: np.ndarray, errors: ItemErrors):
+    # (f0, value) of the chain between each state and its conjugate, for the items still live
+    o = momentum_signs(cm.shape[-1] // 2)
+    # conjugation by diag(o) only flips signs, so it is applied elementwise
+    conj_cm = np.outer(o, o) * cm
     before = errors.live
-    w_aux, f_tot4 = _w_chain_stack(0.5 * cm, 0.5 * conj_cm, errors)
-    d, cm, conj_d, conj_cm = errors.narrow(before, d, cm, conj_d, conj_cm)
-    cm_sum = cm + conj_cm
-    log_det, w_aux, f_tot4, cm_sum, dd = errors.call(
-        logdet_spd, 0.5 * cm_sum, carry=(w_aux, f_tot4, cm_sum, d - conj_d)
-    )
+    _, f_tot4 = _w_chain_stack(0.5 * cm, 0.5 * conj_cm, errors)
+    d, cm, conj_cm = errors.narrow(before, d, cm, conj_cm)
+    cm_sum, dd = cm + conj_cm, d - o * d
+    log_det, f_tot4, cm_sum, dd = errors.call(logdet_spd, 0.5 * cm_sum, carry=(f_tot4, cm_sum, dd))
     f0 = _libm(lambda v: v**0.25, f_tot4.real) / _libm(lambda v: v**0.25, np.exp(log_det))
-    x, w_aux, f_tot4, f0, dd = errors.call(
-        _solve_vectors, cm_sum, dd, carry=(w_aux, f_tot4, f0, dd)
-    )
-    exponent = -0.25 * _dot(dd, x)
-    value = 1.0 - f0 * _libm(math.exp, exponent)
-    return {"w_aux": w_aux, "f_tot4": f_tot4, "f0": f0, "exponent": exponent, "value": value}
+    x, f0, dd = errors.call(_solve_vectors, cm_sum, dd, carry=(f0, dd))
+    return f0, 1.0 - f0 * _libm(math.exp, -0.25 * _dot(dd, x))
 
 
-def _fidelity_chain(state: GaussianState, conj: GaussianState | None = None) -> dict:
+def _fidelity_chain(state: GaussianState) -> dict:
     """Evaluate the Gaussian fidelity between a state and its conjugate.
 
-    Returns the intermediates alongside the final value so the branch choice
-    of the matrix square root can be regression-tested.
+    Returns ``{"f0", "value"}``: the fidelity without its displacement factor,
+    and one minus the fidelity, so both can be regression-tested.  The
+    square-root branch of the chain is pinned through ``_fidelity_w_chain``.
     """
-    if conj is None:
-        conj = state.conjugate()
     errors = ItemErrors(1)
-    chain = _fidelity_stack(state.d[None], state.cm[None], conj.d[None], conj.cm[None], errors)
+    f0, value = _fidelity_stack(state.d[None], state.cm[None], errors)
     errors.raise_first()
-    return {k: v[0] if v.ndim > 1 else v[0].item() for k, v in chain.items()}
+    return {"f0": f0[0].item(), "value": value[0].item()}
 
 
-def fidelity_imaginarity(state: GaussianState, conj: GaussianState | None = None) -> float:
+def fidelity_imaginarity(state: GaussianState) -> float:
     """One minus the fidelity between the state and its conjugate."""
-    return _fidelity_chain(state, conj)["value"]
+    return _fidelity_chain(state)["value"]
 
 
 def fidelity_imaginarity_single_mode(n_th: float, zeta: complex, alpha: complex) -> float:
@@ -370,9 +366,8 @@ def measure_stack(
     base = ItemErrors(len(cm))
     ((value, h, *log_dets),) = base.call(partial(_imaginarity_stack, zero_tol=zero_tol), d, cm)
     d, cm = base.narrow(np.arange(len(cm)), d, cm)
-    o = momentum_signs(cm.shape[-1] // 2)
     fid, ts = base.copy(), base.copy()
-    fidelity = _fidelity_stack(d, cm, o * d, np.outer(o, o) * cm, fid)["value"]
+    _, fidelity = _fidelity_stack(d, cm, fid)
     tsallis = _tsallis_stack(d, cm, mu, ts)
     return StackReport(
         mu=mu,

@@ -39,7 +39,7 @@ def momentum_signs(n: int) -> np.ndarray:
     return o
 
 
-def validate(cm: np.ndarray, tol: float | None = None):
+def validate(cm: np.ndarray):
     """Validate a stack of covariance matrices ``(B, 2n, 2n)``.
 
     Returns ``(cm, margin, errors)``: the symmetrized matrices, each item's
@@ -48,7 +48,7 @@ def validate(cm: np.ndarray, tol: float | None = None):
     ``AsymmetricCM``/``UncertaintyViolation``/``LinAlgError`` of each item.
     """
     errors = ItemErrors(len(cm))
-    t = _scaled_tol(cm, tol)
+    t = _scaled_tol(cm)
     cm_t = cm.swapaxes(-1, -2)
     asymmetric = np.abs(cm - cm_t).max(axis=(-2, -1)) > t
     cm = 0.5 * (cm + cm_t)
@@ -68,16 +68,16 @@ def validate(cm: np.ndarray, tol: float | None = None):
     return cm, margin, errors.errors
 
 
-def checked_stack(cm: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def checked_stack(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``validate`` that raises the first failed item's error; returns ``(cm, margin)``."""
-    cm, margin, errors = validate(cm, tol)
+    cm, margin, errors = validate(cm)
     for exc in errors:
         if exc is not None:
             raise exc
     return cm, margin
 
 
-def _checked(d, cm, tol: float | None) -> tuple[np.ndarray, np.ndarray, float]:
+def _checked(d, cm) -> tuple[np.ndarray, np.ndarray, float]:
     d = np.array(d, dtype=float)
     cm = np.array(cm, dtype=float)
     if d.ndim != 1 or d.size < 2 or d.size % 2 != 0:
@@ -87,7 +87,7 @@ def _checked(d, cm, tol: float | None) -> tuple[np.ndarray, np.ndarray, float]:
         raise DimensionMismatch(
             f"covariance matrix shape {cm.shape} does not match {2 * n} quadratures"
         )
-    cm, margin = checked_stack(cm[None], tol)
+    cm, margin = checked_stack(cm[None])
     return d, cm[0], float(margin[0])
 
 
@@ -102,13 +102,13 @@ class GaussianState:
 
     __slots__ = ("n", "d", "cm")
 
-    def __init__(self, d, cm, tol: float | None = None):
-        self._set(*_checked(d, cm, tol)[:2])
+    def __init__(self, d, cm):
+        self._set(*_checked(d, cm)[:2])
 
     @classmethod
-    def checked(cls, d, cm, tol: float | None = None) -> tuple["GaussianState", float]:
+    def checked(cls, d, cm) -> tuple["GaussianState", float]:
         """Validated state together with its physicality margin (min eig of cm + i*Delta)."""
-        d, cm, margin = _checked(d, cm, tol)
+        d, cm, margin = _checked(d, cm)
         return cls._trusted(d, cm), margin
 
     @classmethod
@@ -159,8 +159,8 @@ class GaussianState:
         return {"n": self.n, "d": self.d.tolist(), "cm": self.cm.tolist()}
 
     @classmethod
-    def from_dict(cls, obj: dict, tol: float | None = None) -> "GaussianState":
-        return cls(*arrays_from_dict(obj), tol=tol)
+    def from_dict(cls, obj: dict) -> "GaussianState":
+        return cls(*arrays_from_dict(obj))
 
 
 def arrays_from_dict(obj: dict) -> tuple[np.ndarray, np.ndarray]:

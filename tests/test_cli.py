@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from gaussimag import measures
 from gaussimag.cli import main
+from gaussimag.errors import NonRealResult
 from gaussimag.states import coherent_state
 
 
@@ -327,6 +329,17 @@ class TestDynamics:
         )
         assert main(["dynamics", spec]) == 1
 
+    def test_sweep_family_rejected_message(self, sweep_spec, capsys):
+        assert main(["dynamics", sweep_spec]) == 1
+        assert capsys.readouterr().err == (
+            "invalid spec: dynamics needs a dynamics family, got 'coherent'\n"
+        )
+
+    def test_wrong_axis_rejected_message(self, tmp_path, capsys):
+        spec = {"family": "sv_dynamics", "axis": "r", "grid": {"start": 0, "stop": 1, "count": 3}}
+        assert main(["dynamics", write_json(tmp_path / "axis.json", spec)]) == 1
+        assert capsys.readouterr().err == "invalid spec: dynamics sweeps the axis 't', got 'r'\n"
+
     def test_missing_bath_parameter(self, tmp_path):
         spec = write_json(
             tmp_path / "missing.json",
@@ -377,6 +390,44 @@ class TestFuzzCommand:
         first = capsys.readouterr().out
         assert main(["fuzz", "--suite", "faithfulness", "--count", "30", "--seed", "5"]) == 0
         assert capsys.readouterr().out == first
+
+
+class TestFragilePathFailures:
+    """Failures of the fidelity or Tsallis path, planted in the stacked measure core."""
+
+    def test_numeric_failure_is_a_measure_warning(self, coherent_file, capsys, monkeypatch):
+        def boom(d, cm, errors):
+            errors.fail(np.ones(len(errors.live), dtype=bool), lambda j: NonRealResult("synthetic failure"))
+            return np.empty(0), np.empty(0)
+
+        monkeypatch.setattr(measures, "_fidelity_stack", boom)
+        assert main(["measure", coherent_file]) == 0
+        captured = capsys.readouterr()
+        assert '"fidelity_imaginarity": null' in captured.out
+        assert json.loads(captured.out)["tsallis_imaginarity"] is not None
+        assert captured.err == "warning: fidelity path failed: NonRealResult: synthetic failure\n"
+
+    @pytest.fixture
+    def failing_tsallis(self, monkeypatch):
+        # the last item of each stack fails the Tsallis path with an error that is not numeric
+        tsallis_stack = measures._tsallis_stack
+
+        def fail_last(d, cm, mu, errors):
+            last = errors.live == len(errors.errors) - 1
+            d, cm = errors.fail(last, lambda j: ValueError("synthetic failure"), d, cm)
+            return tsallis_stack(d, cm, mu, errors)
+
+        monkeypatch.setattr(measures, "_tsallis_stack", fail_last)
+
+    def test_non_numeric_failure_raises_from_measure_all(self, failing_tsallis):
+        with pytest.raises(ValueError, match="synthetic failure"):
+            measures.measure_all(coherent_state([1j]))
+
+    def test_non_numeric_failure_is_an_invalid_spec(self, failing_tsallis, sweep_spec, capsys):
+        assert main(["sweep", sweep_spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid spec: im_alpha=2: ValueError: synthetic failure\n"
 
 
 class TestRepeatedCalls:

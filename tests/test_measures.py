@@ -219,9 +219,9 @@ class TestMeasureAll:
     def test_fragile_path_failure_is_flagged(self, monkeypatch, rng):
         import gaussimag.measures as measures
 
-        def boom(d, cm, conj_d, conj_cm, errors):
+        def boom(d, cm, errors):
             errors.fail(np.ones(len(errors.live), dtype=bool), lambda j: NonRealResult("synthetic failure"))
-            return {"value": np.empty(0)}
+            return np.empty(0), np.empty(0)
 
         monkeypatch.setattr(measures, "_fidelity_stack", boom)
         report = measures.measure_all(random_state(2, rng))
