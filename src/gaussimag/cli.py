@@ -25,7 +25,7 @@ from .channels import GaussianChannel, classify_real
 from .dynamics import BathParams, _evolved, trajectory
 from .linalg import symplectic_form
 from .measures import measure_all, measure_stack
-from .states import ZERO_TOL, GaussianState, arrays_from_dict, coherent_stack
+from .states import ZERO_TOL, GaussianState, arrays_from_dict, check_zero_tol, coherent_stack
 from .states import squeezed_thermal_stack, two_mode_squeezed_stack, validate
 
 FAMILY_PARAMS = {
@@ -103,6 +103,11 @@ class SweepSpec:
         mu = float(obj.get("mu", 0.5))
         if not 0.0 < mu < 1.0:
             raise SpecError(f"mu must be in (0, 1), got {mu}")
+        zero_tol = float(obj.get("zero_tol", ZERO_TOL))
+        try:
+            check_zero_tol(zero_tol)
+        except ValueError as exc:
+            raise SpecError(str(exc)) from exc
         return cls(
             family=family,
             axis=axis,
@@ -111,7 +116,7 @@ class SweepSpec:
             count=count,
             fixed=fixed,
             mu=mu,
-            zero_tol=float(obj.get("zero_tol", ZERO_TOL)),
+            zero_tol=zero_tol,
         )
 
     def grid(self) -> np.ndarray:
@@ -278,13 +283,17 @@ def cmd_sweep(args) -> int:
     lines = ["axis,i_gn,m_f,m_t"]
     d, cm, error = _grid_states(spec, grid)
     reports = measure_stack(d, cm, spec.mu, spec.zero_tol)
-    for k, value in enumerate(grid[: len(d)]):
-        try:
-            r = reports.report(k)
-        except ValueError as exc:
-            raise SpecError(_at_point(spec, value, exc)) from exc
-        cells = (value, r.imaginarity, r.fidelity_imaginarity, r.tsallis_imaginarity)
-        lines.append(",".join(_fmt_csv(c) for c in cells))
+    columns = (reports.imaginarity, reports.fidelity_imaginarity, reports.tsallis_imaginarity)
+    rows = zip(grid[: len(d)].tolist(), *(c.tolist() for c in columns))
+    for k, (row, failed) in enumerate(zip(rows, reports.failures)):
+        if any(failed):
+            # raises what report(k) raises; a numeric failure leaves its cell empty
+            try:
+                reports.report(k)
+            except ValueError as exc:
+                raise SpecError(_at_point(spec, row[0], exc)) from exc
+            row = row[:2] + tuple(None if exc else v for v, exc in zip(row[2:], failed[1:]))
+        lines.append(",".join(_fmt_csv(c) for c in row))
     if error is not None:
         raise error
     _write_lines(lines, args.out)
@@ -308,17 +317,11 @@ def cmd_dynamics(args) -> int:
     except ValueError as exc:
         raise SpecError(f"{type(exc).__name__}: {exc}") from exc
     lines = ["t,i_gn,i_gn_closed,h_term"]
-    for point in result.points:
-        lines.append(
-            ",".join(
-                [
-                    _fmt_csv(point.t),
-                    _fmt_csv(point.report.imaginarity),
-                    _fmt_csv(point.closed_form),
-                    str(point.report.h_term),
-                ]
-            )
-        )
+    # the covariance-ratio arrays only: the fidelity and Tsallis paths never run
+    columns = (result.stack.imaginarity.tolist(), result.stack.h_term.tolist())
+    for point, value, h in zip(result.points, *columns):
+        closed = _fmt_csv(point.closed_form)
+        lines.append(f"{_fmt_csv(point.t)},{_fmt_csv(value)},{closed},{int(h)}")
     _write_lines(lines, args.out)
     for t in result.h_flip_times:
         print(

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import WrongModeCount
-from .measures import MeasureReport, _libm, measure_stack
-from .states import ZERO_TOL, GaussianState
+from .measures import MeasureReport, StackReport, _libm, measure_stack
+from .states import ZERO_TOL, GaussianState, check_zero_tol
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,16 @@ class BathParams:
             raise ValueError(f"damping rate must be > 0, got {self.lam}")
         if self.n_th < 0:
             raise ValueError(f"thermal photon number must be >= 0, got {self.n_th}")
-        derived = self.derived
-        # guards hand-entered parameters; the (n_th, R) parameterization
-        # satisfies |M|^2 = N(N+1) - n_th(n_th+1) identically
-        if abs(derived.m) ** 2 > derived.n * (derived.n + 1.0) + 1e-9:
+        try:
+            derived = self.derived
+            # guards hand-entered parameters; the (n_th, R) parameterization
+            # satisfies |M|^2 = N(N+1) - n_th(n_th+1) identically
+            unphysical = abs(derived.m) ** 2 > derived.n * (derived.n + 1.0) + 1e-9
+        except OverflowError:
+            raise ValueError(
+                f"bath squeezing R={self.big_r} overflows the bath photon number"
+            ) from None
+        if unphysical:
             raise ValueError("bath squeezing exceeds the physical bound |M|^2 <= N(N+1)")
 
     @cached_property
@@ -133,6 +139,7 @@ def coherent_imaginarity(
     a_plus = decay + (1.0 - decay) * (1.0 + 2.0 * d.l_plus)
     a_minus = decay + (1.0 - decay) * (1.0 + 2.0 * d.l_minus)
     c = 2.0 * (1.0 - decay) * d.m.imag
+    check_zero_tol(zero_tol)
     h0 = 1.0 if 2.0 * sum(abs(complex(a).imag) for a in alphas) > zero_tol else 0.0
     return 1.0 + h0 - (a_plus * a_minus - c**2) ** 2 / (a_plus**2 * a_minus**2)
 
@@ -163,9 +170,21 @@ def _detect_family(state0: GaussianState):
 
 @dataclass(frozen=True)
 class TrajectoryPoint:
+    """One time of a trajectory, a view into the trajectory's ``StackReport``."""
+
     t: float
-    report: MeasureReport
     closed_form: float | None
+    _stack: StackReport = field(repr=False, compare=False)
+    _k: int = field(repr=False, compare=False)
+
+    @property
+    def report(self) -> MeasureReport:
+        """``measure_all`` of the state at time t, built on each read.
+
+        The first read of any point runs the fidelity and Tsallis paths of the
+        whole trajectory, and raises a failure of them that is not numeric.
+        """
+        return self._stack.report(self._k)
 
 
 @dataclass(frozen=True)
@@ -176,6 +195,8 @@ class TrajectoryResult:
     #: mathematically it never flips, numerically the decayed displacement
     #: eventually underflows any threshold
     h_flip_times: tuple[float, ...]
+    #: the measures of every point as arrays, item k at ``points[k].t``
+    stack: StackReport
 
 
 def trajectory(
@@ -190,6 +211,12 @@ def trajectory(
     ``times`` must be sorted and nonnegative.  When the initial state matches
     the squeezed-vacuum or coherent family, each point also carries the
     corresponding closed-form imaginarity for dual-path comparison.
+
+    The covariance-ratio measure of every point is computed here, and its
+    first failure is raised here.  The fidelity and Tsallis paths run only
+    when a point's ``report`` (or the stack's fragile arrays) is first read,
+    so a caller that reads ``stack.imaginarity``, ``stack.h_term`` and the
+    closed forms never pays for them.
     """
     times = [float(t) for t in times]
     if not times:
@@ -199,6 +226,8 @@ def trajectory(
     # no re-validation, as in evolve: a convex combination of physical matrices is physical
     d, cm = _evolved(state0.d, state0.cm, [p], np.array(times))
     reports = measure_stack(d, cm, mu=mu, zero_tol=zero_tol)
+    # the first covariance-ratio failure; the fragile paths stay unrun
+    reports._base.raise_first()
     detected = _detect_family(state0)
     points = []
     for k, t in enumerate(times):
@@ -209,9 +238,8 @@ def trajectory(
                 closed = squeezed_vacuum_imaginarity(param, p, t)
             else:
                 closed = coherent_imaginarity(param, p, t, zero_tol)
-        points.append(TrajectoryPoint(t=t, report=reports.report(k), closed_form=closed))
-    flips = tuple(
-        b.t for a, b in zip(points, points[1:]) if a.report.h_term != b.report.h_term
-    )
+        points.append(TrajectoryPoint(t=t, closed_form=closed, _stack=reports, _k=k))
+    h = reports.h_term.tolist()
+    flips = tuple(times[k] for k in range(1, len(h)) if h[k] != h[k - 1])
     family = detected[0] if detected is not None else None
-    return TrajectoryResult(points=tuple(points), family=family, h_flip_times=flips)
+    return TrajectoryResult(points=tuple(points), family=family, h_flip_times=flips, stack=reports)

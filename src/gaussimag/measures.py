@@ -20,8 +20,8 @@ one-item case.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from functools import partial
+from dataclasses import asdict, dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .linalg import (
     symplectic_form,
     williamson_stack,
 )
-from .states import ZERO_TOL, GaussianState, momentum_displaced, momentum_signs
+from .states import ZERO_TOL, GaussianState, check_zero_tol, momentum_displaced, momentum_signs
 
 
 def _solve_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -98,6 +98,7 @@ def imaginarity_single_mode(
     nonzero; independent of the thermal photon number.
     """
     _, _, s2 = _squeezing_terms(n_th, zeta)
+    check_zero_tol(zero_tol)
     h = 1.0 if 2.0 * abs(complex(alpha).imag) > zero_tol else 0.0
     return 1.0 - 1.0 / (1.0 + s2) + h
 
@@ -303,6 +304,12 @@ class StackReport:
     Item k holds what ``measure_all`` reports on state k: a failed value is
     NaN, and ``failures[k]`` holds the exceptions of its (imaginarity,
     fidelity, Tsallis) paths, None where the path succeeded.
+
+    The covariance-ratio arrays are computed when the report is built.  The
+    fidelity and Tsallis stages run together, once, on the first read of
+    ``fidelity_imaginarity``, ``tsallis_imaginarity``, ``failures`` or
+    ``report``, over the items that passed the covariance-ratio stage; a
+    caller that reads only the covariance-ratio arrays never runs them.
     """
 
     mu: float
@@ -310,9 +317,30 @@ class StackReport:
     imaginarity: np.ndarray  # (B,)
     h_term: np.ndarray  # (B,) 0/1
     log_dets: np.ndarray  # (B, 3): log det of cm, A11, A22
-    fidelity_imaginarity: np.ndarray  # (B,)
-    tsallis_imaginarity: np.ndarray  # (B,)
-    failures: list[tuple[BaseException | None, BaseException | None, BaseException | None]]
+    # covariance-ratio failures; its live items are the rows of d and cm
+    _base: ItemErrors = field(repr=False)
+    _d: np.ndarray = field(repr=False)
+    _cm: np.ndarray = field(repr=False)
+
+    @cached_property
+    def _fragile(self):
+        fid, ts = self._base.copy(), self._base.copy()
+        _, fidelity = _fidelity_stack(self._d, self._cm, fid)
+        tsallis = _tsallis_stack(self._d, self._cm, self.mu, ts)
+        failures = list(zip(self._base.errors, fid.errors, ts.errors))
+        return fid.spread(fidelity), ts.spread(tsallis), failures
+
+    @property
+    def fidelity_imaginarity(self) -> np.ndarray:  # (B,)
+        return self._fragile[0]
+
+    @property
+    def tsallis_imaginarity(self) -> np.ndarray:  # (B,)
+        return self._fragile[1]
+
+    @property
+    def failures(self) -> list[tuple[BaseException | None, ...]]:  # (B,) of 3-tuples
+        return self._fragile[2]
 
     def report(self, k: int) -> MeasureReport:
         """Item k as a ``MeasureReport``, with failures as error strings.
@@ -348,7 +376,7 @@ class StackReport:
 def measure_stack(
     d: np.ndarray, cm: np.ndarray, mu: float = 0.5, zero_tol: float = ZERO_TOL
 ) -> StackReport:
-    """Evaluate all three measures on a stack of valid states in one pass.
+    """Evaluate all three measures on a stack of valid states.
 
     Args:
         d: displacements, shape (B, 2n).
@@ -356,9 +384,12 @@ def measure_stack(
         mu: Tsallis order in (0, 1).
         zero_tol: threshold of the momentum indicator.
 
-    A failure stays with its item: the item's value is NaN, its exception is
-    kept in ``failures``, and it takes no part in later stages.  Items that
-    fail the covariance-ratio measure skip the fragile paths.
+    The covariance-ratio measure is computed here; the fidelity and Tsallis
+    paths run on the first read of their results (see ``StackReport``).  An
+    invalid ``mu`` or ``zero_tol`` raises here.  A failure stays with its
+    item: the item's value is NaN, its exception is kept in ``failures``,
+    and it takes no part in later stages.  Items that fail the
+    covariance-ratio measure skip the fragile paths.
     """
     _check_mu(mu)
     d = np.asarray(d, dtype=float)
@@ -366,18 +397,15 @@ def measure_stack(
     base = ItemErrors(len(cm))
     ((value, h, *log_dets),) = base.call(partial(_imaginarity_stack, zero_tol=zero_tol), d, cm)
     d, cm = base.narrow(np.arange(len(cm)), d, cm)
-    fid, ts = base.copy(), base.copy()
-    _, fidelity = _fidelity_stack(d, cm, fid)
-    tsallis = _tsallis_stack(d, cm, mu, ts)
     return StackReport(
         mu=mu,
         zero_tol=zero_tol,
         imaginarity=base.spread(value),
         h_term=base.spread(1.0 * h),
         log_dets=base.spread(np.stack(log_dets, axis=-1)),
-        fidelity_imaginarity=fid.spread(fidelity),
-        tsallis_imaginarity=ts.spread(tsallis),
-        failures=list(zip(base.errors, fid.errors, ts.errors)),
+        _base=base,
+        _d=d,
+        _cm=cm,
     )
 
 

@@ -17,11 +17,19 @@ from .linalg import ItemErrors, _scaled_tol, symplectic_form
 ZERO_TOL = 1e-12
 
 
+def check_zero_tol(zero_tol: float) -> None:
+    """Raise ValueError unless ``zero_tol >= 0``; below 0 every state would count as displaced."""
+    if not zero_tol >= 0:
+        raise ValueError(f"zero_tol must be >= 0, got {zero_tol}")
+
+
 def momentum_displaced(d: np.ndarray, zero_tol: float = ZERO_TOL):
     """Whether any momentum quadrature is displaced: l1 norm of d[1::2] above zero_tol.
 
     The one realness test on displacements; a stack ``(B, 2n)`` gives one flag per item.
+    Raises ValueError on a negative (or NaN) ``zero_tol``.
     """
+    check_zero_tol(zero_tol)
     return np.abs(d[..., 1::2]).sum(axis=-1) > zero_tol
 
 

@@ -253,6 +253,15 @@ class TestBadGridValues:
             "invalid spec: abs_zeta=100: LinAlgError: Matrix is not positive definite\n"
         )
 
+    @pytest.mark.parametrize("command", ["sweep", "dynamics"])
+    def test_overflowing_bath_squeezing(self, tmp_path, capsys, command):
+        # cosh(R)**2 overflows a float long before R = 1000
+        fixed = {"r": 1.0, "n_th": 1.5, "R": 1000.0, "phi": 15.0, "lam": 0.1}
+        self.run(tmp_path, command, "sv_dynamics", "t", {"start": 0, "stop": 1, "count": 5}, fixed)
+        assert capsys.readouterr().err == (
+            "invalid spec: bath squeezing R=1000.0 overflows the bath photon number\n"
+        )
+
     def test_descending_time_grid(self, tmp_path, capsys):
         fixed = {"r": 1.0, "n_th": 1.5, "lam": 0.1}
         grid = {"start": 1, "stop": 0, "count": 3}
@@ -260,6 +269,37 @@ class TestBadGridValues:
         assert capsys.readouterr().err == (
             "invalid spec: ValueError: times must be sorted and nonnegative\n"
         )
+
+
+class TestNegativeZeroTol:
+    """A negative realness threshold would call every state displaced; it is rejected."""
+
+    def test_measure_exits_1(self, tmp_path, capsys):
+        path = write_json(tmp_path / "vacuum.json", coherent_state([0]).to_dict())
+        assert main(["measure", path, "--zero-tol", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ValueError: zero_tol must be >= 0, got -1.0\n"
+
+    def test_zero_is_valid(self, tmp_path, capsys):
+        path = write_json(tmp_path / "vacuum.json", coherent_state([0]).to_dict())
+        assert main(["measure", path, "--zero-tol", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["imaginarity"], report["h_term"]) == (0.0, 0)
+
+    @pytest.mark.parametrize("command", ["sweep", "dynamics"])
+    def test_spec_is_invalid(self, tmp_path, capsys, command):
+        spec = {
+            "family": "sv_dynamics",
+            "axis": "t",
+            "grid": {"start": 0.0, "stop": 1.0, "count": 3},
+            "fixed": {"r": 1.0, "n_th": 1.5, "lam": 0.1},
+            "zero_tol": -1e-12,
+        }
+        assert main([command, write_json(tmp_path / "spec.json", spec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid spec: zero_tol must be >= 0, got -1e-12\n"
 
 
 class TestDynamics:
@@ -406,6 +446,27 @@ class TestFragilePathFailures:
         assert '"fidelity_imaginarity": null' in captured.out
         assert json.loads(captured.out)["tsallis_imaginarity"] is not None
         assert captured.err == "warning: fidelity path failed: NonRealResult: synthetic failure\n"
+
+    def test_numeric_failure_is_an_empty_cell(self, sweep_spec, capsys, monkeypatch):
+        assert main(["sweep", sweep_spec]) == 0
+        clean = capsys.readouterr().out.splitlines()
+        fidelity_stack = measures._fidelity_stack
+
+        def fail_odd(d, cm, errors):
+            d, cm = errors.fail(errors.live % 2 == 1, lambda j: NonRealResult("synthetic"), d, cm)
+            return fidelity_stack(d, cm, errors)
+
+        monkeypatch.setattr(measures, "_fidelity_stack", fail_odd)
+        assert main(["sweep", sweep_spec]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = captured.out.splitlines()
+        assert rows[0] == clean[0]
+        for k, (row, want) in enumerate(zip(rows[1:], clean[1:])):
+            cells = want.split(",")
+            if k % 2:
+                cells[2] = ""
+            assert row == ",".join(cells)
 
     @pytest.fixture
     def failing_tsallis(self, monkeypatch):

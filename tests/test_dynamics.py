@@ -54,6 +54,12 @@ class TestBathParams:
         with pytest.raises(ValueError):
             BathParams(lam=1.0, n_th=-0.1)
 
+    @pytest.mark.parametrize("big_r", [300.0, 1000.0, -1000.0])
+    def test_overflowing_squeezing_names_r(self, big_r):
+        # cosh(R)**2 overflows from R ~ 355 and cosh(R) itself from R ~ 710
+        with pytest.raises(ValueError, match=f"^bath squeezing R={big_r} overflows"):
+            BathParams(lam=0.1, n_th=0.5, big_r=big_r)
+
 
 class TestStationaryState:
     def test_vacuum_bath_gives_identity(self):

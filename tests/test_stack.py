@@ -1,8 +1,12 @@
 """The stacked measure core against its one-item case and the closed identities."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
+from gaussimag import measures
+from gaussimag.cli import main
 from gaussimag.dynamics import BathParams, evolve, trajectory
 from gaussimag.errors import AsymmetricCM, ComplexSqrtBranchFailure, UncertaintyViolation
 from gaussimag.linalg import symplectic_form
@@ -120,6 +124,72 @@ class TestTrajectoryGrid:
                     assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-12), key
                 else:
                     assert got[key] == value, key
+
+
+FIGURES = pathlib.Path(__file__).resolve().parent.parent / "figures"
+
+
+class TestLazyFragileStages:
+    """The fidelity and Tsallis stages run once per stack, and only when read."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"fidelity": 0, "tsallis": 0}
+        fidelity_stack, tsallis_stack = measures._fidelity_stack, measures._tsallis_stack
+
+        def fidelity(*args):
+            counts["fidelity"] += 1
+            return fidelity_stack(*args)
+
+        def tsallis(*args):
+            counts["tsallis"] += 1
+            return tsallis_stack(*args)
+
+        monkeypatch.setattr(measures, "_fidelity_stack", fidelity)
+        monkeypatch.setattr(measures, "_tsallis_stack", tsallis)
+        return counts
+
+    @pytest.fixture
+    def forbidden(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("fragile stage ran")
+
+        monkeypatch.setattr(measures, "_fidelity_stack", fail)
+        monkeypatch.setattr(measures, "_tsallis_stack", fail)
+
+    @pytest.mark.parametrize("stem", ["fig3a_time_phi10", "fig6a_time_phi10"])
+    def test_dynamics_command_never_runs_them(self, forbidden, stem, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(["dynamics", str(FIGURES / f"{stem}.json"), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) > 2
+
+    def test_flip_times_never_run_them(self, forbidden):
+        bath = BathParams(lam=2.0, n_th=0.5)
+        times = np.linspace(0.0, 40.0, 41)
+        result = trajectory(coherent_state([1e-3j, 0]), bath, times, zero_tol=1e-4)
+        assert len(result.h_flip_times) == 1
+        assert result.stack.h_term[0] == 1.0
+
+    def test_point_reports_run_them_once(self, calls):
+        result = trajectory(two_mode_squeezed_vacuum(1.0), BATH, np.linspace(0.0, 30.0, 31))
+        assert calls == {"fidelity": 0, "tsallis": 0}
+        reports = [point.report for point in result.points]
+        reports += [point.report for point in result.points]
+        assert calls == {"fidelity": 1, "tsallis": 1}
+        assert all(r.fidelity_imaginarity is not None for r in reports)
+
+    def test_every_read_of_a_stack_runs_them_once(self, calls, rng):
+        states = [random_state(2, rng) for _ in range(5)]
+        reports = measure_stack(*stack(states))
+        assert calls == {"fidelity": 0, "tsallis": 0}
+        assert reports.imaginarity.shape == (5,)
+        assert calls == {"fidelity": 0, "tsallis": 0}
+        reports.fidelity_imaginarity
+        reports.tsallis_imaginarity
+        reports.failures
+        for k in range(5):
+            reports.report(k)
+        assert calls == {"fidelity": 1, "tsallis": 1}
 
 
 class TestPureStateOracle:

@@ -6,11 +6,14 @@ from hypothesis import given, strategies as st
 
 from gaussimag.errors import AsymmetricCM, DimensionMismatch, UncertaintyViolation
 from gaussimag.linalg import symplectic_form
+from gaussimag.dynamics import BathParams, coherent_imaginarity
+from gaussimag.measures import imaginarity, imaginarity_single_mode, measure_all, measure_stack
 from gaussimag.sampling import random_state
 from gaussimag.states import (
     GaussianState,
     coherent_state,
     displaced_squeezed_thermal,
+    momentum_displaced,
     momentum_signs,
     two_mode_squeezed_vacuum,
 )
@@ -78,6 +81,29 @@ class TestRealness:
                 and np.abs(state.cm - conj.cm).max() <= 1e-12
             )
             assert state.is_real() == fixed
+
+
+class TestZeroTol:
+    @pytest.mark.parametrize("zero_tol", [-1.0, -1e-300, float("nan")])
+    def test_negative_threshold_rejected_everywhere(self, zero_tol):
+        state = coherent_state([0])
+        calls = [
+            lambda: momentum_displaced(state.d, zero_tol),
+            lambda: state.is_real(zero_tol),
+            lambda: imaginarity(state, zero_tol),
+            lambda: measure_all(state, zero_tol=zero_tol),
+            lambda: measure_stack(state.d[None], state.cm[None], zero_tol=zero_tol),
+            lambda: imaginarity_single_mode(0.0, 0.0, 0.0, zero_tol),
+            lambda: coherent_imaginarity([0.0, 0.0], BathParams(lam=0.1, n_th=0.5), 1.0, zero_tol),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="zero_tol must be >= 0"):
+                call()
+
+    def test_zero_threshold_is_valid(self):
+        assert not momentum_displaced(np.zeros(2), 0.0)
+        assert momentum_displaced(np.array([0.0, 1e-300]), 0.0)
+        assert measure_all(coherent_state([0]), zero_tol=0.0).imaginarity == 0.0
 
 
 class TestConjugation:
