@@ -22,9 +22,9 @@ import numpy as np
 
 from . import fuzz
 from .channels import GaussianChannel, classify_real
-from .dynamics import BathParams, _evolved, trajectory
+from .dynamics import BathParams, BathStack, _evolved, bath_stack, trajectory
 from .linalg import symplectic_form
-from .measures import measure_all, measure_stack
+from .measures import _libm, measure_all, measure_stack
 from .states import ZERO_TOL, GaussianState, arrays_from_dict, check_zero_tol, coherent_stack
 from .states import squeezed_thermal_stack, two_mode_squeezed_stack, validate
 
@@ -39,6 +39,8 @@ FAMILY_PARAMS = {
 }
 
 FAMILIES = tuple(FAMILY_PARAMS)
+# the spec parameters of a bath, in BathParams' order
+BATH_KEYS = ("lam", "n_th", "R", "phi")
 
 
 class SpecError(ValueError):
@@ -135,23 +137,21 @@ def _at_point(spec: SweepSpec, value: float, exc: Exception) -> str:
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     # complex(re, im) item by item: re + 1j * im would turn a real part -0.0 into 0.0
-    return np.array([complex(a, b) for a, b in zip(re.tolist(), im.tolist())], dtype=complex)
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
-def _grid_baths(p: dict, given: set, errors: list) -> list:
-    # the bath of every grid point; each distinct one is built and checked once
+def _grid_baths(spec: SweepSpec, p: dict, given: set, errors: list) -> BathStack:
+    # the baths of the grid, one bath when the axis is not a bath parameter
     for key in ("lam", "n_th"):
         if key not in given:
             raise SpecError(f"dynamics family needs parameter {key!r}")
-    keys = list(zip(*(p[k].tolist() for k in ("lam", "n_th", "R", "phi"))))
-    made = dict.fromkeys(keys)
-    for key in made:
-        try:
-            made[key] = BathParams(*key)
-        except ValueError as exc:
-            made[key] = str(exc)
-    _flag(errors, [isinstance(made[key], str) for key in keys], lambda k: made[keys[k]])
-    return [made[key] for key in keys]
+    count = len(errors) if spec.axis in BATH_KEYS else 1
+    baths, failed = bath_stack(*(p[k][:count] for k in BATH_KEYS))
+    failed *= len(errors) // count  # a single bath's check holds at every point
+    _flag(errors, [message is not None for message in failed], failed.__getitem__)
+    return baths
 
 
 def _grid_inputs(spec: SweepSpec, grid: np.ndarray):
@@ -169,7 +169,7 @@ def _grid_inputs(spec: SweepSpec, grid: np.ndarray):
     if spec.family == "coherent":
         return coherent_stack, (alpha[:, None],), None, errors
     if spec.family.endswith("_dynamics"):
-        baths = _grid_baths(p, given, errors)
+        baths = _grid_baths(spec, p, given, errors)
         _flag(errors, p["t"] < 0, lambda k: f"time must be >= 0, got {p['t'][k]}")
         if spec.family == "sv_dynamics":
             missing = np.full(len(grid), "r" not in given)
@@ -181,14 +181,13 @@ def _grid_inputs(spec: SweepSpec, grid: np.ndarray):
         if given & {"theta", "abs_zeta", "re_zeta", "im_zeta"}:
             raise SpecError("parameter 's' fixes theta=pi/2 and cannot be combined")
         _flag(errors, p["s"] < 0, lambda k: f"s must be >= 0, got {p['s'][k]}")
-        zeta = np.array([1j * 0.5 * math.asinh(math.sqrt(max(s, 0.0))) for s in p["s"].tolist()])
+        zeta = 1j * 0.5 * _libm(math.asinh, np.sqrt(np.maximum(p["s"], 0.0)))
     elif given & {"re_zeta", "im_zeta"}:
         if given & {"theta", "abs_zeta"}:
             raise SpecError("give zeta either in cartesian or polar form, not both")
         zeta = _complex(p["re_zeta"], p["im_zeta"])
     else:
-        polar = zip(p["abs_zeta"].tolist(), p["theta"].tolist())
-        zeta = np.array([r * complex(math.cos(t), math.sin(t)) for r, t in polar], dtype=complex)
+        zeta = p["abs_zeta"] * _complex(np.cos(p["theta"]), np.sin(p["theta"]))
     n_th = p["n_th"]
     _flag(errors, n_th < 0, lambda k: f"thermal photon number must be >= 0, got {n_th[k]}")
     return squeezed_thermal_stack, (n_th, zeta, alpha), None, errors
@@ -204,7 +203,8 @@ def _grid_states(spec: SweepSpec, grid: np.ndarray):
     keep = next((k for k, exc in enumerate(errors) if exc), len(grid))
     d, cm = d[:keep], cm[:keep]
     if dynamics is not None:  # evolution keeps a state physical
-        d, cm = _evolved(d, cm, dynamics[0][:keep], dynamics[1][:keep])
+        baths, times = dynamics
+        d, cm = _evolved(d, cm, BathStack._make(a[:keep] for a in baths), times[:keep])
     return d, cm, errors[keep] if keep < len(grid) else None
 
 
@@ -286,13 +286,15 @@ def cmd_sweep(args) -> int:
     columns = (reports.imaginarity, reports.fidelity_imaginarity, reports.tsallis_imaginarity)
     rows = zip(grid[: len(d)].tolist(), *(c.tolist() for c in columns))
     for k, (row, failed) in enumerate(zip(rows, reports.failures)):
-        if any(failed):
-            # raises what report(k) raises; a numeric failure leaves its cell empty
-            try:
-                reports.report(k)
-            except ValueError as exc:
-                raise SpecError(_at_point(spec, row[0], exc)) from exc
-            row = row[:2] + tuple(None if exc else v for v, exc in zip(row[2:], failed[1:]))
+        if not any(failed):
+            lines.append("%.12g,%.12g,%.12g,%.12g" % row)
+            continue
+        # raises what report(k) raises; a numeric failure leaves its cell empty
+        try:
+            reports.report(k)
+        except ValueError as exc:
+            raise SpecError(_at_point(spec, row[0], exc)) from exc
+        row = row[:2] + tuple(None if exc else v for v, exc in zip(row[2:], failed[1:]))
         lines.append(",".join(_fmt_csv(c) for c in row))
     if error is not None:
         raise error
@@ -307,22 +309,24 @@ def cmd_dynamics(args) -> int:
     if spec.axis != "t":
         raise SpecError(f"dynamics sweeps the axis 't', got {spec.axis!r}")
     grid = spec.grid()
-    build, inputs, (baths, _), errors = _grid_inputs(spec, grid)
+    build, inputs, _, errors = _grid_inputs(spec, grid)
     if any(errors):
         raise next(filter(None, errors))
+    # the initial state and the bath do not depend on t, and both passed their checks
+    bath = BathParams(*(spec.fixed.get(k, 0.0) for k in BATH_KEYS))
     try:
-        # the initial state does not depend on t
         state0 = GaussianState(*(a[0] for a in build(*(a[:1] for a in inputs))))
-        result = trajectory(state0, baths[0], grid, mu=spec.mu, zero_tol=spec.zero_tol)
+        result = trajectory(state0, bath, grid, mu=spec.mu, zero_tol=spec.zero_tol)
     except ValueError as exc:
         raise SpecError(f"{type(exc).__name__}: {exc}") from exc
-    lines = ["t,i_gn,i_gn_closed,h_term"]
-    # the covariance-ratio arrays only: the fidelity and Tsallis paths never run
-    columns = (result.stack.imaginarity.tolist(), result.stack.h_term.tolist())
-    for point, value, h in zip(result.points, *columns):
-        closed = _fmt_csv(point.closed_form)
-        lines.append(f"{_fmt_csv(point.t)},{_fmt_csv(value)},{closed},{int(h)}")
-    _write_lines(lines, args.out)
+    # arrays only: no point is built, and the fidelity and Tsallis paths never run
+    columns = [result.times, result.stack.imaginarity, result.closed_form, result.stack.h_term]
+    fmt = "%.12g,%.12g,%.12g,%d"
+    if result.closed_form is None:
+        fmt = "%.12g,%.12g,,%d"
+        del columns[2]
+    rows = zip(*(c.tolist() for c in columns))
+    _write_lines(["t,i_gn,i_gn_closed,h_term", *(fmt % row for row in rows)], args.out)
     for t in result.h_flip_times:
         print(
             f"note: indicator term flipped near t={_fmt_csv(t)} "

@@ -9,7 +9,6 @@ displacement, and those expressions are used directly.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,23 +29,14 @@ class BathParams:
     n_th: float
     big_r: float = 0.0
     phi: float = 0.0
+    #: this bath as a one-item ``bath_stack``
+    stack: "BathStack" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"damping rate must be > 0, got {self.lam}")
-        if self.n_th < 0:
-            raise ValueError(f"thermal photon number must be >= 0, got {self.n_th}")
-        try:
-            derived = self.derived
-            # guards hand-entered parameters; the (n_th, R) parameterization
-            # satisfies |M|^2 = N(N+1) - n_th(n_th+1) identically
-            unphysical = abs(derived.m) ** 2 > derived.n * (derived.n + 1.0) + 1e-9
-        except OverflowError:
-            raise ValueError(
-                f"bath squeezing R={self.big_r} overflows the bath photon number"
-            ) from None
-        if unphysical:
-            raise ValueError("bath squeezing exceeds the physical bound |M|^2 <= N(N+1)")
+        stack, errors = bath_stack([self.lam], [self.n_th], [self.big_r], [self.phi])
+        if errors[0] is not None:
+            raise ValueError(errors[0])
+        object.__setattr__(self, "stack", stack)
 
     @cached_property
     def derived(self) -> "BathDerived":
@@ -61,69 +51,144 @@ class BathDerived(NamedTuple):
     l_minus: float
 
 
+class BathStack(NamedTuple):
+    """B baths as (B,) arrays: damping rates and the fields of ``BathDerived``."""
+
+    lam: np.ndarray
+    n: np.ndarray
+    m: np.ndarray  # complex
+    l_plus: np.ndarray
+    l_minus: np.ndarray
+
+
+# from |R| = 200 on, N(N+1) >= sinh(R)**4 overflows; math.cosh raises from |R| ~ 710
+_R_OVERFLOW = 200.0
+
+
+def bath_stack(lam, n_th, big_r, phi) -> tuple[BathStack, list[str | None]]:
+    """Effective photon number, squeezing correlation and their combinations of B baths.
+
+    Takes (B,) sequences of ``BathParams``' fields.  Returns the baths and,
+    per bath, None or the message of the first check it fails, in
+    ``BathParams``' order; a failed bath's values are unspecified.  The
+    arithmetic is that of the scalar formulas, bit for bit.
+    """
+    # the messages print the values as given; the arithmetic runs on floats
+    given = [np.asarray(v) for v in (lam, n_th, big_r)]
+    lam, n_th, big_r = (np.asarray(v, dtype=float) for v in given)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a clipped R overflows N(N+1) just as the R it replaces does
+        r = np.clip(big_r, -_R_OVERFLOW, _R_OVERFLOW)
+        ch, sh = _libm(math.cosh, r), _libm(math.sinh, r)
+        sh2 = _libm(pow, sh, 2)
+        n = n_th * (_libm(pow, ch, 2) + sh2) + sh2
+        # m = f * cmath.exp(1j * phi) as complex arithmetic computes it:
+        # exp(1j * phi) = (cos, sin) of 0.0 + phi, and f is (f, 0.0)
+        f = -(2.0 * n_th + 1.0) * ch * sh
+        angle = np.asarray(phi, dtype=float) + 0.0
+        cos, sin = np.cos(angle), np.sin(angle)
+        m = np.empty(len(n), dtype=complex)
+        m.real, m.imag = f * cos - 0.0 * sin, f * sin + 0.0 * cos
+        baths = BathStack(lam, n, m, n + m.real, n - m.real)
+        # |M|^2 <= N(N+1) holds identically, N(N+1) - |M|^2 = n_th(n_th+1), so
+        # no derived quantity overflows before N(N+1) does
+        overflow = np.isinf(n * (n + 1.0))
+    checks = (
+        (lam <= 0, "damping rate must be > 0, got {}", given[0]),
+        (n_th < 0, "thermal photon number must be >= 0, got {}", given[1]),
+        (overflow, "bath squeezing R={} overflows the bath photon number", given[2]),
+    )
+    errors = [None] * len(n)
+    for bad, message, values in checks:
+        if np.count_nonzero(bad):
+            values = values.tolist()
+            for k in np.flatnonzero(bad):
+                errors[k] = errors[k] or message.format(values[k])
+    return baths, errors
+
+
 def bath_derived(p: BathParams) -> BathDerived:
     """Effective photon number, squeezing correlation and their combinations."""
-    ch, sh = math.cosh(p.big_r), math.sinh(p.big_r)
-    n = p.n_th * (ch**2 + sh**2) + sh**2
-    m = -(2.0 * p.n_th + 1.0) * ch * sh * cmath.exp(1j * p.phi)
-    return BathDerived(n=n, m=m, l_plus=n + m.real, l_minus=n - m.real)
+    return BathDerived(*(a[0].item() for a in p.stack[1:]))
 
 
-def _nu_stack(baths: Sequence[BathParams]) -> np.ndarray:
+def _nu_stack(baths: BathStack) -> np.ndarray:
     # stationary covariance matrices (B, 4, 4), one per bath
-    derived = np.array([(d.l_plus, d.l_minus, d.m.imag) for d in (p.derived for p in baths)])
-    lp, lm, mi = derived.reshape(-1, 3).T
+    lp, lm, mi = baths.l_plus, baths.l_minus, baths.m.imag
     block = np.stack((1.0 + 2.0 * lp, 2.0 * mi, 2.0 * mi, 1.0 + 2.0 * lm), axis=-1)
-    out = np.zeros((len(baths), 4, 4))
+    out = np.zeros((len(lp), 4, 4))
     out[:, :2, :2] = out[:, 2:, 2:] = block.reshape(-1, 2, 2)
     return out
 
 
 def nu_infinity(p: BathParams) -> np.ndarray:
     """Stationary covariance matrix: two identical single-mode blocks."""
-    return _nu_stack([p])[0]
+    return _nu_stack(p.stack)[0]
 
 
-def _evolved(d0: np.ndarray, cm0: np.ndarray, baths: Sequence[BathParams], times: np.ndarray):
-    # (d, cm) stacks: item k is initial state k at times[k] under baths[k], a
+def _decay(lam: np.ndarray, times: np.ndarray) -> np.ndarray:
+    # exp(-lam t), the weight of the initial covariance matrix at time t
+    return _libm(math.exp, -lam * times)
+
+
+def _evolved(d0: np.ndarray, cm0: np.ndarray, baths: BathStack, times: np.ndarray):
+    # (d, cm) stacks: item k is initial state k at times[k] under bath k, a
     # single initial state or bath serving every item; cm interpolates toward
     # nu_infinity, the displacement decays at half the rate
     if d0.shape[-1] != 4:
         raise WrongModeCount(f"bath dynamics is defined for 2 modes, got {d0.shape[-1] // 2}")
-    lam = np.array([p.lam for p in baths])
-    decay = _libm(math.exp, -lam * times)[:, None, None]
+    decay = _decay(baths.lam, times)[:, None, None]
     cm = decay * cm0 + (1.0 - decay) * _nu_stack(baths)
-    return _libm(math.exp, -0.5 * lam * times)[:, None] * d0, cm
+    return _libm(math.exp, -0.5 * baths.lam * times)[:, None] * d0, cm
 
 
 def evolve(state0: GaussianState, p: BathParams, t: float) -> GaussianState:
     """State at time t: cm interpolates toward nu_infinity, displacement decays."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    d, cm = _evolved(state0.d, state0.cm, [p], np.array([t], dtype=float))
+    d, cm = _evolved(state0.d, state0.cm, p.stack, np.array([t], dtype=float))
     # no re-validation: a convex combination of physical covariance matrices is
     # physical, and nu_infinity is physical by the (n_th, R) parameterization
     return GaussianState._trusted(d[0], cm[0])
 
 
+def _squeezed_vacuum_stack(r: float, bath: BathStack, times: np.ndarray) -> np.ndarray:
+    # closed-form imaginarity of a two-mode squeezed-vacuum start at each time
+    decay = _decay(bath.lam, times)
+    ap = 2.0 * decay * math.cosh(2 * r) + (1.0 - decay) * (1.0 + 2.0 * bath.l_plus)
+    am = 2.0 * decay * math.cosh(2 * r) + (1.0 - decay) * (1.0 + 2.0 * bath.l_minus)
+    b = 2.0 * decay * math.sinh(2 * r)
+    c = 2.0 * (1.0 - decay) * bath.m.imag
+    ap2, am2, b2, c2 = (_libm(pow, x, 2) for x in (ap, am, b, c))
+    det = (
+        _libm(pow, b, 4)
+        + _libm(pow, c, 4)
+        + 2.0 * b2 * c2
+        + ap2 * am2
+        - 2.0 * ap * am * c2
+        - ap2 * b2
+        - am2 * b2
+    )
+    return 1.0 - det / ((ap2 - b2) * (am2 - b2))
+
+
 def squeezed_vacuum_imaginarity(r: float, p: BathParams, t: float) -> float:
     """Closed-form imaginarity at time t for a two-mode squeezed-vacuum start."""
-    d = p.derived
-    decay = math.exp(-p.lam * t)
-    ap = 2.0 * decay * math.cosh(2 * r) + (1.0 - decay) * (1.0 + 2.0 * d.l_plus)
-    am = 2.0 * decay * math.cosh(2 * r) + (1.0 - decay) * (1.0 + 2.0 * d.l_minus)
-    b = 2.0 * decay * math.sinh(2 * r)
-    c = 2.0 * (1.0 - decay) * d.m.imag
-    det = (
-        b**4
-        + c**4
-        + 2.0 * b**2 * c**2
-        + ap**2 * am**2
-        - 2.0 * ap * am * c**2
-        - ap**2 * b**2
-        - am**2 * b**2
-    )
-    return 1.0 - det / ((ap**2 - b**2) * (am**2 - b**2))
+    return _squeezed_vacuum_stack(r, p.stack, np.array([t], dtype=float))[0].item()
+
+
+def _coherent_stack(
+    alphas: Sequence[complex], bath: BathStack, times: np.ndarray, zero_tol: float
+) -> np.ndarray:
+    # closed-form imaginarity of a two-mode coherent start at each time
+    check_zero_tol(zero_tol)
+    decay = _decay(bath.lam, times)
+    a_plus = decay + (1.0 - decay) * (1.0 + 2.0 * bath.l_plus)
+    a_minus = decay + (1.0 - decay) * (1.0 + 2.0 * bath.l_minus)
+    c = 2.0 * (1.0 - decay) * bath.m.imag
+    h0 = 1.0 if 2.0 * sum(abs(complex(a).imag) for a in alphas) > zero_tol else 0.0
+    overlap = _libm(pow, a_plus * a_minus - _libm(pow, c, 2), 2)
+    return 1.0 + h0 - overlap / (_libm(pow, a_plus, 2) * _libm(pow, a_minus, 2))
 
 
 def coherent_imaginarity(
@@ -134,14 +199,7 @@ def coherent_imaginarity(
     The damped displacement never reaches zero at finite time, so the
     indicator term equals its initial value throughout.
     """
-    d = p.derived
-    decay = math.exp(-p.lam * t)
-    a_plus = decay + (1.0 - decay) * (1.0 + 2.0 * d.l_plus)
-    a_minus = decay + (1.0 - decay) * (1.0 + 2.0 * d.l_minus)
-    c = 2.0 * (1.0 - decay) * d.m.imag
-    check_zero_tol(zero_tol)
-    h0 = 1.0 if 2.0 * sum(abs(complex(a).imag) for a in alphas) > zero_tol else 0.0
-    return 1.0 + h0 - (a_plus * a_minus - c**2) ** 2 / (a_plus**2 * a_minus**2)
+    return _coherent_stack(alphas, p.stack, np.array([t], dtype=float), zero_tol)[0].item()
 
 
 def _detect_family(state0: GaussianState):
@@ -189,14 +247,26 @@ class TrajectoryPoint:
 
 @dataclass(frozen=True)
 class TrajectoryResult:
-    points: tuple[TrajectoryPoint, ...]
+    times: np.ndarray
+    #: the closed-form imaginarity at every time, None without a recognized family
+    closed_form: np.ndarray | None
     family: str | None
     #: times where the numeric indicator term changed between grid points;
     #: mathematically it never flips, numerically the decayed displacement
     #: eventually underflows any threshold
     h_flip_times: tuple[float, ...]
-    #: the measures of every point as arrays, item k at ``points[k].t``
+    #: the measures of every time as arrays, item k at ``times[k]``
     stack: StackReport
+
+    @cached_property
+    def points(self) -> tuple[TrajectoryPoint, ...]:
+        """One ``TrajectoryPoint`` per time, built on first read."""
+        times = self.times.tolist()
+        closed = [None] * len(times) if self.closed_form is None else self.closed_form.tolist()
+        return tuple(
+            TrajectoryPoint(t=t, closed_form=c, _stack=self.stack, _k=k)
+            for k, (t, c) in enumerate(zip(times, closed))
+        )
 
 
 def trajectory(
@@ -209,37 +279,39 @@ def trajectory(
     """Measure reports along the evolution, with closed forms when recognized.
 
     ``times`` must be sorted and nonnegative.  When the initial state matches
-    the squeezed-vacuum or coherent family, each point also carries the
+    the squeezed-vacuum or coherent family, each time also carries the
     corresponding closed-form imaginarity for dual-path comparison.
 
-    The covariance-ratio measure of every point is computed here, and its
+    The covariance-ratio measure of every time is computed here, and its
     first failure is raised here.  The fidelity and Tsallis paths run only
     when a point's ``report`` (or the stack's fragile arrays) is first read,
-    so a caller that reads ``stack.imaginarity``, ``stack.h_term`` and the
-    closed forms never pays for them.
+    and the points themselves are built on the first read of ``points``, so
+    a caller that reads ``stack.imaginarity``, ``stack.h_term`` and
+    ``closed_form`` pays for neither.
     """
-    times = [float(t) for t in times]
-    if not times:
+    times = np.array(times, dtype=float)
+    if not times.size:
         raise ValueError("need at least one time point")
-    if any(t < 0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
+    if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValueError("times must be sorted and nonnegative")
     # no re-validation, as in evolve: a convex combination of physical matrices is physical
-    d, cm = _evolved(state0.d, state0.cm, [p], np.array(times))
+    d, cm = _evolved(state0.d, state0.cm, p.stack, times)
     reports = measure_stack(d, cm, mu=mu, zero_tol=zero_tol)
     # the first covariance-ratio failure; the fragile paths stay unrun
     reports._base.raise_first()
+    family, closed = None, None
     detected = _detect_family(state0)
-    points = []
-    for k, t in enumerate(times):
-        closed = None
-        if detected is not None:
-            kind, param = detected
-            if kind == "squeezed_vacuum":
-                closed = squeezed_vacuum_imaginarity(param, p, t)
-            else:
-                closed = coherent_imaginarity(param, p, t, zero_tol)
-        points.append(TrajectoryPoint(t=t, closed_form=closed, _stack=reports, _k=k))
-    h = reports.h_term.tolist()
-    flips = tuple(times[k] for k in range(1, len(h)) if h[k] != h[k - 1])
-    family = detected[0] if detected is not None else None
-    return TrajectoryResult(points=tuple(points), family=family, h_flip_times=flips, stack=reports)
+    if detected is not None:
+        family, param = detected
+        if family == "squeezed_vacuum":
+            closed = _squeezed_vacuum_stack(param, p.stack, times)
+        else:
+            closed = _coherent_stack(param, p.stack, times, zero_tol)
+    flips = times[1:][np.diff(reports.h_term) != 0]
+    return TrajectoryResult(
+        times=times,
+        closed_form=closed,
+        family=family,
+        h_flip_times=tuple(flips.tolist()),
+        stack=reports,
+    )

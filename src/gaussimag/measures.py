@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
+from itertools import repeat
 
 import numpy as np
 
@@ -47,10 +48,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    # a math-module function item by item: numpy's vectorized exp, expm1 and
-    # power may differ from it in the last bit, which would move results
-    return np.array([fn(v) for v in x.tolist()])
+def _libm(fn, x: np.ndarray, *args) -> np.ndarray:
+    # fn(v, *args) item by item over a 1-D array, as scalar code computes it:
+    # numpy's vectorized exp, expm1, cosh, sinh, arcsinh and power (even its
+    # square) may differ from the math-module functions and ``**`` in the last bit
+    return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, x.size)
 
 
 def momentum_indicator(state: GaussianState, zero_tol: float = ZERO_TOL) -> int:
@@ -162,7 +164,7 @@ def _fidelity_stack(d: np.ndarray, cm: np.ndarray, errors: ItemErrors):
     d, cm, conj_cm = errors.narrow(before, d, cm, conj_cm)
     cm_sum, dd = cm + conj_cm, d - o * d
     log_det, f_tot4, cm_sum, dd = errors.call(logdet_spd, 0.5 * cm_sum, carry=(f_tot4, cm_sum, dd))
-    f0 = _libm(lambda v: v**0.25, f_tot4.real) / _libm(lambda v: v**0.25, np.exp(log_det))
+    f0 = _libm(pow, f_tot4.real, 0.25) / _libm(pow, np.exp(log_det), 0.25)
     x, f0, dd = errors.call(_solve_vectors, cm_sum, dd, carry=(f0, dd))
     return f0, 1.0 - f0 * _libm(math.exp, -0.25 * _dot(dd, x))
 

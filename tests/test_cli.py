@@ -1,11 +1,12 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from gaussimag import measures
-from gaussimag.cli import main
+from gaussimag.cli import _complex, main
 from gaussimag.errors import NonRealResult
 from gaussimag.states import coherent_state
 
@@ -262,6 +263,16 @@ class TestBadGridValues:
             "invalid spec: bath squeezing R=1000.0 overflows the bath photon number\n"
         )
 
+    def test_large_physical_bath_squeezing(self, tmp_path, capsys):
+        # N(N+1) - |M|^2 = n_th(n_th+1) holds exactly, but at R = 10 both sides
+        # are ~6e16 and their rounding once failed a bound check
+        fixed = {"r": 1.0, "n_th": 0.5, "phi": 0.3, "lam": 0.1, "t": 1.0}
+        spec = {"family": "sv_dynamics", "axis": "R", "grid": {"start": 0, "stop": 10, "count": 11}}
+        assert main(["sweep", write_json(tmp_path / "spec.json", {**spec, "fixed": fixed})]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == [str(k) for k in range(11)]
+
     def test_descending_time_grid(self, tmp_path, capsys):
         fixed = {"r": 1.0, "n_th": 1.5, "lam": 0.1}
         grid = {"start": 1, "stop": 0, "count": 3}
@@ -300,6 +311,15 @@ class TestNegativeZeroTol:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "invalid spec: zero_tol must be >= 0, got -1e-12\n"
+
+
+def test_complex_keeps_signed_zeros():
+    values = [-0.0, 0.0, 1.5, -2.0]
+    pairs = [(a, b) for a in values for b in values]
+    got = _complex(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]))
+    assert [struct.pack("<dd", z.real, z.imag) for z in got.tolist()] == [
+        struct.pack("<dd", z.real, z.imag) for z in (complex(a, b) for a, b in pairs)
+    ]
 
 
 class TestDynamics:
@@ -353,6 +373,15 @@ class TestDynamics:
         assert "indicator term flipped" in captured.err
         rows = [line.split(",") for line in captured.out.strip().splitlines()[1:]]
         assert rows[0][3] == "1" and rows[-1][3] == "0"
+
+    def test_unrecognized_start_leaves_the_closed_form_empty(self, tmp_path, capsys):
+        # at r = 10 rounding hides cosh^2 - sinh^2 = 1, so no closed form is recognized
+        fixed = {"r": 10.0, "n_th": 0.5, "R": 1.0, "phi": 0.3, "lam": 0.1}
+        spec = {"family": "sv_dynamics", "axis": "t", "grid": {"start": 0, "stop": 5, "count": 4}}
+        assert main(["dynamics", write_json(tmp_path / "spec.json", {**spec, "fixed": fixed})]) == 0
+        assert capsys.readouterr().out == (
+            "t,i_gn,i_gn_closed,h_term\n0,0,,0\n1.66666666667,0,,0\n3.33333333333,0,,0\n5,0,,0\n"
+        )
 
     def test_sweep_family_rejected(self, sweep_spec):
         assert main(["dynamics", sweep_spec]) == 1

@@ -54,6 +54,12 @@ class TestBathParams:
         with pytest.raises(ValueError):
             BathParams(lam=1.0, n_th=-0.1)
 
+    @pytest.mark.parametrize("big_r", [8.0, 10.0, 20.0, -10.0])
+    def test_large_squeezing_is_physical(self, big_r):
+        # N(N+1) - |M|^2 = n_th(n_th+1) exactly; at these R rounding once broke a bound check
+        d = BathParams(lam=0.1, n_th=0.5, big_r=big_r, phi=0.3).derived
+        assert abs(d.m) ** 2 == pytest.approx(d.n * (d.n + 1) - 0.75, rel=1e-12)
+
     @pytest.mark.parametrize("big_r", [300.0, 1000.0, -1000.0])
     def test_overflowing_squeezing_names_r(self, big_r):
         # cosh(R)**2 overflows from R ~ 355 and cosh(R) itself from R ~ 710
