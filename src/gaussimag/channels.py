@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import AsymmetricNoise, DimensionMismatch, PhysicalityViolation
 from .linalg import _mT, _scaled_tol, symplectic_form
-from .states import ZERO_TOL, GaussianState, checked_stack, real_pattern
+from .states import ZERO_TOL, GaussianState, real_pattern
 
 
 class RealnessClass(enum.Enum):
@@ -123,11 +123,12 @@ def apply_stack(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Outputs ``(d, cm)`` of channels ``(t, noise, d0)`` on states ``(d, cm)``, stacks of B.
 
-    The output covariance matrices are validated; the first failed item raises.
+    Channels and states must be physical: the outputs are only symmetrized.
     """
     d_out = (t @ d[..., None])[..., 0] + d0
     cm_out = t @ cm @ _mT(t) + noise
-    return d_out, checked_stack(cm_out)[0]
+    # no validation: a physical channel maps a physical state to a physical state
+    return d_out, 0.5 * (cm_out + _mT(cm_out))
 
 
 def draw_real_channel(n: int, kind: RealnessClass, rng: np.random.Generator) -> tuple:

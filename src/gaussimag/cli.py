@@ -170,7 +170,7 @@ def _grid_inputs(spec: SweepSpec, grid: np.ndarray):
         return coherent_stack, (alpha[:, None],), None, errors
     if spec.family.endswith("_dynamics"):
         baths = _grid_baths(spec, p, given, errors)
-        _flag(errors, p["t"] < 0, lambda k: f"time must be >= 0, got {p['t'][k]}")
+        _flag(errors, ~(p["t"] >= 0), lambda k: f"time must be >= 0, got {p['t'][k]}")
         if spec.family == "sv_dynamics":
             missing = np.full(len(grid), "r" not in given)
             _flag(errors, missing, lambda _: "sv_dynamics needs parameter 'r'")
@@ -200,6 +200,8 @@ def _grid_states(spec: SweepSpec, grid: np.ndarray):
     d, cm = build(*(a[:keep] for a in inputs))
     cm, _, failed = validate(cm)
     _flag(errors, list(map(bool, failed)), lambda k: _at_point(spec, grid[k], failed[k]))
+    bad_d = ValueError("displacement entries must be finite")  # as GaussianState rejects it
+    _flag(errors, ~np.isfinite(d).all(axis=-1), lambda k: _at_point(spec, grid[k], bad_d))
     keep = next((k for k, exc in enumerate(errors) if exc), len(grid))
     d, cm = d[:keep], cm[:keep]
     if dynamics is not None:  # evolution keeps a state physical
@@ -319,7 +321,7 @@ def cmd_dynamics(args) -> int:
         result = trajectory(state0, bath, grid, mu=spec.mu, zero_tol=spec.zero_tol)
     except ValueError as exc:
         raise SpecError(f"{type(exc).__name__}: {exc}") from exc
-    # arrays only: no point is built, and the fidelity and Tsallis paths never run
+    # covariance-ratio arrays only: the fidelity and Tsallis paths never run
     columns = [result.times, result.stack.imaginarity, result.closed_form, result.stack.h_term]
     fmt = "%.12g,%.12g,%.12g,%d"
     if result.closed_form is None:

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import WrongModeCount
-from .measures import MeasureReport, StackReport, _libm, measure_stack
+from .measures import StackReport, _libm, measure_stack
 from .states import ZERO_TOL, GaussianState, check_zero_tol
 
 
@@ -37,11 +36,6 @@ class BathParams:
         if errors[0] is not None:
             raise ValueError(errors[0])
         object.__setattr__(self, "stack", stack)
-
-    @cached_property
-    def derived(self) -> "BathDerived":
-        """``bath_derived`` of this bath, computed once."""
-        return bath_derived(self)
 
 
 class BathDerived(NamedTuple):
@@ -74,8 +68,8 @@ def bath_stack(lam, n_th, big_r, phi) -> tuple[BathStack, list[str | None]]:
     arithmetic is that of the scalar formulas, bit for bit.
     """
     # the messages print the values as given; the arithmetic runs on floats
-    given = [np.asarray(v) for v in (lam, n_th, big_r)]
-    lam, n_th, big_r = (np.asarray(v, dtype=float) for v in given)
+    given = [np.asarray(v) for v in (lam, n_th, big_r, phi)]
+    lam, n_th, big_r, phi = (np.asarray(v, dtype=float) for v in given)
     with np.errstate(over="ignore", invalid="ignore"):
         # a clipped R overflows N(N+1) just as the R it replaces does
         r = np.clip(big_r, -_R_OVERFLOW, _R_OVERFLOW)
@@ -85,7 +79,7 @@ def bath_stack(lam, n_th, big_r, phi) -> tuple[BathStack, list[str | None]]:
         # m = f * cmath.exp(1j * phi) as complex arithmetic computes it:
         # exp(1j * phi) = (cos, sin) of 0.0 + phi, and f is (f, 0.0)
         f = -(2.0 * n_th + 1.0) * ch * sh
-        angle = np.asarray(phi, dtype=float) + 0.0
+        angle = phi + 0.0
         cos, sin = np.cos(angle), np.sin(angle)
         m = np.empty(len(n), dtype=complex)
         m.real, m.imag = f * cos - 0.0 * sin, f * sin + 0.0 * cos
@@ -93,10 +87,13 @@ def bath_stack(lam, n_th, big_r, phi) -> tuple[BathStack, list[str | None]]:
         # |M|^2 <= N(N+1) holds identically, N(N+1) - |M|^2 = n_th(n_th+1), so
         # no derived quantity overflows before N(N+1) does
         overflow = np.isinf(n * (n + 1.0))
+    # written so that NaN fails each check
     checks = (
-        (lam <= 0, "damping rate must be > 0, got {}", given[0]),
-        (n_th < 0, "thermal photon number must be >= 0, got {}", given[1]),
+        (~(lam > 0), "damping rate must be > 0, got {}", given[0]),
+        (~(n_th >= 0), "thermal photon number must be >= 0, got {}", given[1]),
+        (np.isnan(big_r), "bath squeezing R must be a number, got {}", given[2]),
         (overflow, "bath squeezing R={} overflows the bath photon number", given[2]),
+        (~np.isfinite(phi), "bath squeezing phase phi must be finite, got {}", given[3]),
     )
     errors = [None] * len(n)
     for bad, message, values in checks:
@@ -144,7 +141,7 @@ def _evolved(d0: np.ndarray, cm0: np.ndarray, baths: BathStack, times: np.ndarra
 
 def evolve(state0: GaussianState, p: BathParams, t: float) -> GaussianState:
     """State at time t: cm interpolates toward nu_infinity, displacement decays."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time must be >= 0, got {t}")
     d, cm = _evolved(state0.d, state0.cm, p.stack, np.array([t], dtype=float))
     # no re-validation: a convex combination of physical covariance matrices is
@@ -227,25 +224,6 @@ def _detect_family(state0: GaussianState):
 
 
 @dataclass(frozen=True)
-class TrajectoryPoint:
-    """One time of a trajectory, a view into the trajectory's ``StackReport``."""
-
-    t: float
-    closed_form: float | None
-    _stack: StackReport = field(repr=False, compare=False)
-    _k: int = field(repr=False, compare=False)
-
-    @property
-    def report(self) -> MeasureReport:
-        """``measure_all`` of the state at time t, built on each read.
-
-        The first read of any point runs the fidelity and Tsallis paths of the
-        whole trajectory, and raises a failure of them that is not numeric.
-        """
-        return self._stack.report(self._k)
-
-
-@dataclass(frozen=True)
 class TrajectoryResult:
     times: np.ndarray
     #: the closed-form imaginarity at every time, None without a recognized family
@@ -257,16 +235,6 @@ class TrajectoryResult:
     h_flip_times: tuple[float, ...]
     #: the measures of every time as arrays, item k at ``times[k]``
     stack: StackReport
-
-    @cached_property
-    def points(self) -> tuple[TrajectoryPoint, ...]:
-        """One ``TrajectoryPoint`` per time, built on first read."""
-        times = self.times.tolist()
-        closed = [None] * len(times) if self.closed_form is None else self.closed_form.tolist()
-        return tuple(
-            TrajectoryPoint(t=t, closed_form=c, _stack=self.stack, _k=k)
-            for k, (t, c) in enumerate(zip(times, closed))
-        )
 
 
 def trajectory(
@@ -282,17 +250,17 @@ def trajectory(
     the squeezed-vacuum or coherent family, each time also carries the
     corresponding closed-form imaginarity for dual-path comparison.
 
-    The covariance-ratio measure of every time is computed here, and its
-    first failure is raised here.  The fidelity and Tsallis paths run only
-    when a point's ``report`` (or the stack's fragile arrays) is first read,
-    and the points themselves are built on the first read of ``points``, so
-    a caller that reads ``stack.imaginarity``, ``stack.h_term`` and
-    ``closed_form`` pays for neither.
+    Time k is ``times[k]``, ``closed_form[k]`` and ``stack.report(k)``.  The
+    covariance-ratio measure of every time is computed here, and its first
+    failure is raised here.  The fidelity and Tsallis paths run only when
+    ``stack.report`` or the stack's fragile arrays are first read, so a
+    caller that reads ``stack.imaginarity``, ``stack.h_term`` and
+    ``closed_form`` never pays for them.
     """
     times = np.array(times, dtype=float)
     if not times.size:
         raise ValueError("need at least one time point")
-    if np.any(times < 0) or np.any(np.diff(times) < 0):
+    if not (np.all(times >= 0) and np.all(np.diff(times) >= 0)):
         raise ValueError("times must be sorted and nonnegative")
     # no re-validation, as in evolve: a convex combination of physical matrices is physical
     d, cm = _evolved(state0.d, state0.cm, p.stack, times)

@@ -2,10 +2,10 @@
 
 Each sampler comes in two halves.  A ``draw_*`` function takes one item's raw
 random numbers from its generator, in a fixed order; a ``*_stack`` builder
-turns a list of draws of one mode count into a stack ``(B, ...)`` in one go
-(stacked QR, products, inverses and validation).  The one-item samplers
-(``random_cm``, ``random_state``, ...) are the builder on a single draw, so
-item k of a stack equals the sampler run on item k's generator, byte for byte.
+turns the draws of one mode count into a stack ``(B, ...)`` in one go.  No
+builder checks physicality: each output is physical by construction and only
+symmetrized.  ``random_cm``, ``random_state``, ... are the builder on a single
+draw, so item k of a stack equals the sampler on generator k, byte for byte.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import _mT, grouped_index
-from .states import GaussianState, checked_stack
+from .states import GaussianState
 
 # inject_cross_entry first pushes the covariance matrix this far inside the
 # physical cone; a planted entry may be up to half of it
@@ -89,9 +89,11 @@ def draw_state(n: int, rng: np.random.Generator, max_squeeze: float = 1.0) -> tu
 
 
 def state_stack(draws: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """Validated ``(d, cm)`` stacks of ``draw_state`` draws of one mode count."""
+    """``(d, cm)`` stacks of ``draw_state`` draws of one mode count."""
     d, cms = zip(*draws)
-    return np.stack(d), checked_stack(cm_stack(cms))[0]
+    cm = cm_stack(cms)
+    # no validation: S diag(nu) S^T with every nu >= 1 is physical
+    return np.stack(d), 0.5 * (cm + _mT(cm))
 
 
 def random_state(n: int, rng: np.random.Generator, max_squeeze: float = 1.0) -> GaussianState:
@@ -116,7 +118,7 @@ def _scaled_gram(w: np.ndarray) -> np.ndarray:
 
 
 def real_state_stack(draws: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """Validated ``(d, cm)`` stacks of ``draw_real_state`` draws of one mode count."""
+    """``(d, cm)`` stacks of ``draw_real_state`` draws of one mode count."""
     g, w, d = zip(*draws)
     g, d = np.stack(g), np.stack(d)
     n = g.shape[-1]
@@ -131,7 +133,8 @@ def real_state_stack(draws: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     idx = grouped_index(n)
     cm = np.empty_like(grouped)
     cm[:, idx[:, None], idx] = grouped
-    return d, checked_stack(cm)[0]
+    # no validation: a block-diagonal cm with A22 >= A11^{-1} is physical
+    return d, 0.5 * (cm + _mT(cm))
 
 
 def random_real_state(n: int, rng: np.random.Generator) -> GaussianState:
@@ -153,13 +156,14 @@ def draw_cross_entry(n: int, rng: np.random.Generator, eps: float) -> tuple[int,
 
 
 def cross_entry_stack(cm: np.ndarray, draws: list[tuple]) -> np.ndarray:
-    """Validated covariance matrices ``cm`` with one ``draw_cross_entry`` draw planted in each."""
+    """Covariance matrices ``cm`` with one ``draw_cross_entry`` draw planted in each."""
     k, l, eps = map(np.array, zip(*draws))
     cm = cm + _CROSS_MARGIN * np.eye(cm.shape[-1])
     items = np.arange(len(cm))
     cm[items, 2 * k, 2 * l + 1] += eps
     cm[items, 2 * l + 1, 2 * k] += eps
-    return checked_stack(cm)[0]
+    # no validation: a planted pair of size eps <= _CROSS_MARGIN / 2 stays inside the margin
+    return 0.5 * (cm + _mT(cm))
 
 
 def inject_cross_entry(

@@ -76,15 +76,6 @@ def validate(cm: np.ndarray):
     return cm, margin, errors.errors
 
 
-def checked_stack(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``validate`` that raises the first failed item's error; returns ``(cm, margin)``."""
-    cm, margin, errors = validate(cm)
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return cm, margin
-
-
 def _checked(d, cm) -> tuple[np.ndarray, np.ndarray, float]:
     d = np.array(d, dtype=float)
     cm = np.array(cm, dtype=float)
@@ -95,7 +86,11 @@ def _checked(d, cm) -> tuple[np.ndarray, np.ndarray, float]:
         raise DimensionMismatch(
             f"covariance matrix shape {cm.shape} does not match {2 * n} quadratures"
         )
-    cm, margin = checked_stack(cm[None])
+    cm, margin, errors = validate(cm[None])
+    if errors[0] is not None:
+        raise errors[0]
+    if not np.isfinite(d).all():
+        raise ValueError("displacement entries must be finite")
     return d, cm[0], float(margin[0])
 
 

@@ -122,8 +122,8 @@ def test_c07_dynamics_dual_path():
     for phi in (10.0, 15.0, 20.0):
         bath = BathParams(lam=0.1, n_th=1.5, big_r=1.0, phi=phi)
         result = trajectory(two_mode_squeezed_vacuum(1.0), bath, times)
-        general = np.array([p.report.imaginarity for p in result.points])
-        closed = np.array([p.closed_form for p in result.points])
+        general = np.array([result.stack.report(k).imaginarity for k in range(len(times))])
+        closed = result.closed_form
         assert np.abs(general - closed).max() <= 1e-9
         assert np.all(np.diff(general) >= -1e-12)
         stationary = imaginarity(GaussianState(np.zeros(4), nu_infinity(bath)))
@@ -131,8 +131,8 @@ def test_c07_dynamics_dual_path():
         assert abs(settled - stationary) <= 1e-2
 
         coherent_run = trajectory(coherent_state([1j, 0]), bath, times)
-        general = np.array([p.report.imaginarity for p in coherent_run.points])
-        closed = np.array([p.closed_form for p in coherent_run.points])
+        general = np.array([coherent_run.stack.report(k).imaginarity for k in range(len(times))])
+        closed = coherent_run.closed_form
         assert np.abs(general - closed).max() <= 1e-9
     done(7, "trajectory general path matches printed closed forms at 200 points, 3 phases")
 

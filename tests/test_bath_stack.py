@@ -1,19 +1,16 @@
 """Stacked baths, closed forms and trajectories against the per-item arithmetic they replace."""
 
 import cmath
-import gzip
-import json
 import math
-import pathlib
 import struct
 
 import numpy as np
 import pytest
 
 from gaussimag import dynamics
-from gaussimag.cli import main
 from gaussimag.dynamics import (
     BathParams,
+    bath_derived,
     bath_stack,
     coherent_imaginarity,
     squeezed_vacuum_imaginarity,
@@ -21,7 +18,6 @@ from gaussimag.dynamics import (
 )
 from gaussimag.states import coherent_state, two_mode_squeezed_vacuum
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 # t = 0; ordinary times; a subnormal and an underflowed decay at lam = 0.1 and 2.0
 TIMES = [0.0, 0.3, 1.0, 7.3, 60.0, 360.0, 7200.0, 1e6]
 # enough items that a formula off in the last bit on a few in a thousand shows
@@ -117,7 +113,8 @@ class TestBathStack:
 
     def test_bath_derived_is_the_one_bath_case(self, rng):
         for bath in EDGE_BATHS + SQUARE_BATHS + random_baths(rng, 50):
-            assert bits(BathParams(*bath).derived) == bits(reference_bath_derived(*bath[1:])), bath
+            got = bath_derived(BathParams(*bath))
+            assert bits(got) == bits(reference_bath_derived(*bath[1:])), bath
 
     def test_errors_follow_the_constructor_order(self):
         # lam before n_th before overflow; a valid bath has no error
@@ -140,7 +137,7 @@ class TestClosedFormStacks:
     def test_squeezed_vacuum(self, rng):
         for k, bath in enumerate(EDGE_BATHS[::3] + random_baths(rng, 150)):
             p, r = BathParams(*bath), (0.0, 0.7, 1.0)[k % 3]
-            want = [reference_squeezed_vacuum(r, bath[0], p.derived, t) for t in MANY_TIMES]
+            want = [reference_squeezed_vacuum(r, bath[0], bath_derived(p), t) for t in MANY_TIMES]
             got = dynamics._squeezed_vacuum_stack(r, p.stack, np.array(MANY_TIMES))
             assert bits(got.tolist()) == bits(want), (r, bath)
             one_time = [squeezed_vacuum_imaginarity(r, p, t) for t in TIMES]
@@ -150,7 +147,8 @@ class TestClosedFormStacks:
         for k, bath in enumerate(EDGE_BATHS[::3] + random_baths(rng, 150)):
             p = BathParams(*bath)
             alphas, zero_tol = [(1j, 0), (0.5, -0.3 + 0.2j), (0, 0)][k % 3], (1e-12, 0.5)[k % 2]
-            want = [reference_coherent(alphas, bath[0], p.derived, t, zero_tol) for t in MANY_TIMES]
+            derived = bath_derived(p)
+            want = [reference_coherent(alphas, bath[0], derived, t, zero_tol) for t in MANY_TIMES]
             got = dynamics._coherent_stack(alphas, p.stack, np.array(MANY_TIMES), zero_tol)
             assert bits(got.tolist()) == bits(want), (alphas, zero_tol, bath)
             one_time = [coherent_imaginarity(alphas, p, t, zero_tol) for t in TIMES]
@@ -158,39 +156,16 @@ class TestClosedFormStacks:
 
 
 class TestLazyPoints:
-    """A trajectory builds its points on their first read, and the CLI never reads them."""
-
-    @pytest.fixture
-    def no_points(self, monkeypatch):
-        def fail(**kwargs):
-            raise AssertionError("a TrajectoryPoint was built")
-
-        monkeypatch.setattr(dynamics, "TrajectoryPoint", fail)
-
-    @pytest.mark.parametrize("stem", ["fig3a_time_phi10", "fig6a_time_phi10"])
-    def test_dynamics_command_builds_no_point(self, no_points, stem, tmp_path):
-        out = tmp_path / "out.csv"
-        assert main(["dynamics", str(ROOT / "figures" / f"{stem}.json"), "--out", str(out)]) == 0
-        with gzip.open(ROOT / "perfbench" / "reference" / "figures.json.gz", "rt") as fh:
-            assert out.read_text() == json.load(fh)[stem]
-
-    def test_trajectory_builds_no_point(self, no_points):
-        result = trajectory(two_mode_squeezed_vacuum(1.0), BathParams(0.1, 1.5, 1.0, 10.0), TIMES)
-        assert result.closed_form.shape == (len(TIMES),)
+    """Time k of a trajectory is ``times[k]``, ``closed_form[k]`` and ``stack.report(k)``."""
 
     @pytest.mark.parametrize("family", ["sv", "coherent"])
     def test_points_hold_the_per_time_values(self, family):
         p = BathParams(0.1, 1.5, 1.0, 10.0)
         if family == "sv":
             result = trajectory(two_mode_squeezed_vacuum(1.0), p, TIMES)
-            closed = [reference_squeezed_vacuum(1.0, p.lam, p.derived, t) for t in TIMES]
+            closed = [reference_squeezed_vacuum(1.0, p.lam, bath_derived(p), t) for t in TIMES]
         else:
             result = trajectory(coherent_state([1j, 0]), p, TIMES)
-            closed = [reference_coherent((1j, 0), p.lam, p.derived, t, 1e-12) for t in TIMES]
-        points = result.points
-        assert result.points is points
-        assert [type(point.t) for point in points] == [float] * len(TIMES)
-        assert bits([point.t for point in points]) == bits(TIMES)
-        assert bits([point.closed_form for point in points]) == bits(closed)
-        for k, point in enumerate(points):
-            assert point.report.to_dict() == result.stack.report(k).to_dict()
+            closed = [reference_coherent((1j, 0), p.lam, bath_derived(p), t, 1e-12) for t in TIMES]
+        assert bits(result.times.tolist()) == bits(TIMES)
+        assert bits(result.closed_form.tolist()) == bits(closed)

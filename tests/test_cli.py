@@ -282,6 +282,71 @@ class TestBadGridValues:
         )
 
 
+class TestNonFiniteValues:
+    """NaN fails each check that a bad finite value fails: exit 1, one stderr line."""
+
+    def run(self, tmp_path, capsys, command, obj):
+        assert main([command, write_json(tmp_path / "input.json", obj)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    @pytest.mark.parametrize("command", ["sweep", "dynamics"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("lam", math.nan, "damping rate must be > 0, got nan"),
+            ("n_th", math.nan, "thermal photon number must be >= 0, got nan"),
+            ("R", math.nan, "bath squeezing R must be a number, got nan"),
+            ("phi", math.nan, "bath squeezing phase phi must be finite, got nan"),
+            ("phi", math.inf, "bath squeezing phase phi must be finite, got inf"),
+        ],
+    )
+    def test_bath_parameter(self, tmp_path, capsys, command, key, value, message):
+        fixed = {"r": 1.0, "n_th": 1.5, "R": 1.0, "phi": 15.0, "lam": 0.1, key: value}
+        grid = {"start": 0, "stop": 1, "count": 5}
+        spec = {"family": "sv_dynamics", "axis": "t", "grid": grid, "fixed": fixed}
+        assert self.run(tmp_path, capsys, command, spec) == f"invalid spec: {message}\n"
+
+    @pytest.mark.parametrize("command", ["sweep", "dynamics"])
+    def test_time_grid(self, tmp_path, capsys, command):
+        fixed = {"r": 1.0, "n_th": 1.5, "lam": 0.1}
+        grid = {"start": math.nan, "stop": 1, "count": 5}
+        spec = {"family": "sv_dynamics", "axis": "t", "grid": grid, "fixed": fixed}
+        err = self.run(tmp_path, capsys, command, spec)
+        assert err == "invalid spec: time must be >= 0, got nan\n"
+
+    def test_fixed_time(self, tmp_path, capsys):
+        fixed = {"r": 1.0, "n_th": 1.5, "lam": 0.1, "t": math.nan}
+        grid = {"start": 0, "stop": 1, "count": 5}
+        spec = {"family": "sv_dynamics", "axis": "phi", "grid": grid, "fixed": fixed}
+        err = self.run(tmp_path, capsys, "sweep", spec)
+        assert err == "invalid spec: time must be >= 0, got nan\n"
+
+    @pytest.mark.parametrize("command", ["measure", "validate"])
+    def test_state_displacement(self, tmp_path, capsys, command):
+        state = {"n": 1, "d": [math.nan, 0.0], "cm": [[1.0, 0.0], [0.0, 1.0]]}
+        err = self.run(tmp_path, capsys, command, state)
+        assert err == "ValueError: displacement entries must be finite\n"
+
+    def test_sweep_displacement(self, tmp_path, capsys):
+        # a NaN momentum once scored as undisplaced and printed 0,0,nan,nan
+        grid = {"start": 0, "stop": 1, "count": 3}
+        fixed = {"im_alpha": math.nan}
+        spec = {"family": "coherent", "axis": "re_alpha", "grid": grid, "fixed": fixed}
+        err = self.run(tmp_path, capsys, "sweep", spec)
+        assert err == "invalid spec: re_alpha=0: ValueError: displacement entries must be finite\n"
+
+    @pytest.mark.parametrize("command", ["sweep", "dynamics"])
+    def test_initial_displacement(self, tmp_path, capsys, command):
+        fixed = {"re_alpha1": 1.0, "im_alpha1": math.nan, "n_th": 1.5, "lam": 0.1}
+        grid = {"start": 0, "stop": 1, "count": 3}
+        spec = {"family": "coherent_dynamics", "axis": "t", "grid": grid, "fixed": fixed}
+        err = self.run(tmp_path, capsys, command, spec)
+        reason = "ValueError: displacement entries must be finite"
+        assert err == f"invalid spec: {'t=0: ' if command == 'sweep' else ''}{reason}\n"
+
+
 class TestNegativeZeroTol:
     """A negative realness threshold would call every state displaced; it is rejected."""
 

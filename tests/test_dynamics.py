@@ -54,10 +54,24 @@ class TestBathParams:
         with pytest.raises(ValueError):
             BathParams(lam=1.0, n_th=-0.1)
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"lam": math.nan}, "damping rate must be > 0, got nan"),
+            ({"n_th": math.nan}, "thermal photon number must be >= 0, got nan"),
+            ({"big_r": math.nan}, "bath squeezing R must be a number, got nan"),
+            ({"phi": math.nan}, "bath squeezing phase phi must be finite, got nan"),
+            ({"phi": -math.inf}, "bath squeezing phase phi must be finite, got -inf"),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, params, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BathParams(**{"lam": 0.1, "n_th": 0.5, "big_r": 1.0, "phi": 0.3, **params})
+
     @pytest.mark.parametrize("big_r", [8.0, 10.0, 20.0, -10.0])
     def test_large_squeezing_is_physical(self, big_r):
         # N(N+1) - |M|^2 = n_th(n_th+1) exactly; at these R rounding once broke a bound check
-        d = BathParams(lam=0.1, n_th=0.5, big_r=big_r, phi=0.3).derived
+        d = bath_derived(BathParams(lam=0.1, n_th=0.5, big_r=big_r, phi=0.3))
         assert abs(d.m) ** 2 == pytest.approx(d.n * (d.n + 1) - 0.75, rel=1e-12)
 
     @pytest.mark.parametrize("big_r", [300.0, 1000.0, -1000.0])
@@ -160,22 +174,23 @@ class TestTrajectory:
     def test_squeezed_vacuum_dual_path(self):
         result = trajectory(two_mode_squeezed_vacuum(1.0), BATH, np.linspace(0, 60, 50))
         assert result.family == "squeezed_vacuum"
-        for point in result.points:
-            assert point.closed_form == pytest.approx(point.report.imaginarity, abs=1e-9)
-            assert point.report.h_term == 0
+        for k, closed in enumerate(result.closed_form):
+            assert closed == pytest.approx(result.stack.report(k).imaginarity, abs=1e-9)
+            assert result.stack.report(k).h_term == 0
 
     def test_squeezed_vacuum_displacement_stays_zero(self):
-        for point in trajectory(two_mode_squeezed_vacuum(0.7), BATH, [0.0, 5.0, 50.0]).points:
-            assert point.report.h_term == 0
+        result = trajectory(two_mode_squeezed_vacuum(0.7), BATH, [0.0, 5.0, 50.0])
+        for k in range(len(result.times)):
+            assert result.stack.report(k).h_term == 0
 
     def test_coherent_dual_path_and_floor(self):
         result = trajectory(coherent_state([1j, 0]), BATH, np.linspace(0, 60, 50))
         assert result.family == "coherent"
-        values = [p.report.imaginarity for p in result.points]
+        values = [result.stack.report(k).imaginarity for k in range(len(result.times))]
         assert values[0] == 1.0  # no bath correlations yet
         assert min(values) >= 1.0
-        for point in result.points:
-            assert point.closed_form == pytest.approx(point.report.imaginarity, abs=1e-9)
+        for k, closed in enumerate(result.closed_form):
+            assert closed == pytest.approx(result.stack.report(k).imaginarity, abs=1e-9)
 
     def test_indicator_flip_is_reported(self):
         # a coarse zero threshold makes the decaying displacement cross it in-window
@@ -183,8 +198,8 @@ class TestTrajectory:
         result = trajectory(
             coherent_state([1e-3j, 0]), fast, np.linspace(0, 10, 40), zero_tol=1e-4
         )
-        assert result.points[0].report.h_term == 1
-        assert result.points[-1].report.h_term == 0
+        assert result.stack.report(0).h_term == 1
+        assert result.stack.report(-1).h_term == 0
         assert len(result.h_flip_times) == 1
 
     def test_unrecognized_initial_state_has_no_closed_form(self, rng):
@@ -192,7 +207,7 @@ class TestTrajectory:
 
         result = trajectory(random_state(2, rng), BATH, [0.0, 1.0])
         assert result.family is None
-        assert all(p.closed_form is None for p in result.points)
+        assert result.closed_form is None
 
     def test_times_validated(self):
         s0 = two_mode_squeezed_vacuum(1.0)
@@ -202,6 +217,15 @@ class TestTrajectory:
             trajectory(s0, BATH, [1.0, 0.5])
         with pytest.raises(ValueError):
             trajectory(s0, BATH, [-1.0, 0.5])
+
+    @pytest.mark.parametrize("times", [[math.nan], [0.0, math.nan], [math.nan, 1.0]])
+    def test_nan_times_rejected(self, times):
+        with pytest.raises(ValueError, match="^times must be sorted and nonnegative$"):
+            trajectory(two_mode_squeezed_vacuum(1.0), BATH, times)
+
+    def test_nan_time_rejected_by_evolve(self):
+        with pytest.raises(ValueError, match="^time must be >= 0, got nan$"):
+            evolve(two_mode_squeezed_vacuum(1.0), BATH, math.nan)
 
 
 class TestClosedForms:

@@ -29,7 +29,7 @@ from gaussimag.sampling import (
     real_state_stack,
     state_stack,
 )
-from gaussimag.states import GaussianState
+from gaussimag.states import GaussianState, validate
 
 # sha256 over d and cm bytes of random_state(n, default_rng([n, k]),
 # max_squeeze=2) for k < count: the wide reference pool of the benchmark.
@@ -42,6 +42,13 @@ WIDE_POOL = {
     64: (128, "d8aed7606b635dac8e0eebb63200e56e4c84ebf0306773b34f894c1b6df78676"),
 }
 ITEMS = 8  # items per stack in the byte-identity tests
+# sha256 over the outputs of the builders that skip validation, in the order of
+# test_full_validation_accepts_every_built_state; same numpy and BLAS as WIDE_POOL
+TRUSTED = {
+    "real_state_stack": "0df95a75c06ddf28260f08942250cdf6bd9e81a8b3b132961678ab94c082e241",
+    "cross_entry_stack": "a6c4d74cccefc04ce465c5aa1cc5c337f090e01dbaa4ec4359dbeb46cad36545",
+    "apply_stack": "0e42565a4505d4b8780344dab4611e5aa23c1b3f8d8eb2473c1acf190c44b97d",
+}
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -121,3 +128,37 @@ def test_wide_reference_pool_is_unchanged(n):
     for d, cm in zip(*state_stack(draws)):
         stacked.update(d.tobytes() + cm.tobytes())
     assert one.hexdigest() == stacked.hexdigest() == digest
+
+
+def test_full_validation_accepts_every_built_state():
+    # the builders skip validation: validate must accept each output with no
+    # error and return it unchanged; the digests pin the outputs themselves
+    kinds = (RealnessClass.COMPLETELY_REAL, RealnessClass.COVARIANT_REAL)
+    digests = {name: hashlib.sha256() for name in TRUSTED}
+    for j, kind in enumerate(kinds):
+        for n in range(1, 9):
+            state_draws, channel_draws, real_draws, cross_draws = [], [], [], []
+            for k in range(64):
+                rng = np.random.default_rng([n, k, j, 12])
+                state_draws.append(draw_state(n, rng, max_squeeze=2.0))
+                channel_draws.append(draw_real_channel(n, kind, rng))
+                real_draws.append(draw_real_state(n, rng))
+                cross_draws.append(draw_cross_entry(n, rng, 0.125 * (1.0 - rng.random())))
+            d, cm = state_stack(state_draws)
+            d_out, cm_out = apply_stack(*real_channel_stack(channel_draws), d, cm)
+            d_real, cm_real = real_state_stack(real_draws)
+            planted = cross_entry_stack(cm_real, cross_draws)
+            built = {
+                "state_stack": cm,
+                "real_state_stack": cm_real,
+                "cross_entry_stack": planted,
+                "apply_stack": cm_out,
+            }
+            for name, stack in built.items():
+                checked, _, errors = validate(stack)
+                assert errors == [None] * len(stack), (name, n, kind)
+                assert same(checked, stack), (name, n, kind)
+            digests["real_state_stack"].update(d_real.tobytes() + cm_real.tobytes())
+            digests["cross_entry_stack"].update(planted.tobytes())
+            digests["apply_stack"].update(d_out.tobytes() + cm_out.tobytes())
+    assert {name: h.hexdigest() for name, h in digests.items()} == TRUSTED

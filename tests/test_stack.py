@@ -116,9 +116,9 @@ class TestTrajectoryGrid:
         times = np.linspace(0.0, 60.0, 61)
         result = trajectory(state0, BATH, times, mu=0.4)
         assert result.family is not None
-        for point in result.points:
-            want = measure_all(evolve(state0, BATH, point.t), mu=0.4).to_dict()
-            got = point.report.to_dict()
+        for k, t in enumerate(result.times.tolist()):
+            want = measure_all(evolve(state0, BATH, t), mu=0.4).to_dict()
+            got = result.stack.report(k).to_dict()
             for key, value in want.items():
                 if isinstance(value, float):
                     assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-12), key
@@ -173,8 +173,8 @@ class TestLazyFragileStages:
     def test_point_reports_run_them_once(self, calls):
         result = trajectory(two_mode_squeezed_vacuum(1.0), BATH, np.linspace(0.0, 30.0, 31))
         assert calls == {"fidelity": 0, "tsallis": 0}
-        reports = [point.report for point in result.points]
-        reports += [point.report for point in result.points]
+        reports = [result.stack.report(k) for k in range(len(result.times))]
+        reports += [result.stack.report(k) for k in range(len(result.times))]
         assert calls == {"fidelity": 1, "tsallis": 1}
         assert all(r.fidelity_imaginarity is not None for r in reports)
 

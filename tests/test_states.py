@@ -38,6 +38,11 @@ class TestValidation:
         with np.errstate(invalid="ignore"), pytest.raises(UncertaintyViolation, match="nan"):
             GaussianState(np.zeros(2), np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_displacement_rejected(self, bad):
+        with pytest.raises(ValueError, match="^displacement entries must be finite$"):
+            GaussianState(np.array([0.0, bad]), np.eye(2))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             GaussianState(np.zeros(3), np.eye(2))
