@@ -34,6 +34,9 @@ class GaussianChannel:
             raise DimensionMismatch(
                 f"matrix shapes {t.shape}, {noise.shape} do not match {2 * n} quadratures"
             )
+        for name, arr in (("T", t), ("N", noise), ("d0", d0)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} entries must be finite")
         tl = _scaled_tol(noise)
         if float(np.abs(noise - noise.T).max()) > tl:
             raise AsymmetricNoise("noise matrix is not symmetric within tolerance")
@@ -132,24 +135,24 @@ def apply_stack(
 
 
 def draw_real_channel(n: int, kind: RealnessClass, rng: np.random.Generator) -> tuple:
-    """Raw draws ``(t, g, d0)`` of ``random_real_channel``, T and d0 on their allowed support."""
+    """Raw draws ``(kind, u, x)`` of ``random_real_channel``: T's uniforms, noise and d0 normals."""
     if kind not in (RealnessClass.COMPLETELY_REAL, RealnessClass.COVARIANT_REAL):
         raise ValueError(f"kind must be completely or covariant real, got {kind}")
-    t = rng.uniform(-1.0, 1.0, size=(2 * n, 2 * n))
-    if kind is RealnessClass.COMPLETELY_REAL:
-        t[1::2, :] = 0.0
-    else:
-        t[0::2, 1::2] = 0.0
-        t[1::2, 0::2] = 0.0
-    g = rng.normal(size=(2 * n, 2 * n))
-    d0 = rng.normal(size=2 * n)
-    d0[1::2] = 0.0
-    return t, g, d0
+    return kind, rng.random((2 * n, 2 * n)), rng.normal(size=2 * n * (2 * n + 1))
 
 
 def real_channel_stack(draws: list[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Channels ``(t, noise, d0)`` of ``draw_real_channel`` draws of one mode count, stacked."""
-    t, g, d0 = map(np.stack, zip(*draws))
+    kinds, u, x = zip(*draws)
+    # T uniform on [-1, 1], as rng.uniform(-1.0, 1.0) computes it from the same draws
+    t, x = -1.0 + 2.0 * np.array(u), np.array(x)
+    m = t.shape[-1]
+    # each T on its kind's support: the kinds of one stack may differ
+    completely = np.array([kind is RealnessClass.COMPLETELY_REAL for kind in kinds])
+    t[completely, 1::2, :] = 0.0
+    t[~completely, 0::2, 1::2] = t[~completely, 1::2, 0::2] = 0.0
+    g, d0 = x[:, : m * m].reshape(-1, m, m).copy(), x[:, m * m :].copy()
+    d0[:, 1::2] = 0.0
     noise = g @ _mT(g)
     # zeroing the q-p cross entries keeps the matrix PSD (block projection)
     noise[:, 0::2, 1::2] = 0.0

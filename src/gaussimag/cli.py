@@ -110,16 +110,7 @@ class SweepSpec:
             check_zero_tol(zero_tol)
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
-        return cls(
-            family=family,
-            axis=axis,
-            start=start,
-            stop=stop,
-            count=count,
-            fixed=fixed,
-            mu=mu,
-            zero_tol=zero_tol,
-        )
+        return cls(family, axis, start, stop, count, fixed, mu, zero_tol)
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)

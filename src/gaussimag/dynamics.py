@@ -90,6 +90,7 @@ def bath_stack(lam, n_th, big_r, phi) -> tuple[BathStack, list[str | None]]:
     # written so that NaN fails each check
     checks = (
         (~(lam > 0), "damping rate must be > 0, got {}", given[0]),
+        (~np.isfinite(lam), "damping rate must be finite, got {}", given[0]),
         (~(n_th >= 0), "thermal photon number must be >= 0, got {}", given[1]),
         (np.isnan(big_r), "bath squeezing R must be a number, got {}", given[2]),
         (overflow, "bath squeezing R={} overflows the bath photon number", given[2]),

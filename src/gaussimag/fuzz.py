@@ -83,7 +83,8 @@ class FuzzResult:
 
 
 def _case_rng(seed: int, case: int) -> np.random.Generator:
-    return np.random.default_rng([seed, case])
+    # the stream of default_rng([seed, case]), built without its dispatch
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, case])))
 
 
 def _draw_by_mode_count(seed: int, count: int, modes: tuple[int, int], draw) -> dict:
@@ -175,7 +176,7 @@ def run_hierarchy(seed: int, count: int, tol: float) -> FuzzResult:
         d, cm = state_stack(state_draws)
         # each state and its mode permutation, scored in one stack
         items = np.arange(len(pos))[:, None]
-        perm = 2 * np.stack(perms)[:, :, None] + (0, 1)
+        perm = 2 * np.array(perms)[:, :, None] + (0, 1)
         perm = perm.reshape(len(pos), 2 * n)
         both = _imaginarity_stack(
             np.concatenate([d, d[items, perm]]),

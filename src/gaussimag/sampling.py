@@ -1,11 +1,13 @@
 """Random generators of valid states and covariance matrices for property tests.
 
-Each sampler comes in two halves.  A ``draw_*`` function takes one item's raw
-random numbers from its generator, in a fixed order; a ``*_stack`` builder
-turns the draws of one mode count into a stack ``(B, ...)`` in one go.  No
-builder checks physicality: each output is physical by construction and only
-symmetrized.  ``random_cm``, ``random_state``, ... are the builder on a single
-draw, so item k of a stack equals the sampler on generator k, byte for byte.
+Each sampler comes in two halves.  A ``draw_*`` function holds only one item's
+raw generator output, taken in a fixed order; consecutive draws from one
+distribution are one call, which yields the same numbers as separate calls.
+A ``*_stack`` builder does all the arithmetic (masks, offsets, complex
+assembly) on the draws of one mode count, once for the stack ``(B, ...)``.
+No builder checks physicality: each output is physical by construction and
+only symmetrized.  ``random_cm``, ``random_state``, ... are the builder on a
+single draw, so item k of a stack equals the sampler on generator k, byte for byte.
 """
 
 from __future__ import annotations
@@ -26,11 +28,6 @@ _DISPLACEMENT_SCALE = 1.0
 _ZERO_DISPLACEMENT_PROB = 0.25
 
 
-def draw_haar(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Complex Ginibre matrix ``(n, n)``, the raw draw of one Haar unitary."""
-    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-
-
 def orthogonal_symplectic_stack(z: np.ndarray) -> np.ndarray:
     """Orthogonal symplectic matrices ``(B, 2n, 2n)`` from Ginibre draws ``(B, n, n)``."""
     q, r = np.linalg.qr(z)
@@ -47,29 +44,29 @@ def orthogonal_symplectic_stack(z: np.ndarray) -> np.ndarray:
 
 
 def draw_symplectic(n: int, rng: np.random.Generator, max_squeeze: float = 1.0) -> tuple:
-    """Raw draws ``(rs, z1, z2)`` of one ``symplectic_stack`` item."""
-    rs = rng.uniform(0.0, max_squeeze, size=n)
-    return rs, draw_haar(n, rng), draw_haar(n, rng)
+    """Raw draws ``(rs, g)`` of one ``symplectic_stack`` item; ``g`` holds two Ginibre draws."""
+    return rng.uniform(0.0, max_squeeze, size=n), rng.normal(size=(4, n, n))
 
 
-def symplectic_stack(rs: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """Symplectic matrices passive * squeeze * passive from stacked draws."""
+def symplectic_stack(rs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Symplectic matrices passive * squeeze * passive from draws ``(B, n)``, ``(B, 4, n, n)``."""
     squeeze = np.exp(np.stack((rs, -rs), axis=-1)).reshape(len(rs), -1)
+    z1, z2 = g[:, 0] + 1j * g[:, 1], g[:, 2] + 1j * g[:, 3]
     passive = orthogonal_symplectic_stack(np.concatenate([z1, z2]))
     return (passive[: len(rs)] * squeeze[:, None, :]) @ passive[len(rs) :]
 
 
 def draw_cm(n: int, rng: np.random.Generator, max_squeeze: float = 1.0) -> tuple:
-    """Raw draws ``(nus, rs, z1, z2)`` of ``random_cm``."""
-    nus = 1.0 + rng.exponential(_THERMAL_SCALE, size=n)
-    nus[rng.random(n) < _PURE_PROB] = 1.0
-    return (nus, *draw_symplectic(n, rng, max_squeeze))
+    """Raw draws ``(e, u, rs, g)`` of ``random_cm``: thermal excesses, pure-mode uniforms."""
+    e, u = rng.exponential(_THERMAL_SCALE, size=n), rng.random(n)
+    return (e, u, *draw_symplectic(n, rng, max_squeeze))
 
 
 def cm_stack(draws: list[tuple]) -> np.ndarray:
     """Covariance matrices ``(B, 2n, 2n)`` of ``draw_cm`` draws of one mode count."""
-    nus, rs, z1, z2 = map(np.stack, zip(*draws))
-    s = symplectic_stack(rs, z1, z2)
+    e, u, rs, g = map(np.array, zip(*draws))
+    nus = np.where(u < _PURE_PROB, 1.0, 1.0 + e)
+    s = symplectic_stack(rs, g)
     return (s * nus.repeat(2, axis=-1)[:, None, :]) @ _mT(s)
 
 
@@ -79,21 +76,23 @@ def random_cm(n: int, rng: np.random.Generator, max_squeeze: float = 1.0) -> np.
 
 
 def draw_state(n: int, rng: np.random.Generator, max_squeeze: float = 1.0) -> tuple:
-    """Raw draws ``(d, cm_draw)`` of ``random_state``."""
+    """Raw draws ``(d, cm_draw)`` of ``random_state``; ``d`` is None for a zero displacement."""
     cm = draw_cm(n, rng, max_squeeze=max_squeeze)
     if rng.random() < _ZERO_DISPLACEMENT_PROB:
-        d = np.zeros(2 * n)
-    else:
-        d = rng.normal(scale=_DISPLACEMENT_SCALE, size=2 * n)
-    return d, cm
+        return None, cm
+    return rng.normal(scale=_DISPLACEMENT_SCALE, size=2 * n), cm
 
 
 def state_stack(draws: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     """``(d, cm)`` stacks of ``draw_state`` draws of one mode count."""
     d, cms = zip(*draws)
     cm = cm_stack(cms)
+    shifted = [k for k, x in enumerate(d) if x is not None]
+    d_out = np.zeros(cm.shape[:-1])
+    if shifted:
+        d_out[shifted] = [d[k] for k in shifted]
     # no validation: S diag(nu) S^T with every nu >= 1 is physical
-    return np.stack(d), 0.5 * (cm + _mT(cm))
+    return d_out, 0.5 * (cm + _mT(cm))
 
 
 def random_state(n: int, rng: np.random.Generator, max_squeeze: float = 1.0) -> GaussianState:
@@ -103,12 +102,12 @@ def random_state(n: int, rng: np.random.Generator, max_squeeze: float = 1.0) -> 
 
 
 def draw_real_state(n: int, rng: np.random.Generator) -> tuple:
-    """Raw draws ``(g, w, d)`` of ``random_real_state``; ``w`` is None without a bump."""
+    """Raw draws ``(g, w, q)`` of ``random_real_state``; ``w`` is None without a bump."""
     g = rng.normal(size=(n, n))
-    w = rng.normal(size=(n, n)) if rng.random() > 0.3 else None
-    d = np.zeros(2 * n)
-    d[0::2] = rng.normal(size=n)
-    return g, w, d
+    if rng.random() > 0.3:
+        wq = rng.normal(size=n * n + n)
+        return g, wq[: n * n].reshape(n, n), wq[n * n :]
+    return g, None, rng.normal(size=n)
 
 
 def _scaled_gram(w: np.ndarray) -> np.ndarray:
@@ -119,14 +118,16 @@ def _scaled_gram(w: np.ndarray) -> np.ndarray:
 
 def real_state_stack(draws: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     """``(d, cm)`` stacks of ``draw_real_state`` draws of one mode count."""
-    g, w, d = zip(*draws)
-    g, d = np.stack(g), np.stack(d)
+    g, w, q = zip(*draws)
+    g = np.array(g)
     n = g.shape[-1]
+    d = np.zeros((len(g), 2 * n))
+    d[:, 0::2] = q
     a11 = _scaled_gram(g) + 0.5 * np.eye(n)
     a22 = np.linalg.inv(a11)
     bumped = [k for k, x in enumerate(w) if x is not None]
     if bumped:
-        a22[bumped] = a22[bumped] + _scaled_gram(np.stack([w[k] for k in bumped]))
+        a22[bumped] = a22[bumped] + _scaled_gram(np.array([w[k] for k in bumped]))
     grouped = np.zeros((len(g), 2 * n, 2 * n))
     grouped[:, :n, :n] = a11
     grouped[:, n:, n:] = a22

@@ -39,6 +39,15 @@ class TestValidation:
         with pytest.raises(PhysicalityViolation):
             GaussianChannel(np.zeros((2, 2)), -np.eye(2), np.zeros(2))
 
+    @pytest.mark.parametrize("key", ["T", "N", "d0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, key, value):
+        # a NaN once passed the symmetry and eigenvalue tests, which compare false
+        arrays = {"T": np.eye(2), "N": np.zeros((2, 2)), "d0": np.zeros(2)}
+        arrays[key][0, ...] = value
+        with pytest.raises(ValueError, match=f"^{key} entries must be finite$"):
+            GaussianChannel(arrays["T"], arrays["N"], arrays["d0"])
+
     def test_dimension_checks(self):
         with pytest.raises(DimensionMismatch):
             GaussianChannel(np.eye(2), np.zeros((2, 2)), np.zeros(4))

@@ -296,6 +296,7 @@ class TestNonFiniteValues:
         "key, value, message",
         [
             ("lam", math.nan, "damping rate must be > 0, got nan"),
+            ("lam", math.inf, "damping rate must be finite, got inf"),
             ("n_th", math.nan, "thermal photon number must be >= 0, got nan"),
             ("R", math.nan, "bath squeezing R must be a number, got nan"),
             ("phi", math.nan, "bath squeezing phase phi must be finite, got nan"),
@@ -328,6 +329,14 @@ class TestNonFiniteValues:
         state = {"n": 1, "d": [math.nan, 0.0], "cm": [[1.0, 0.0], [0.0, 1.0]]}
         err = self.run(tmp_path, capsys, command, state)
         assert err == "ValueError: displacement entries must be finite\n"
+
+    @pytest.mark.parametrize("key", ["T", "N", "d0"])
+    def test_channel_entry(self, tmp_path, capsys, key):
+        channel = {"n": 1, "T": [[1.0, 0.0], [0.0, 1.0]], "N": [[0.0, 0.0], [0.0, 0.0]]}
+        channel["d0"] = [0.0, 0.0]
+        channel[key][0] = [math.nan, 0.0] if key != "d0" else math.nan
+        err = self.run(tmp_path, capsys, "validate", channel)
+        assert err == f"ValueError: {key} entries must be finite\n"
 
     def test_sweep_displacement(self, tmp_path, capsys):
         # a NaN momentum once scored as undisplaced and printed 0,0,nan,nan

@@ -62,6 +62,8 @@ class TestBathParams:
             ({"big_r": math.nan}, "bath squeezing R must be a number, got nan"),
             ({"phi": math.nan}, "bath squeezing phase phi must be finite, got nan"),
             ({"phi": -math.inf}, "bath squeezing phase phi must be finite, got -inf"),
+            ({"lam": math.inf}, "damping rate must be finite, got inf"),
+            ({"lam": -math.inf}, "damping rate must be > 0, got -inf"),
         ],
     )
     def test_non_finite_parameters_rejected(self, params, message):

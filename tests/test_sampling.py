@@ -18,7 +18,6 @@ from gaussimag.sampling import (
     cross_entry_stack,
     draw_cm,
     draw_cross_entry,
-    draw_haar,
     draw_real_state,
     draw_state,
     inject_cross_entry,
@@ -53,7 +52,8 @@ TRUSTED = {
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_orthogonal_symplectic(n, rng):
-    o = orthogonal_symplectic_stack(draw_haar(n, rng)[None])[0]
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))  # Ginibre
+    o = orthogonal_symplectic_stack(z[None])[0]
     delta = symplectic_form(n)
     assert np.abs(o @ o.T - np.eye(2 * n)).max() <= 1e-12
     assert np.abs(o @ delta @ o.T - delta).max() <= 1e-12
@@ -114,6 +114,17 @@ def test_stacked_channels_match_the_sampler(n, kind):
         assert same(t[k], channel.t) and same(noise[k], channel.noise) and same(d0[k], channel.d0)
         out = channel.apply(state)
         assert same(d_out[k], out.d) and same(cm_out[k], out.cm)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mixed_kind_channel_stack(n):
+    # kinds alternate within one stack, as monotonicity builds them
+    kinds = (RealnessClass.COMPLETELY_REAL, RealnessClass.COVARIANT_REAL)
+    draws = [draw_real_channel(n, kinds[k % 2], rng) for k, rng in enumerate(generators(n))]
+    t, noise, d0 = real_channel_stack(draws)
+    for k, rng in enumerate(generators(n)):
+        channel = random_real_channel(n, kinds[k % 2], rng)
+        assert same(t[k], channel.t) and same(noise[k], channel.noise) and same(d0[k], channel.d0)
 
 
 @pytest.mark.parametrize("n", sorted(WIDE_POOL))
