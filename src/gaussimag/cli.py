@@ -338,6 +338,19 @@ def cmd_fuzz(args) -> int:
     return 0 if result.failures == 0 else 1
 
 
+def _non_negative_int(text: str) -> int:
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    # a NaN margin never counts as a failure, so a NaN tol would pass every case
+    if math.isnan(value := float(text)):
+        raise argparse.ArgumentTypeError(f"must be a number, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaussimag",
@@ -368,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="run a randomized property suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--count", type=_non_negative_int, default=1000)
+    p.add_argument("--tol", type=_tolerance, default=None)
     p.set_defaults(func=cmd_fuzz)
     return parser
 

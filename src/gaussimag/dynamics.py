@@ -87,11 +87,13 @@ def bath_stack(lam, n_th, big_r, phi) -> tuple[BathStack, list[str | None]]:
         # |M|^2 <= N(N+1) holds identically, N(N+1) - |M|^2 = n_th(n_th+1), so
         # no derived quantity overflows before N(N+1) does
         overflow = np.isinf(n * (n + 1.0))
+        n_th_overflow = np.isinf(n_th * (n_th + 1.0))
     # written so that NaN fails each check
     checks = (
         (~(lam > 0), "damping rate must be > 0, got {}", given[0]),
         (~np.isfinite(lam), "damping rate must be finite, got {}", given[0]),
         (~(n_th >= 0), "thermal photon number must be >= 0, got {}", given[1]),
+        (n_th_overflow, "thermal photon number n_th={} overflows the bath photon number", given[1]),
         (np.isnan(big_r), "bath squeezing R must be a number, got {}", given[2]),
         (overflow, "bath squeezing R={} overflows the bath photon number", given[2]),
         (~np.isfinite(phi), "bath squeezing phase phi must be finite, got {}", given[3]),

@@ -33,11 +33,10 @@ def momentum_displaced(d: np.ndarray, zero_tol: float = ZERO_TOL):
     return np.abs(d[..., 1::2]).sum(axis=-1) > zero_tol
 
 
-def real_pattern(d: np.ndarray, cm: np.ndarray, zero_tol: float = ZERO_TOL) -> bool:
-    """True iff no momentum quadrature is displaced and every q-p covariance vanishes."""
-    if momentum_displaced(d, zero_tol):
-        return False
-    return float(np.abs(cm[0::2, 1::2]).max()) <= zero_tol
+def real_pattern(d: np.ndarray, cm: np.ndarray, zero_tol: float = ZERO_TOL):
+    """True iff no momentum is displaced and no q-p covariance is nonzero; a stack gives B flags."""
+    q_p = np.abs(cm[..., 0::2, 1::2]).max(axis=(-2, -1))
+    return ~momentum_displaced(d, zero_tol) & (q_p <= zero_tol)
 
 
 def momentum_signs(n: int) -> np.ndarray:
@@ -142,7 +141,7 @@ class GaussianState:
 
     def is_real(self, zero_tol: float = ZERO_TOL) -> bool:
         """True iff all momentum displacements and all q-p covariances vanish."""
-        return real_pattern(self.d, self.cm, zero_tol)
+        return bool(real_pattern(self.d, self.cm, zero_tol))
 
     def reduce(self, modes: Sequence[int]) -> "GaussianState":
         """Restrict to a subset of modes (1-based), keeping the given order."""

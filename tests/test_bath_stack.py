@@ -117,11 +117,12 @@ class TestBathStack:
             assert bits(got) == bits(reference_bath_derived(*bath[1:])), bath
 
     def test_errors_follow_the_constructor_order(self):
-        # lam before n_th before overflow; a valid bath has no error
-        lam = np.array([0.0, -1.0, 0.1, 0.1, 0.1, 0.1])
-        n_th = np.array([-1.0, 0.5, -0.5, 0.5, 0.5, 0.0])
-        big_r = np.array([1000.0, 1.0, 1000.0, 300.0, 10.0, -1000.0])
-        _, errors = bath_stack(lam, n_th, big_r, np.zeros(6))
+        # lam before n_th before overflow, and an overflowing n_th before an
+        # overflowing R; a valid bath has no error
+        lam = np.array([0.0, -1.0, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.0])
+        n_th = np.array([-1.0, 0.5, -0.5, 0.5, 0.5, 0.0, np.inf, 1e300, np.inf, np.inf])
+        big_r = np.array([1000.0, 1.0, 1000.0, 300.0, 10.0, -1000.0, 0.0, 0.0, 1000.0, 0.0])
+        _, errors = bath_stack(lam, n_th, big_r, np.zeros(10))
         assert errors == [
             "damping rate must be > 0, got 0.0",
             "damping rate must be > 0, got -1.0",
@@ -129,6 +130,10 @@ class TestBathStack:
             "bath squeezing R=300.0 overflows the bath photon number",
             None,
             "bath squeezing R=-1000.0 overflows the bath photon number",
+            "thermal photon number n_th=inf overflows the bath photon number",
+            "thermal photon number n_th=1e+300 overflows the bath photon number",
+            "thermal photon number n_th=inf overflows the bath photon number",
+            "damping rate must be > 0, got 0.0",
         ]
 
 

@@ -301,6 +301,8 @@ class TestNonFiniteValues:
             ("R", math.nan, "bath squeezing R must be a number, got nan"),
             ("phi", math.nan, "bath squeezing phase phi must be finite, got nan"),
             ("phi", math.inf, "bath squeezing phase phi must be finite, got inf"),
+            ("n_th", math.inf, "thermal photon number n_th=inf overflows the bath photon number"),
+            ("n_th", 1e300, "thermal photon number n_th=1e+300 overflows the bath photon number"),
         ],
     )
     def test_bath_parameter(self, tmp_path, capsys, command, key, value, message):
@@ -527,6 +529,22 @@ class TestFuzzCommand:
         assert "FAIL case=0 seed=(0,0)" in out
         assert main(["fuzz", "--suite", "williamson", "--count", "10", "--tol", "-1"]) == 1
         assert "failures=10" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--seed", "-1", "argument --seed: must be >= 0, got -1"),
+            ("--count", "-5", "argument --count: must be >= 0, got -5"),
+            # a NaN tol once printed failures=0 worst_margin=-inf and exited 0
+            ("--tol", "nan", "argument --tol: must be a number, got nan"),
+        ],
+    )
+    def test_bad_option_is_a_usage_error(self, capsys, option, value, message):
+        assert main(["fuzz", "--suite", "hierarchy", "--count", "3", option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: gaussimag fuzz")
+        assert captured.err.endswith(f"error: {message}\n")
 
     def test_seeded_reproducibility(self, capsys):
         assert main(["fuzz", "--suite", "faithfulness", "--count", "30", "--seed", "5"]) == 0

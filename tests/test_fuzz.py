@@ -1,13 +1,14 @@
 """The stacked fuzz suites against a per-case oracle on the one-state public path."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 
 from gaussimag import fuzz
 from gaussimag.channels import RealnessClass, random_real_channel
-from gaussimag.fuzz import DEFAULT_TOLS, SUITES, FuzzResult, _case_rng, run_suite
+from gaussimag.fuzz import DEFAULT_TOLS, SUITES, FuzzResult, _draw_by_mode_count, run_suite
 from gaussimag.linalg import symplectic_form, williamson
 from gaussimag.measures import imaginarity
 from gaussimag.sampling import inject_cross_entry, random_cm, random_real_state, random_state
@@ -107,11 +108,44 @@ def test_margins_match_the_per_case_oracle(monkeypatch, suite, seed):
     result, recorded = recorded_margins(monkeypatch, suite, seed, CASES)
     tol = DEFAULT_TOLS[suite]
     expected = [
-        (case, ORACLES[suite](_case_rng(seed, case), case, tol)) for case in range(CASES)
+        (case, ORACLES[suite](np.random.default_rng([seed, case]), case, tol))
+        for case in range(CASES)
     ]
     assert recorded == expected  # bit for bit, in case order
     assert result.failures == 0
     assert result.worst_margin == max(m for _, m in expected)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30])
+def test_case_generators_match_default_rng(seed):
+    # seeds of one to four 32-bit words, so the case word falls inside the
+    # SeedSequence pool and, at 10**30, after it
+    def draw(case, n, rng):
+        return case, n, rng.random(3), rng.normal(size=3), rng.integers(0, 2**62, size=3)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no integer overflow warnings from the seeding
+        groups = _draw_by_mode_count(seed, 100, (1, 5), draw)
+    drawn = sorted(d for _, draws in groups.values() for d in draws)
+    assert [case for case, *_ in drawn] == list(range(100))
+    for case, n, uniform, normal, integers in drawn:
+        rng = np.random.default_rng([seed, case])
+        assert n == rng.integers(1, 5)
+        assert uniform.tobytes() == rng.random(3).tobytes()
+        assert normal.tobytes() == rng.normal(size=3).tobytes()
+        assert integers.tolist() == rng.integers(0, 2**62, size=3).tolist()
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError), ("3", TypeError)])
+def test_bad_seed_raises(seed, error):
+    with pytest.raises(error):
+        run_suite("williamson", seed=seed, count=3)
+
+
+def test_nan_tol_raises():
+    # a NaN margin never counts as a failure, so every case would pass
+    with pytest.raises(ValueError, match="nan"):
+        run_suite("hierarchy", seed=0, count=3, tol=float("nan"))
 
 
 def test_non_real_output_fails_every_completely_real_case(monkeypatch):

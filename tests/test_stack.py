@@ -16,6 +16,7 @@ from gaussimag.states import (
     GaussianState,
     coherent_state,
     displaced_squeezed_thermal,
+    real_pattern,
     two_mode_squeezed_vacuum,
     validate,
 )
@@ -217,3 +218,15 @@ class TestRealnessPredicate:
         assert not state.is_real()
         assert imaginarity(state) == 1.0
         assert measure_all(state).h_term == 1
+
+    def test_a_stack_gives_each_item_its_flag(self):
+        # real; displaced momentum only; q-p covariance only; both
+        states = [
+            displaced_squeezed_thermal(0.5, 0.9, 1.5),
+            coherent_state([1j]),
+            displaced_squeezed_thermal(0.0, 0.7j, 0.0),
+            displaced_squeezed_thermal(0.2, 0.7j, 0.3j),
+        ]
+        flags = real_pattern(*stack(states))
+        assert flags.tolist() == [s.is_real() for s in states] == [True, False, False, False]
+        assert real_pattern(*stack(states[1:]), zero_tol=np.inf).all()
