@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import AsymmetricNoise, DimensionMismatch, PhysicalityViolation
 from .linalg import _mT, _scaled_tol, symplectic_form
-from .states import ZERO_TOL, GaussianState, real_pattern
+from .states import ZERO_TOL, GaussianState, _Frozen, real_pattern
 
 
 class RealnessClass(enum.Enum):
@@ -18,7 +18,7 @@ class RealnessClass(enum.Enum):
     BOTH = "both"
 
 
-class GaussianChannel:
+class GaussianChannel(_Frozen):
     """Validated n-mode Gaussian channel acting as d -> T d + d0, cm -> T cm T^T + N."""
 
     __slots__ = ("n", "t", "noise", "d0")
@@ -52,27 +52,6 @@ class GaussianChannel:
             )
         self._set(t, noise, d0)
 
-    @classmethod
-    def _trusted(cls, t: np.ndarray, noise: np.ndarray, d0: np.ndarray) -> "GaussianChannel":
-        # for arrays whose physicality follows from how they were built
-        channel = object.__new__(cls)
-        channel._set(t, noise, d0)
-        return channel
-
-    def _set(self, t: np.ndarray, noise: np.ndarray, d0: np.ndarray) -> None:
-        for arr in (t, noise, d0):
-            arr.setflags(write=False)
-        object.__setattr__(self, "n", d0.size // 2)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "noise", noise)
-        object.__setattr__(self, "d0", d0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianChannel is immutable")
-
-    def __repr__(self):
-        return f"GaussianChannel(n={self.n})"
-
     def apply(self, state: GaussianState) -> GaussianState:
         if state.n != self.n:
             raise DimensionMismatch(f"channel has {self.n} modes, state has {state.n}")
@@ -105,20 +84,18 @@ def classify_real(channel: GaussianChannel, zero_tol: float = ZERO_TOL) -> Realn
     real), covariant real when T couples q only to q and p only to p.
     """
     t, noise, d0 = channel.t, channel.noise, channel.d0
-    if not real_pattern(d0, noise, zero_tol):
-        return RealnessClass.NOT_REAL
-    completely = float(np.abs(t[1::2, :]).max()) <= zero_tol
-    covariant = (
-        float(np.abs(t[0::2, 1::2]).max()) <= zero_tol
-        and float(np.abs(t[1::2, 0::2]).max()) <= zero_tol
-    )
-    if completely and covariant:
-        return RealnessClass.BOTH
+    completely = completely_real(t, noise, d0, zero_tol)
+    q_p = float(np.abs(np.stack([t[0::2, 1::2], t[1::2, 0::2]])).max())
+    covariant = real_pattern(d0, noise, zero_tol) and q_p <= zero_tol
     if completely:
-        return RealnessClass.COMPLETELY_REAL
-    if covariant:
-        return RealnessClass.COVARIANT_REAL
-    return RealnessClass.NOT_REAL
+        return RealnessClass.BOTH if covariant else RealnessClass.COMPLETELY_REAL
+    return RealnessClass.COVARIANT_REAL if covariant else RealnessClass.NOT_REAL
+
+
+def completely_real(t: np.ndarray, noise: np.ndarray, d0: np.ndarray, zero_tol: float = ZERO_TOL):
+    """Whether d0 and noise have the real pattern and T's momentum rows vanish; a flag per item."""
+    t_p = np.abs(t[..., 1::2, :]).max(axis=(-2, -1))
+    return real_pattern(d0, noise, zero_tol) & (t_p <= zero_tol)
 
 
 def apply_stack(

@@ -24,7 +24,7 @@ from . import fuzz
 from .channels import GaussianChannel, classify_real
 from .dynamics import BathParams, BathStack, _evolved, bath_stack, trajectory
 from .linalg import symplectic_form
-from .measures import _libm, measure_all, measure_stack
+from .measures import _check_mu, _describe, _libm, measure_all, measure_stack
 from .states import ZERO_TOL, GaussianState, arrays_from_dict, check_zero_tol, coherent_stack
 from .states import squeezed_thermal_stack, two_mode_squeezed_stack, validate
 
@@ -88,6 +88,7 @@ class SweepSpec:
             grid = obj["grid"]
             start, stop, count = float(grid["start"]), float(grid["stop"]), int(grid["count"])
             fixed = {k: float(v) for k, v in dict(obj.get("fixed", {})).items()}
+            mu, zero_tol = float(obj.get("mu", 0.5)), float(obj.get("zero_tol", ZERO_TOL))
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"missing or malformed spec field: {exc}") from exc
         if family not in FAMILIES:
@@ -102,11 +103,8 @@ class SweepSpec:
                 raise SpecError(f"fixed parameter {key!r} does not belong to family {family!r}")
         if axis in fixed:
             raise SpecError(f"axis {axis!r} may not also be fixed")
-        mu = float(obj.get("mu", 0.5))
-        if not 0.0 < mu < 1.0:
-            raise SpecError(f"mu must be in (0, 1), got {mu}")
-        zero_tol = float(obj.get("zero_tol", ZERO_TOL))
         try:
+            _check_mu(mu)
             check_zero_tol(zero_tol)
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
@@ -123,7 +121,7 @@ def _flag(errors: list, bad: np.ndarray, message) -> None:
 
 
 def _at_point(spec: SweepSpec, value: float, exc: Exception) -> str:
-    return f"{spec.axis}={_fmt_csv(value)}: {type(exc).__name__}: {exc}"
+    return f"{spec.axis}={_fmt_csv(value)}: {_describe(exc)}"
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -209,6 +207,13 @@ def _load_json(path: str):
         raise _ParseError(exc) from exc
 
 
+def _fields(obj, kind: str, *keys: str) -> dict:
+    # obj itself, once it is a JSON object holding every field in keys
+    if not (isinstance(obj, dict) and all(key in obj for key in keys)):
+        raise _ParseError(f"{kind} file is not a JSON object with fields {', '.join(keys)}")
+    return obj
+
+
 def _write_lines(lines: list[str], out: str | None):
     text = "\n".join(lines) + "\n"
     if out is None:
@@ -222,38 +227,28 @@ def cmd_validate(args) -> int:
     obj = _load_json(args.path)
     if not isinstance(obj, dict) or not ("cm" in obj or "T" in obj):
         raise _ParseError("file is neither a state ('cm') nor a channel ('T')")
-    kind = "state" if "cm" in obj else "channel"
-    try:
-        if kind == "state":
-            state, min_eig = GaussianState.checked(*arrays_from_dict(obj))
-            sym = float(np.abs(np.asarray(obj["cm"]) - np.asarray(obj["cm"]).T).max())
-            print(f"state: n={state.n}")
-            print(f"cm_symmetry_residual={_fmt_csv(sym)}")
-            print(f"uncertainty_min_eig={_fmt_csv(min_eig)}")
-            print(f"is_real={state.is_real()}")
-        else:
-            channel = GaussianChannel.from_dict(obj)
-            delta = symplectic_form(channel.n)
-            cond = channel.noise + 1j * (delta - channel.t @ delta @ channel.t.T)
-            print(f"channel: n={channel.n}")
-            print(f"noise_min_eig={_fmt_csv(float(np.linalg.eigvalsh(channel.noise).min()))}")
-            print(f"physicality_min_eig={_fmt_csv(float(np.linalg.eigvalsh(cond).min()))}")
-            print(f"realness={classify_real(channel).value}")
-    except ValueError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    if "cm" in obj:
+        state, min_eig = GaussianState.checked(*arrays_from_dict(_fields(obj, "state", "d", "cm")))
+        sym = float(np.abs(np.asarray(obj["cm"]) - np.asarray(obj["cm"]).T).max())
+        print(f"state: n={state.n}")
+        print(f"cm_symmetry_residual={_fmt_csv(sym)}")
+        print(f"uncertainty_min_eig={_fmt_csv(min_eig)}")
+        print(f"is_real={state.is_real()}")
+    else:
+        channel = GaussianChannel.from_dict(_fields(obj, "channel", "T", "N", "d0"))
+        delta = symplectic_form(channel.n)
+        cond = channel.noise + 1j * (delta - channel.t @ delta @ channel.t.T)
+        print(f"channel: n={channel.n}")
+        print(f"noise_min_eig={_fmt_csv(float(np.linalg.eigvalsh(channel.noise).min()))}")
+        print(f"physicality_min_eig={_fmt_csv(float(np.linalg.eigvalsh(cond).min()))}")
+        print(f"realness={classify_real(channel).value}")
     print("valid")
     return 0
 
 
 def cmd_measure(args) -> int:
-    obj = _load_json(args.path)
-    try:
-        state = GaussianState.from_dict(obj)
-        report = measure_all(state, mu=args.mu, zero_tol=args.zero_tol)
-    except ValueError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    state = GaussianState.from_dict(_fields(_load_json(args.path), "state", "d", "cm"))
+    report = measure_all(state, mu=args.mu, zero_tol=args.zero_tol)
     if args.format == "json":
         print(_fmt_json(report.to_dict()))
     else:
@@ -311,7 +306,7 @@ def cmd_dynamics(args) -> int:
         state0 = GaussianState(*(a[0] for a in build(*(a[:1] for a in inputs))))
         result = trajectory(state0, bath, grid, mu=spec.mu, zero_tol=spec.zero_tol)
     except ValueError as exc:
-        raise SpecError(f"{type(exc).__name__}: {exc}") from exc
+        raise SpecError(_describe(exc)) from exc
     # covariance-ratio arrays only: the fidelity and Tsallis paths never run
     columns = [result.times, result.stack.imaginarity, result.closed_form, result.stack.h_term]
     fmt = "%.12g,%.12g,%.12g,%d"
@@ -345,9 +340,11 @@ def _non_negative_int(text: str) -> int:
 
 
 def _tolerance(text: str) -> float:
-    # a NaN margin never counts as a failure, so a NaN tol would pass every case
+    # a NaN margin never counts as a failure, and an infinite tol moves every margin to +-inf
     if math.isnan(value := float(text)):
         raise argparse.ArgumentTypeError(f"must be a number, got {text}")
+    if math.isinf(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
 
 
@@ -407,6 +404,9 @@ def main(argv=None) -> int:
         return 2
     except SpecError as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # an invalid state, channel or option value
+        print(_describe(exc), file=sys.stderr)
         return 1
 
 

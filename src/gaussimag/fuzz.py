@@ -20,8 +20,8 @@ from functools import cache
 
 import numpy as np
 
-from . import states
-from .channels import RealnessClass, apply_stack, draw_real_channel, real_channel_stack
+from .channels import RealnessClass, apply_stack, completely_real, draw_real_channel
+from .channels import real_channel_stack
 from .linalg import ItemErrors, williamson_stack
 from .measures import _imaginarity_stack
 from .sampling import (
@@ -35,16 +35,6 @@ from .sampling import (
     state_stack,
 )
 from .states import ZERO_TOL, real_pattern
-
-SUITES = ("monotonicity", "faithfulness", "hierarchy", "williamson")
-
-DEFAULT_TOLS = {
-    "monotonicity": 1e-9,
-    "faithfulness": 1e-10,
-    "hierarchy": 1e-9,
-    "williamson": 1e-8,
-}
-
 
 @dataclass
 class FuzzResult:
@@ -159,9 +149,8 @@ def run_monotonicity(seed: int, count: int, tol: float) -> FuzzResult:
         d, cm = state_stack(state_draws)
         t, noise, d0 = real_channel_stack(channel_draws)
         d_out, cm_out = apply_stack(t, noise, d0, d, cm)
-        real = np.array(pos) % 2 == 0  # completely real: as classify_real tests it
-        t_p = np.abs(t[real, 1::2]).max(axis=(1, 2))
-        assert (states.real_pattern(d0[real], noise[real]) & (t_p <= ZERO_TOL)).all()
+        real = np.array(pos) % 2 == 0
+        assert completely_real(t[real], noise[real], d0[real]).all()
         out_real[pos] = real_pattern(d_out, cm_out)  # read for completely real cases only
         # each input and its output, scored in one stack
         both = _imaginarity_stack(
@@ -245,12 +234,15 @@ def run_williamson(seed: int, count: int, tol: float) -> FuzzResult:
     return FuzzResult("williamson", count, tol, seed).record_all(margin)
 
 
+# each suite's runner and default tol
 _RUNNERS = {
-    "monotonicity": run_monotonicity,
-    "faithfulness": run_faithfulness,
-    "hierarchy": run_hierarchy,
-    "williamson": run_williamson,
+    "monotonicity": (run_monotonicity, 1e-9),
+    "faithfulness": (run_faithfulness, 1e-10),
+    "hierarchy": (run_hierarchy, 1e-9),
+    "williamson": (run_williamson, 1e-8),
 }
+SUITES = tuple(_RUNNERS)
+DEFAULT_TOLS = {suite: tol for suite, (_, tol) in _RUNNERS.items()}
 
 
 def run_suite(suite: str, seed: int = 0, count: int = 1000, tol: float | None = None) -> FuzzResult:
@@ -266,8 +258,11 @@ def run_suite(suite: str, seed: int = 0, count: int = 1000, tol: float | None = 
     """
     if suite not in _RUNNERS:
         raise KeyError(f"unknown suite {suite!r}; choose from {SUITES}")
-    if tol is None:
-        tol = DEFAULT_TOLS[suite]
-    if math.isnan(tol):
-        raise ValueError("tol must be a number, got nan: every margin would pass")
-    return _RUNNERS[suite](seed, count, tol)
+    run, default_tol = _RUNNERS[suite]
+    tol = default_tol if tol is None else tol
+    # a NaN margin never counts as a failure, and an infinite tol moves every margin to +-inf
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
+    if (count := operator.index(count)) < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    return run(seed, count, tol)

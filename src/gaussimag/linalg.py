@@ -201,14 +201,10 @@ def sqrt_principal_stack(
     v_inv = _inv_or_nan(v)
     # NaN (an exactly singular basis) compares False and takes the fallback
     eig = _norm1(v) * _norm1(v_inv) <= cond_limit
-    if eig.all():
-        root = (v * np.sqrt(w)[:, None, :]) @ v_inv
-    else:
-        root = np.empty_like(a)
-        root[eig] = (v[eig] * np.sqrt(w[eig])[:, None, :]) @ v_inv[eig]
-        # near-defective eigenvector basis: the Newton iteration needs no eigenvectors
-        for j in np.flatnonzero(~eig):
-            root[j] = _sqrt_newton(a[j])
+    root = (v * np.sqrt(w)[:, None, :]) @ v_inv
+    # near-defective eigenvector basis: the Newton iteration needs no eigenvectors
+    for j in np.flatnonzero(~eig):
+        root[j] = _sqrt_newton(a[j])
     residual = np.abs(root @ root - a).max(axis=(-2, -1), initial=0.0)
     limit = 1e-10 * (1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0))
     (root,) = errors.fail(

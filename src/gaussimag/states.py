@@ -93,7 +93,32 @@ def _checked(d, cm) -> tuple[np.ndarray, np.ndarray, float]:
     return d, cm[0], float(margin[0])
 
 
-class GaussianState:
+class _Frozen:
+    """Read-only arrays named by ``__slots__[1:]``; ``n`` is half the first one's length."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _trusted(cls, *arrays: np.ndarray):
+        # for arrays whose physicality follows from how they were built
+        obj = object.__new__(cls)
+        obj._set(*arrays)
+        return obj
+
+    def _set(self, *arrays: np.ndarray) -> None:
+        object.__setattr__(self, "n", len(arrays[0]) // 2)
+        for name, arr in zip(self.__slots__[1:], arrays):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n})"
+
+
+class GaussianState(_Frozen):
     """Validated n-mode Gaussian state.
 
     Attributes:
@@ -112,26 +137,6 @@ class GaussianState:
         """Validated state together with its physicality margin (min eig of cm + i*Delta)."""
         d, cm, margin = _checked(d, cm)
         return cls._trusted(d, cm), margin
-
-    @classmethod
-    def _trusted(cls, d: np.ndarray, cm: np.ndarray) -> "GaussianState":
-        # for arrays whose physicality follows from how they were built
-        state = object.__new__(cls)
-        state._set(d, cm)
-        return state
-
-    def _set(self, d: np.ndarray, cm: np.ndarray) -> None:
-        d.setflags(write=False)
-        cm.setflags(write=False)
-        object.__setattr__(self, "n", d.size // 2)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "cm", cm)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianState is immutable")
-
-    def __repr__(self):
-        return f"GaussianState(n={self.n})"
 
     def conjugate(self) -> "GaussianState":
         """State of the complex-conjugate density operator: d -> O d, cm -> O cm O."""

@@ -19,6 +19,15 @@ class TestValidation:
     def test_identity_channel(self):
         assert identity_channel().n == 1
 
+    def test_immutable(self):
+        channel = identity_channel()
+        assert repr(channel) == "GaussianChannel(n=1)"
+        with pytest.raises(AttributeError, match="^GaussianChannel is immutable$"):
+            channel.n = 3
+        for arr in (channel.t, channel.noise, channel.d0):
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
+
     def test_measure_and_replace_channel(self):
         # T = 0 discards the input; N = I leaves a vacuum-noise output
         ch = GaussianChannel(np.zeros((2, 2)), np.eye(2), np.zeros(2))

@@ -389,6 +389,114 @@ class TestNegativeZeroTol:
         assert captured.err == "invalid spec: zero_tol must be >= 0, got -1e-12\n"
 
 
+IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
+VACUUM = {"n": 1, "d": [0.0, 0.0], "cm": IDENTITY}
+
+
+@pytest.mark.parametrize(
+    "commands, obj, options, message",
+    [
+        (
+            ["validate", "measure"],
+            {"n": 2, "d": [0.0, 0.0], "cm": IDENTITY},
+            [],
+            "DimensionMismatch: declared n=2 but displacement has 2 entries",
+        ),
+        (
+            ["validate", "measure"],
+            {"n": 1, "d": [0.0, 0.0], "cm": [[1.0, 0.5], [0.0, 1.0]]},
+            [],
+            "AsymmetricCM: covariance matrix is not symmetric within tolerance",
+        ),
+        (
+            ["validate", "measure"],
+            {"n": 1, "d": [0.0, 0.0], "cm": [[0.5, 0.0], [0.0, 0.5]]},
+            [],
+            "UncertaintyViolation: uncertainty principle violated: "
+            "min eig of cm + i*Delta is -5.000e-01",
+        ),
+        (
+            ["validate", "measure"],
+            {"n": 1, "d": [math.inf, 0.0], "cm": IDENTITY},
+            [],
+            "ValueError: displacement entries must be finite",
+        ),
+        (
+            ["validate"],
+            {"n": 1, "T": IDENTITY, "N": [[1.0, 0.5], [0.0, 1.0]], "d0": [0.0, 0.0]},
+            [],
+            "AsymmetricNoise: noise matrix is not symmetric within tolerance",
+        ),
+        (
+            ["validate"],
+            {"n": 1, "T": [[2.0, 0.0], [0.0, 2.0]], "N": [[0.0] * 2] * 2, "d0": [0.0, 0.0]},
+            [],
+            "PhysicalityViolation: "
+            "channel condition N + i(Delta - T Delta T^T) has min eig -3.000e+00",
+        ),
+        (["measure"], VACUUM, ["--mu", "1.5"], "InvalidMu: mu must be in (0, 1), got 1.5"),
+        (["measure"], VACUUM, ["--zero-tol", "-1"], "ValueError: zero_tol must be >= 0, got -1.0"),
+    ],
+)
+def test_domain_error_is_one_stderr_line(tmp_path, capsys, commands, obj, options, message):
+    # an invalid state, channel or option: the error's type and message, exit 1, nothing on stdout
+    path = write_json(tmp_path / "input.json", obj)
+    for command in commands:
+        assert main([command, path, *options]) == 1
+        assert capsys.readouterr() == ("", f"{message}\n")
+
+
+class TestMalformedInput:
+    """A JSON file that is not the object a command reads is a parse error (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "command, obj, kind",
+        [
+            ("measure", [1, 2], "state"),
+            ("validate", {"n": 1, "T": IDENTITY, "N": IDENTITY}, "channel"),
+            ("validate", {"n": 1, "cm": IDENTITY}, "state"),
+            ("measure", {"n": 1, "cm": IDENTITY}, "state"),
+            ("measure", {"n": 1, "d": [0.0, 0.0]}, "state"),
+            ("measure", {"n": 1, "T": IDENTITY, "N": IDENTITY, "d0": [0.0, 0.0]}, "state"),
+        ],
+    )
+    def test_is_a_parse_error(self, tmp_path, capsys, command, obj, kind):
+        # each once printed a KeyError or TypeError traceback
+        assert main([command, write_json(tmp_path / "input.json", obj)]) == 2
+        fields = "d, cm" if kind == "state" else "T, N, d0"
+        message = f"{kind} file is not a JSON object with fields {fields}"
+        assert capsys.readouterr() == ("", f"parse error: {message}\n")
+
+    def test_a_list_is_neither_state_nor_channel(self, tmp_path, capsys):
+        assert main(["validate", write_json(tmp_path / "input.json", [1, 2])]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: file is neither a state ('cm') nor a channel ('T')\n"
+        )
+
+
+@pytest.mark.parametrize("command", ["sweep", "dynamics"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("mu", "x", "could not convert string to float: 'x'"),
+        ("zero_tol", "x", "could not convert string to float: 'x'"),
+        ("mu", None, "float() argument must be a string or a real number, not 'NoneType'"),
+    ],
+)
+def test_non_numeric_spec_field_is_an_invalid_spec(tmp_path, capsys, command, key, value, message):
+    # a non-numeric mu or zero_tol once printed a ValueError traceback
+    spec = {
+        "family": "sv_dynamics",
+        "axis": "t",
+        "grid": {"start": 0.0, "stop": 1.0, "count": 3},
+        "fixed": {"r": 1.0, "n_th": 1.5, "lam": 0.1},
+        key: value,
+    }
+    assert main([command, write_json(tmp_path / "spec.json", spec)]) == 1
+    message = f"invalid spec: missing or malformed spec field: {message}\n"
+    assert capsys.readouterr() == ("", message)
+
+
 def test_complex_keeps_signed_zeros():
     values = [-0.0, 0.0, 1.5, -2.0]
     pairs = [(a, b) for a in values for b in values]
@@ -537,6 +645,8 @@ class TestFuzzCommand:
             ("--count", "-5", "argument --count: must be >= 0, got -5"),
             # a NaN tol once printed failures=0 worst_margin=-inf and exited 0
             ("--tol", "nan", "argument --tol: must be a number, got nan"),
+            # an infinite tol once passed every case of the williamson suite, testing nothing
+            ("--tol", "inf", "argument --tol: must be finite, got inf"),
         ],
     )
     def test_bad_option_is_a_usage_error(self, capsys, option, value, message):

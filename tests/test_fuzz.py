@@ -1,6 +1,7 @@
 """The stacked fuzz suites against a per-case oracle on the one-state public path."""
 
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -146,6 +147,26 @@ def test_nan_tol_raises():
     # a NaN margin never counts as a failure, so every case would pass
     with pytest.raises(ValueError, match="nan"):
         run_suite("hierarchy", seed=0, count=3, tol=float("nan"))
+
+
+@pytest.mark.parametrize("tol", [math.inf, -math.inf])
+def test_infinite_tol_raises(tol):
+    # an infinite tol passes (inf) or fails (-inf) every case of a suite, testing nothing
+    with pytest.raises(ValueError, match=f"^tol must be finite, got {tol}$"):
+        run_suite("williamson", seed=0, count=3, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "count, error, message",
+    [
+        (-5, ValueError, "^count must be >= 0, got -5$"),
+        (2.5, TypeError, "^'float' object cannot be interpreted as an integer$"),
+    ],
+)
+def test_bad_count_raises(count, error, message):
+    # a bad count once raised numpy's errors on the case-word array it sizes
+    with pytest.raises(error, match=message):
+        run_suite("hierarchy", seed=0, count=count)
 
 
 def test_non_real_output_fails_every_completely_real_case(monkeypatch):

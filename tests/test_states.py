@@ -59,6 +59,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             state.cm[0, 0] = 5.0
 
+    def test_repr_and_immutable_message(self):
+        state = two_mode_squeezed_vacuum(0.5)
+        assert repr(state) == "GaussianState(n=2)"
+        with pytest.raises(AttributeError, match="^GaussianState is immutable$"):
+            state.d = None
+
 
 class TestRealness:
     def test_vacuum_real(self):
