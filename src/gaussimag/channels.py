@@ -18,39 +18,48 @@ class RealnessClass(enum.Enum):
     BOTH = "both"
 
 
+def _checked(t, noise, d0) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    t, noise, d0 = (np.array(a, dtype=float) for a in (t, noise, d0))
+    if d0.ndim != 1 or d0.size < 2 or d0.size % 2 != 0:
+        raise DimensionMismatch(f"shift must have even length >= 2, got shape {d0.shape}")
+    n = d0.size // 2
+    if t.shape != (2 * n, 2 * n) or noise.shape != (2 * n, 2 * n):
+        raise DimensionMismatch(
+            f"matrix shapes {t.shape}, {noise.shape} do not match {2 * n} quadratures"
+        )
+    for name, arr in (("T", t), ("N", noise), ("d0", d0)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} entries must be finite")
+    tl = _scaled_tol(noise)
+    if float(np.abs(noise - noise.T).max()) > tl:
+        raise AsymmetricNoise("noise matrix is not symmetric within tolerance")
+    noise = 0.5 * (noise + noise.T)
+    noise_min = float(np.linalg.eigvalsh(noise).min())
+    if noise_min < -tl:
+        raise PhysicalityViolation("noise matrix is not positive semidefinite")
+    delta = symplectic_form(n)
+    condition = noise + 1j * (delta - t @ delta @ t.T)
+    condition_min = float(np.linalg.eigvalsh(condition).min())
+    if condition_min < -_scaled_tol(condition):
+        raise PhysicalityViolation(
+            f"channel condition N + i(Delta - T Delta T^T) has min eig {condition_min:.3e}"
+        )
+    return t, noise, d0, noise_min, condition_min
+
+
 class GaussianChannel(_Frozen):
     """Validated n-mode Gaussian channel acting as d -> T d + d0, cm -> T cm T^T + N."""
 
     __slots__ = ("n", "t", "noise", "d0")
 
     def __init__(self, t, noise, d0):
-        t = np.array(t, dtype=float)
-        noise = np.array(noise, dtype=float)
-        d0 = np.array(d0, dtype=float)
-        if d0.ndim != 1 or d0.size < 2 or d0.size % 2 != 0:
-            raise DimensionMismatch(f"shift must have even length >= 2, got shape {d0.shape}")
-        n = d0.size // 2
-        if t.shape != (2 * n, 2 * n) or noise.shape != (2 * n, 2 * n):
-            raise DimensionMismatch(
-                f"matrix shapes {t.shape}, {noise.shape} do not match {2 * n} quadratures"
-            )
-        for name, arr in (("T", t), ("N", noise), ("d0", d0)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} entries must be finite")
-        tl = _scaled_tol(noise)
-        if float(np.abs(noise - noise.T).max()) > tl:
-            raise AsymmetricNoise("noise matrix is not symmetric within tolerance")
-        noise = 0.5 * (noise + noise.T)
-        if float(np.linalg.eigvalsh(noise).min()) < -tl:
-            raise PhysicalityViolation("noise matrix is not positive semidefinite")
-        delta = symplectic_form(n)
-        condition = noise + 1j * (delta - t @ delta @ t.T)
-        min_eig = float(np.linalg.eigvalsh(condition).min())
-        if min_eig < -_scaled_tol(condition):
-            raise PhysicalityViolation(
-                f"channel condition N + i(Delta - T Delta T^T) has min eig {min_eig:.3e}"
-            )
-        self._set(t, noise, d0)
+        self._set(*_checked(t, noise, d0)[:3])
+
+    @classmethod
+    def checked(cls, t, noise, d0) -> tuple["GaussianChannel", float, float]:
+        """Validated channel with the min eigenvalues of N and of N + i(Delta - T Delta T^T)."""
+        t, noise, d0, noise_min, condition_min = _checked(t, noise, d0)
+        return cls._trusted(t, noise, d0), noise_min, condition_min
 
     def apply(self, state: GaussianState) -> GaussianState:
         if state.n != self.n:
@@ -59,21 +68,6 @@ class GaussianChannel(_Frozen):
             self.t[None], self.noise[None], self.d0[None], state.d[None], state.cm[None]
         )
         return GaussianState._trusted(d[0], cm[0])
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "T": self.t.tolist(),
-            "N": self.noise.tolist(),
-            "d0": self.d0.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "GaussianChannel":
-        d0 = np.asarray(obj["d0"], dtype=float)
-        if "n" in obj and 2 * int(obj["n"]) != d0.size:
-            raise DimensionMismatch(f"declared n={obj['n']} but shift has {d0.size} entries")
-        return cls(obj["T"], obj["N"], d0)
 
 
 def classify_real(channel: GaussianChannel, zero_tol: float = ZERO_TOL) -> RealnessClass:

@@ -23,7 +23,7 @@ import numpy as np
 from . import fuzz
 from .channels import GaussianChannel, classify_real
 from .dynamics import BathParams, BathStack, _evolved, bath_stack, trajectory
-from .linalg import symplectic_form
+from .errors import DimensionMismatch
 from .measures import _check_mu, _describe, _libm, measure_all, measure_stack
 from .states import ZERO_TOL, GaussianState, arrays_from_dict, check_zero_tol, coherent_stack
 from .states import squeezed_thermal_stack, two_mode_squeezed_stack, validate
@@ -208,10 +208,20 @@ def _load_json(path: str):
 
 
 def _fields(obj, kind: str, *keys: str) -> dict:
-    # obj itself, once it is a JSON object holding every field in keys
+    # obj with the fields in keys read as float arrays, once it is a JSON object
+    # holding every one of them and any declared mode count n is an integer
     if not (isinstance(obj, dict) and all(key in obj for key in keys)):
         raise _ParseError(f"{kind} file is not a JSON object with fields {', '.join(keys)}")
-    return obj
+    n = obj.get("n", 0)
+    if isinstance(n, bool) or not (isinstance(n, int) or isinstance(n, float) and n.is_integer()):
+        raise _ParseError(f"{kind} field n is not an integer: {json.dumps(n)}")
+    arrays = {}
+    for key in keys:
+        try:
+            arrays[key] = np.asarray(obj[key], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise _ParseError(f"{kind} field {key} is not an array of numbers: {exc}") from exc
+    return {**obj, **arrays}
 
 
 def _write_lines(lines: list[str], out: str | None):
@@ -228,19 +238,21 @@ def cmd_validate(args) -> int:
     if not isinstance(obj, dict) or not ("cm" in obj or "T" in obj):
         raise _ParseError("file is neither a state ('cm') nor a channel ('T')")
     if "cm" in obj:
-        state, min_eig = GaussianState.checked(*arrays_from_dict(_fields(obj, "state", "d", "cm")))
-        sym = float(np.abs(np.asarray(obj["cm"]) - np.asarray(obj["cm"]).T).max())
+        obj = _fields(obj, "state", "d", "cm")
+        state, min_eig = GaussianState.checked(*arrays_from_dict(obj))
+        sym = float(np.abs(obj["cm"] - obj["cm"].T).max())
         print(f"state: n={state.n}")
         print(f"cm_symmetry_residual={_fmt_csv(sym)}")
         print(f"uncertainty_min_eig={_fmt_csv(min_eig)}")
         print(f"is_real={state.is_real()}")
     else:
-        channel = GaussianChannel.from_dict(_fields(obj, "channel", "T", "N", "d0"))
-        delta = symplectic_form(channel.n)
-        cond = channel.noise + 1j * (delta - channel.t @ delta @ channel.t.T)
+        obj = _fields(obj, "channel", "T", "N", "d0")
+        if "n" in obj and 2 * int(obj["n"]) != obj["d0"].size:
+            raise DimensionMismatch(f"declared n={obj['n']} but shift has {obj['d0'].size} entries")
+        channel, noise_min, condition_min = GaussianChannel.checked(obj["T"], obj["N"], obj["d0"])
         print(f"channel: n={channel.n}")
-        print(f"noise_min_eig={_fmt_csv(float(np.linalg.eigvalsh(channel.noise).min()))}")
-        print(f"physicality_min_eig={_fmt_csv(float(np.linalg.eigvalsh(cond).min()))}")
+        print(f"noise_min_eig={_fmt_csv(noise_min)}")
+        print(f"physicality_min_eig={_fmt_csv(condition_min)}")
         print(f"realness={classify_real(channel).value}")
     print("valid")
     return 0

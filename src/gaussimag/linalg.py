@@ -125,34 +125,10 @@ class ItemErrors:
                 raise exc
 
 
-# cap on the coupled Newton iteration: a Jordan block with eigenvalue of
-# magnitude 1e-15 to 1e15 reaches its stopping residual within 30 steps
-_NEWTON_STEPS = 100
-
-
-def _sqrt_newton(a: np.ndarray) -> np.ndarray:
-    """Principal square root of one matrix by the coupled Newton iteration.
-
-    Denman-Beavers: ``y, z <- (y + z^-1)/2, (z + y^-1)/2`` from ``y = a,
-    z = I`` converges to ``(a^1/2, a^-1/2)`` whenever no eigenvalue of ``a``
-    lies on the closed negative real axis, defective or not (Higham 1997).
-    A singular iterate gives NaN, which the caller's residual check rejects.
-    """
-    y, z = a, np.eye(len(a), dtype=a.dtype)
-    tol = 1e-14 * (1.0 + np.abs(a).max())
-    for _ in range(_NEWTON_STEPS):
-        try:
-            y, z = 0.5 * (y + np.linalg.inv(z)), 0.5 * (z + np.linalg.inv(y))
-        except np.linalg.LinAlgError:
-            return np.full_like(a, np.nan)
-        if np.abs(y @ y - a).max() <= tol:
-            break
-    return y
-
-
-def _norm1(m: np.ndarray) -> np.ndarray:
-    # matrix 1-norm of each item: the largest column sum of absolute values
-    return np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0)
+# eigenvalues of magnitude up to this times max(1, spectral radius) count as
+# exact zeros: a pure mode puts the fidelity chain's argument on the PSD
+# boundary, up to rounding noise around its zero eigenvalues
+SQRT_ZERO_CLAMP = 1e-12
 
 
 def _inv_or_nan(m: np.ndarray) -> np.ndarray:
@@ -169,27 +145,17 @@ def _inv_or_nan(m: np.ndarray) -> np.ndarray:
         return out
 
 
-def sqrt_principal_stack(
-    a: np.ndarray, errors: ItemErrors, cond_limit: float = 1e8, clamp_zero_tol: float = 0.0
-) -> np.ndarray:
+def sqrt_principal_stack(a: np.ndarray, errors: ItemErrors) -> np.ndarray:
     """Principal square roots of a stack ``(L, m, m)`` aligned with ``errors.live``.
 
     Items whose root is undefined or unreliable fail with
     ``ComplexSqrtBranchFailure``; the result covers the items still live.
-    Each root comes from an eigendecomposition, or from the coupled Newton
-    iteration where the eigenvectors are near-defective; see
-    ``sqrt_complex_principal``.  Near-defective means that the 1-norm
-    condition number ``|v|_1 |v^-1|_1`` of the eigenvector matrix ``v``
-    exceeds ``cond_limit``; it reuses the inverse the eigenvector root needs
-    and lies within a factor m of the 2-norm condition number.
+    See ``sqrt_complex_principal``.
     """
     (w, v), a = errors.call(np.linalg.eig, a, carry=(a,))
     scale = np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))[:, None]
-    if clamp_zero_tol > 0.0:
-        clamped = np.abs(w) <= clamp_zero_tol * scale
-        w = np.where(clamped, 0.0, w)
-    else:
-        clamped = np.zeros(w.shape, dtype=bool)
+    clamped = np.abs(w) <= SQRT_ZERO_CLAMP * scale
+    w = np.where(clamped, 0.0, w)
     on_negative_axis = ~clamped & (w.real <= 1e-13 * scale) & (np.abs(w.imag) <= 1e-13 * scale)
     a, w, v = errors.fail(
         on_negative_axis.any(axis=-1),
@@ -198,13 +164,9 @@ def sqrt_principal_stack(
         ),
         a, w, v,
     )
+    # an exactly singular eigenvector basis gives NaN, which the residual rejects
     v_inv = _inv_or_nan(v)
-    # NaN (an exactly singular basis) compares False and takes the fallback
-    eig = _norm1(v) * _norm1(v_inv) <= cond_limit
     root = (v * np.sqrt(w)[:, None, :]) @ v_inv
-    # near-defective eigenvector basis: the Newton iteration needs no eigenvectors
-    for j in np.flatnonzero(~eig):
-        root[j] = _sqrt_newton(a[j])
     residual = np.abs(root @ root - a).max(axis=(-2, -1), initial=0.0)
     limit = 1e-10 * (1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0))
     (root,) = errors.fail(
@@ -217,36 +179,26 @@ def sqrt_principal_stack(
     return root
 
 
-def sqrt_complex_principal(
-    a: np.ndarray, cond_limit: float = 1e8, clamp_zero_tol: float = 0.0
-) -> np.ndarray:
-    """Principal square root of a complex square matrix.
+def sqrt_complex_principal(a: np.ndarray) -> np.ndarray:
+    """Principal square root of a complex square matrix, from its eigendecomposition.
 
-    Uses an eigendecomposition; when the eigenvector matrix is ill-conditioned
-    (1-norm condition number above ``cond_limit``) falls back to the coupled
-    Newton (Denman-Beavers) iteration, which needs no eigenvectors.
-    The principal branch requires the spectrum to avoid the closed negative
-    real axis, so every eigenvalue of the result lies in the right half-plane.
-
-    Args:
-        a: square complex matrix.
-        cond_limit: eigenvector-matrix condition number ``|v|_1 |v^-1|_1``
-            beyond which the Newton fallback is used.
-        clamp_zero_tol: when positive, eigenvalues of magnitude below
-            clamp_zero_tol * max(1, spectral radius) are treated as exact
-            zeros instead of branch errors (for arguments that sit on the
-            positive-semidefinite boundary up to rounding noise).
+    Eigenvalues of magnitude up to ``SQRT_ZERO_CLAMP`` times max(1, spectral
+    radius) are taken as exact zeros, so the zero matrix roots to zero.  The
+    principal branch requires every other eigenvalue to avoid the closed
+    negative real axis; every eigenvalue of the result then lies in the
+    closed right half-plane.  A defective or near-defective argument has no
+    reliable eigenvector basis: its root is not computed another way but
+    fails the residual check, unless the eigenvector root still meets it.
 
     Raises:
         ComplexSqrtBranchFailure: if an eigenvalue sits on the closed negative
-            real axis, or the reconstruction residual is above 1e-10 relative
-            (which includes a Newton fallback that does not converge).
+            real axis, or the reconstruction residual is above 1e-10 relative.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("input must be a square matrix")
     errors = ItemErrors(1)
-    root = sqrt_principal_stack(a[None], errors, cond_limit, clamp_zero_tol)
+    root = sqrt_principal_stack(a[None], errors)
     errors.raise_first()
     return root[0]
 

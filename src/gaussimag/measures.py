@@ -116,10 +116,8 @@ def _w_chain_stack(half_cm1: np.ndarray, half_cm2: np.ndarray, errors: ItemError
     inv_sq, w_aux = errors.call(
         np.linalg.solve, w_aux @ w_aux, np.broadcast_to(eye, w_aux.shape), carry=(w_aux,)
     )
-    # pure modes put the argument exactly on the PSD boundary; clamp the
-    # rounding noise around its zero eigenvalues
     before = errors.live
-    root = sqrt_principal_stack(eye - inv_sq, errors, clamp_zero_tol=1e-12)
+    root = sqrt_principal_stack(eye - inv_sq, errors)
     (w_aux,) = errors.narrow(before, w_aux)
     f_tot4 = np.linalg.det((root + eye) @ w_aux @ i_delta)
     w_aux, f_tot4 = errors.fail(

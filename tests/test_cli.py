@@ -83,6 +83,18 @@ class TestValidate:
         assert main(["validate", path]) == 0
         assert "realness=covariant_real" in capsys.readouterr().out
 
+    def test_channel_stdout(self, tmp_path, capsys):
+        obj = {"n": 1, "T": [[0.5, 0.25], [0.0, 0.5]], "N": [[1.0, 0.25], [0.25, 2.0]], "d0": [0.0, 1.5]}
+        assert main(["validate", write_json(tmp_path / "chan.json", obj)]) == 0
+        assert capsys.readouterr() == (
+            "channel: n=1\n"
+            "noise_min_eig=0.940983005625\n"
+            "physicality_min_eig=0.564585653307\n"
+            "realness=not_real\n"
+            "valid\n",
+            "",
+        )
+
     def test_unphysical_channel(self, tmp_path, capsys):
         path = write_json(
             tmp_path / "chan.json",
@@ -466,6 +478,63 @@ class TestMalformedInput:
         fields = "d, cm" if kind == "state" else "T, N, d0"
         message = f"{kind} file is not a JSON object with fields {fields}"
         assert capsys.readouterr() == ("", f"parse error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "command, obj, message",
+        [
+            ("measure", {"n": None, "d": [0.0, 0.0], "cm": IDENTITY}, "state field n is not an integer: null"),
+            ("validate", {"n": None, "d": [0.0, 0.0], "cm": IDENTITY}, "state field n is not an integer: null"),
+            ("measure", {"n": 1.5, "d": [0.0, 0.0], "cm": IDENTITY}, "state field n is not an integer: 1.5"),
+            ("measure", {"n": "1", "d": [0.0, 0.0], "cm": IDENTITY}, 'state field n is not an integer: "1"'),
+            ("measure", {"n": True, "d": [0.0, 0.0], "cm": IDENTITY}, "state field n is not an integer: true"),
+            (
+                "validate",
+                {"n": None, "T": IDENTITY, "N": IDENTITY, "d0": [0.0, 0.0]},
+                "channel field n is not an integer: null",
+            ),
+            (
+                "measure",
+                {"n": 1, "d": {"a": 1}, "cm": IDENTITY},
+                "state field d is not an array of numbers: "
+                "float() argument must be a string or a real number, not 'dict'",
+            ),
+            (
+                "validate",
+                {"n": 1, "d": {"a": 1}, "cm": IDENTITY},
+                "state field d is not an array of numbers: "
+                "float() argument must be a string or a real number, not 'dict'",
+            ),
+            (
+                "measure",
+                {"n": 1, "d": [0.0, 0.0], "cm": [[1.0, "x"], [0.0, 1.0]]},
+                "state field cm is not an array of numbers: could not convert string to float: 'x'",
+            ),
+            (
+                "validate",
+                {"n": 1, "d": [0.0, 0.0], "cm": [[1.0, "x"], [0.0, 1.0]]},
+                "state field cm is not an array of numbers: could not convert string to float: 'x'",
+            ),
+            (
+                "validate",
+                {"n": 1, "T": IDENTITY, "N": [[0.0, "x"], [0.0, 0.0]], "d0": [0.0, 0.0]},
+                "channel field N is not an array of numbers: could not convert string to float: 'x'",
+            ),
+        ],
+    )
+    def test_wrong_typed_field_is_a_parse_error(self, tmp_path, capsys, command, obj, message):
+        # a null or dict field once printed a TypeError traceback, a string
+        # inside cm or N a ValueError with exit 1; an n of 1.5 was read as 1
+        assert main([command, write_json(tmp_path / "input.json", obj)]) == 2
+        assert capsys.readouterr() == ("", f"parse error: {message}\n")
+
+    def test_what_numpy_reads_as_numbers_is_read(self, tmp_path, capsys):
+        # an integral float n, and a numeric string in cm (once a traceback
+        # from the symmetry residual)
+        obj = {"n": 1.0, "d": [0.0, 0.0], "cm": [[1.0, "0"], [0.0, 1.0]]}
+        assert main(["validate", write_json(tmp_path / "input.json", obj)]) == 0
+        assert capsys.readouterr().out == (
+            "state: n=1\ncm_symmetry_residual=0\nuncertainty_min_eig=0\nis_real=True\nvalid\n"
+        )
 
     def test_a_list_is_neither_state_nor_channel(self, tmp_path, capsys):
         assert main(["validate", write_json(tmp_path / "input.json", [1, 2])]) == 2

@@ -79,14 +79,18 @@ class TestSqrtComplexPrincipal:
         np.testing.assert_allclose(root, 0.6 * np.eye(2), atol=1e-14)
 
     def test_negative_axis_rejected(self):
-        with pytest.raises(ComplexSqrtBranchFailure):
+        with pytest.raises(ComplexSqrtBranchFailure, match="negative real axis"):
             sqrt_complex_principal(np.diag([-1.0 + 0j, 2.0]))
-        with pytest.raises(ComplexSqrtBranchFailure):
-            sqrt_complex_principal(np.zeros((2, 2), dtype=complex))
+        # only eigenvalues within the zero clamp count as zero
+        with pytest.raises(ComplexSqrtBranchFailure, match="negative real axis"):
+            sqrt_complex_principal(np.diag([-1e-6 + 0j, 2.0]))
 
-    def test_zero_clamp_opt_in(self):
-        root = sqrt_complex_principal(np.zeros((2, 2), dtype=complex), clamp_zero_tol=1e-12)
-        np.testing.assert_allclose(root, np.zeros((2, 2)))
+    def test_zero_eigenvalues_are_clamped(self):
+        root = sqrt_complex_principal(np.zeros((2, 2), dtype=complex))
+        assert root.tobytes() == np.zeros((2, 2), dtype=complex).tobytes()
+        # rounding noise around a zero eigenvalue, as a pure mode leaves it
+        root = sqrt_complex_principal(np.diag([-1e-13 + 0j, 4.0]))
+        np.testing.assert_array_equal(root, np.diag([0.0, 2.0]))
 
     def test_right_half_plane(self, rng):
         for _ in range(25):
@@ -98,16 +102,16 @@ class TestSqrtComplexPrincipal:
             assert np.linalg.eigvals(root).real.min() > -1e-10
             assert np.abs(root @ root - a).max() <= 1e-9 * (1 + np.abs(a).max())
 
-    def test_defective_matrix_uses_schur_fallback(self):
+    def test_defective_matrix_fails_the_residual_guard(self):
+        # a Jordan block has no eigenvector basis, so the eigenvector root is wrong
         jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-        root = sqrt_complex_principal(jordan)
-        np.testing.assert_allclose(root, [[1.0, 0.5], [0.0, 1.0]], atol=1e-12)
+        with pytest.raises(ComplexSqrtBranchFailure, match=r"residual 1\.000e\+00 above"):
+            sqrt_complex_principal(jordan)
 
     def test_three_by_three_jordan_block(self):
         jordan = 4.0 * np.eye(3, dtype=complex) + np.diag([1.0, 1.0], 1)
-        root = sqrt_complex_principal(jordan)
-        exact = [[2.0, 1 / 4, -1 / 64], [0.0, 2.0, 1 / 4], [0.0, 0.0, 2.0]]
-        np.testing.assert_allclose(root, exact, atol=1e-12)
+        with pytest.raises(ComplexSqrtBranchFailure, match=r"residual 1\.000e\+00 above"):
+            sqrt_complex_principal(jordan)
 
     def test_near_defective_complex_matrix(self, rng):
         # a similarity transform of a 3x3 Jordan block split by 1e-9
@@ -115,31 +119,26 @@ class TestSqrtComplexPrincipal:
         lam = 2.0 + 1.0j
         j = np.diag([lam, lam + 1e-9, lam + 2e-9]) + np.diag([1.0, 1.0], 1)
         a = s @ j @ np.linalg.inv(s)
-        assert np.linalg.cond(np.linalg.eig(a)[1]) > 1e8  # takes the fallback branch
-        assert np.linalg.cond(np.linalg.eig(a)[1], 1) > 1e8  # |v|_1 |v^-1|_1, the branch test
-        root = sqrt_complex_principal(a)
-        assert np.abs(root @ root - a).max() <= 1e-10 * (1 + np.abs(a).max())
-        assert np.linalg.eigvals(root).real.min() > 0.0
-        # the eigenvector route alone misses the residual guard here
-        with pytest.raises(ComplexSqrtBranchFailure):
-            sqrt_complex_principal(a, cond_limit=np.inf)
+        assert np.linalg.cond(np.linalg.eig(a)[1]) > 1e8
+        with pytest.raises(ComplexSqrtBranchFailure, match="reconstruction residual"):
+            sqrt_complex_principal(a)
 
     def test_nilpotent_has_no_root(self):
-        # zero eigenvalues pass the clamp, but the fallback meets a singular
-        # matrix; its NaN must fail the residual check, not come back as a root
-        with pytest.raises(ComplexSqrtBranchFailure, match="residual nan"):
-            sqrt_complex_principal(np.array([[0.0, 1.0], [0.0, 0.0]]), clamp_zero_tol=1e-12)
+        # its zero eigenvalues are clamped, and the clamped eigenvector root
+        # must fail the residual check, not come back as a root
+        with pytest.raises(ComplexSqrtBranchFailure, match=r"residual 1\.000e\+00 above"):
+            sqrt_complex_principal(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_singular_eigenvector_basis_in_a_stack(self, rng):
         # eig returns an exactly singular basis for the 3x3 nilpotent Jordan
-        # block; that item takes the fallback and fails alone, and its
-        # neighbour keeps the root it gets on its own
+        # block; that item fails alone, and its neighbour keeps the root it
+        # gets on its own
         nilpotent = np.diag([1.0, 1.0], 1).astype(complex)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(np.linalg.eig(nilpotent)[1])
         regular = random_hermitian_pd(3, rng)
         errors = ItemErrors(2)
-        root = sqrt_principal_stack(np.stack([nilpotent, regular]), errors, clamp_zero_tol=1e-12)
+        root = sqrt_principal_stack(np.stack([nilpotent, regular]), errors)
         assert isinstance(errors.errors[0], ComplexSqrtBranchFailure)
         assert "residual nan" in str(errors.errors[0])
         assert errors.errors[1] is None

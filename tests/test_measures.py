@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -130,6 +131,24 @@ class TestFidelityMeasure:
             lhs = 1 - fidelity_imaginarity(product_state(a, b))
             rhs = (1 - fidelity_imaginarity(a)) * (1 - fidelity_imaginarity(b))
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+    def test_wide_pool_outcomes_are_pinned(self):
+        # the first states of the benchmark's 8- and 16-mode wide pool, values
+        # and failure messages alike; 12 of the 80 fail the chain.  Recorded
+        # with numpy 2.4.6 and its bundled OpenBLAS 0.3.31 on x86-64 with
+        # AVX-512, the same under 1 and 2 BLAS threads; another BLAS build may
+        # round differently.
+        digest, failed = hashlib.sha256(), 0
+        for n, count in ((8, 64), (16, 16)):
+            for k in range(count):
+                state = random_state(n, np.random.default_rng([n, k]), max_squeeze=2.0)
+                report = measure_all(state).to_dict()
+                failed += "ComplexSqrtBranchFailure" in (report["fidelity_error"] or "")
+                digest.update(repr(report).encode())
+        assert failed == 12
+        assert digest.hexdigest() == (
+            "93277b3a457a9b7d9e899ebd96d67222e0af452b82d62031906db6b7d663d18a"
+        )
 
 
 class TestTsallisMeasure:
