@@ -3,10 +3,8 @@
 from .channels import GaussianChannel, RealnessClass, classify_real, random_real_channel
 from .dynamics import (
     BathParams,
-    bath_derived,
     coherent_imaginarity,
     evolve,
-    nu_infinity,
     squeezed_vacuum_imaginarity,
     trajectory,
 )
@@ -26,7 +24,6 @@ from .linalg import (
     ModeBlocks,
     WilliamsonForm,
     block_split,
-    is_psd_hermitian,
     sqrt_complex_principal,
     symplectic_form,
     williamson,
@@ -40,16 +37,8 @@ from .measures import (
     imaginarity_single_mode,
     measure_all,
     measure_stack,
-    momentum_indicator,
     tsallis_imaginarity,
     tsallis_imaginarity_single_mode,
-)
-from .multipartite import (
-    HierarchyCheck,
-    Partition,
-    check_reduction_hierarchy,
-    check_refinement_hierarchy,
-    partition_imaginarity,
 )
 from .states import (
     ZERO_TOL,

@@ -221,6 +221,9 @@ def _fields(obj, kind: str, *keys: str) -> dict:
             arrays[key] = np.asarray(obj[key], dtype=float)
         except (TypeError, ValueError) as exc:
             raise _ParseError(f"{kind} field {key} is not an array of numbers: {exc}") from exc
+        # numpy reads a JSON null as NaN
+        if np.isnan(arrays[key]).any() and None in np.asarray(obj[key], dtype=object):
+            raise _ParseError(f"{kind} field {key} is not an array of numbers: it holds null")
     return {**obj, **arrays}
 
 

@@ -38,15 +38,9 @@ class BathParams:
         object.__setattr__(self, "stack", stack)
 
 
-class BathDerived(NamedTuple):
-    n: float
-    m: complex
-    l_plus: float
-    l_minus: float
-
-
 class BathStack(NamedTuple):
-    """B baths as (B,) arrays: damping rates and the fields of ``BathDerived``."""
+    """B baths as (B,) arrays: damping rate, effective photon number n, squeezing
+    correlation m, and l_plus = n + Re m, l_minus = n - Re m."""
 
     lam: np.ndarray
     n: np.ndarray
@@ -107,11 +101,6 @@ def bath_stack(lam, n_th, big_r, phi) -> tuple[BathStack, list[str | None]]:
     return baths, errors
 
 
-def bath_derived(p: BathParams) -> BathDerived:
-    """Effective photon number, squeezing correlation and their combinations."""
-    return BathDerived(*(a[0].item() for a in p.stack[1:]))
-
-
 def _nu_stack(baths: BathStack) -> np.ndarray:
     # stationary covariance matrices (B, 4, 4), one per bath
     lp, lm, mi = baths.l_plus, baths.l_minus, baths.m.imag
@@ -119,11 +108,6 @@ def _nu_stack(baths: BathStack) -> np.ndarray:
     out = np.zeros((len(lp), 4, 4))
     out[:, :2, :2] = out[:, 2:, 2:] = block.reshape(-1, 2, 2)
     return out
-
-
-def nu_infinity(p: BathParams) -> np.ndarray:
-    """Stationary covariance matrix: two identical single-mode blocks."""
-    return _nu_stack(p.stack)[0]
 
 
 def _decay(lam: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -134,7 +118,7 @@ def _decay(lam: np.ndarray, times: np.ndarray) -> np.ndarray:
 def _evolved(d0: np.ndarray, cm0: np.ndarray, baths: BathStack, times: np.ndarray):
     # (d, cm) stacks: item k is initial state k at times[k] under bath k, a
     # single initial state or bath serving every item; cm interpolates toward
-    # nu_infinity, the displacement decays at half the rate
+    # the stationary one, the displacement decays at half the rate
     if d0.shape[-1] != 4:
         raise WrongModeCount(f"bath dynamics is defined for 2 modes, got {d0.shape[-1] // 2}")
     decay = _decay(baths.lam, times)[:, None, None]
@@ -143,12 +127,16 @@ def _evolved(d0: np.ndarray, cm0: np.ndarray, baths: BathStack, times: np.ndarra
 
 
 def evolve(state0: GaussianState, p: BathParams, t: float) -> GaussianState:
-    """State at time t: cm interpolates toward nu_infinity, displacement decays."""
+    """State at time t: cm interpolates toward the stationary one, displacement decays.
+
+    ``t = math.inf`` gives the stationary state: zero displacement and the
+    stationary covariance matrix, two identical single-mode blocks.
+    """
     if not t >= 0:
         raise ValueError(f"time must be >= 0, got {t}")
     d, cm = _evolved(state0.d, state0.cm, p.stack, np.array([t], dtype=float))
     # no re-validation: a convex combination of physical covariance matrices is
-    # physical, and nu_infinity is physical by the (n_th, R) parameterization
+    # physical, and the stationary cm is physical by the (n_th, R) parameterization
     return GaussianState._trusted(d[0], cm[0])
 
 

@@ -38,25 +38,6 @@ def symplectic_form(n: int) -> np.ndarray:
     return delta
 
 
-def is_psd_hermitian(h: np.ndarray) -> bool:
-    """Check whether a Hermitian matrix is positive semidefinite within tolerance.
-
-    Args:
-        h: square Hermitian matrix (real symmetric or complex).
-
-    Returns:
-        True iff the smallest eigenvalue is >= -tol, tol = 1e-9 * (1 + max|h|).
-
-    Raises:
-        ValueError: if ``h`` is not Hermitian within the same tolerance.
-    """
-    h = np.asarray(h)
-    t = _scaled_tol(h)
-    if float(np.abs(h - h.conj().T).max()) > t:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return bool(np.linalg.eigvalsh(h).min() >= -t)
-
-
 class ItemErrors:
     """Per-item failures of a computation over a stack of ``count`` items.
 
@@ -243,9 +224,6 @@ class WilliamsonForm:
 
     s: np.ndarray
     nus: np.ndarray  # symplectic eigenvalues, descending
-
-    def diagonal(self) -> np.ndarray:
-        return np.diag(np.repeat(self.nus, 2))
 
 
 def williamson_stack(

@@ -55,11 +55,6 @@ def _libm(fn, x: np.ndarray, *args) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, x.size)
 
 
-def momentum_indicator(state: GaussianState, zero_tol: float = ZERO_TOL) -> int:
-    """0/1 indicator of any nonzero momentum displacement (l1-norm above zero_tol)."""
-    return int(momentum_displaced(state.d, zero_tol))
-
-
 def _imaginarity_stack(d: np.ndarray, cm: np.ndarray, zero_tol: float):
     # (value, indicator, log dets of cm, A11 and A22) per item; raises
     # LinAlgError when any covariance matrix or block is not positive definite

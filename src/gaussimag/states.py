@@ -7,6 +7,7 @@ covariance matrix is the identity.  A state is physical iff cm + i*Delta >= 0.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from numbers import Integral
 
 import numpy as np
 
@@ -156,6 +157,8 @@ class GaussianState(_Frozen):
         if len(set(modes)) != len(modes):
             raise ValueError(f"duplicate modes in {modes}")
         for m in modes:
+            if isinstance(m, bool) or not isinstance(m, Integral):
+                raise ValueError(f"mode labels must be integers, got {m!r}")
             if not 1 <= m <= self.n:
                 raise ValueError(f"mode {m} out of range 1..{self.n}")
         idx = np.concatenate([[2 * (m - 1), 2 * m - 1] for m in modes])

@@ -10,7 +10,6 @@ import pytest
 from gaussimag import dynamics
 from gaussimag.dynamics import (
     BathParams,
-    bath_derived,
     bath_stack,
     coherent_imaginarity,
     squeezed_vacuum_imaginarity,
@@ -56,8 +55,13 @@ def random_baths(rng, count):
     ]
 
 
+def one_bath(p):
+    # (n, m, l_plus, l_minus) of a BathParams' one-bath stack as Python scalars
+    return tuple(a[0].item() for a in p.stack[1:])
+
+
 def reference_bath_derived(n_th, big_r, phi):
-    # the scalar arithmetic that bath_derived always had
+    # the scalar arithmetic of one bath's derived quantities
     ch, sh = math.cosh(big_r), math.sinh(big_r)
     n = n_th * (ch**2 + sh**2) + sh**2
     m = -(2.0 * n_th + 1.0) * ch * sh * cmath.exp(1j * phi)
@@ -113,7 +117,7 @@ class TestBathStack:
 
     def test_bath_derived_is_the_one_bath_case(self, rng):
         for bath in EDGE_BATHS + SQUARE_BATHS + random_baths(rng, 50):
-            got = bath_derived(BathParams(*bath))
+            got = one_bath(BathParams(*bath))
             assert bits(got) == bits(reference_bath_derived(*bath[1:])), bath
 
     def test_errors_follow_the_constructor_order(self):
@@ -142,7 +146,7 @@ class TestClosedFormStacks:
     def test_squeezed_vacuum(self, rng):
         for k, bath in enumerate(EDGE_BATHS[::3] + random_baths(rng, 150)):
             p, r = BathParams(*bath), (0.0, 0.7, 1.0)[k % 3]
-            want = [reference_squeezed_vacuum(r, bath[0], bath_derived(p), t) for t in MANY_TIMES]
+            want = [reference_squeezed_vacuum(r, bath[0], one_bath(p), t) for t in MANY_TIMES]
             got = dynamics._squeezed_vacuum_stack(r, p.stack, np.array(MANY_TIMES))
             assert bits(got.tolist()) == bits(want), (r, bath)
             one_time = [squeezed_vacuum_imaginarity(r, p, t) for t in TIMES]
@@ -152,7 +156,7 @@ class TestClosedFormStacks:
         for k, bath in enumerate(EDGE_BATHS[::3] + random_baths(rng, 150)):
             p = BathParams(*bath)
             alphas, zero_tol = [(1j, 0), (0.5, -0.3 + 0.2j), (0, 0)][k % 3], (1e-12, 0.5)[k % 2]
-            derived = bath_derived(p)
+            derived = one_bath(p)
             want = [reference_coherent(alphas, bath[0], derived, t, zero_tol) for t in MANY_TIMES]
             got = dynamics._coherent_stack(alphas, p.stack, np.array(MANY_TIMES), zero_tol)
             assert bits(got.tolist()) == bits(want), (alphas, zero_tol, bath)
@@ -168,9 +172,9 @@ class TestLazyPoints:
         p = BathParams(0.1, 1.5, 1.0, 10.0)
         if family == "sv":
             result = trajectory(two_mode_squeezed_vacuum(1.0), p, TIMES)
-            closed = [reference_squeezed_vacuum(1.0, p.lam, bath_derived(p), t) for t in TIMES]
+            closed = [reference_squeezed_vacuum(1.0, p.lam, one_bath(p), t) for t in TIMES]
         else:
             result = trajectory(coherent_state([1j, 0]), p, TIMES)
-            closed = [reference_coherent((1j, 0), p.lam, bath_derived(p), t, 1e-12) for t in TIMES]
+            closed = [reference_coherent((1j, 0), p.lam, one_bath(p), t, 1e-12) for t in TIMES]
         assert bits(result.times.tolist()) == bits(TIMES)
         assert bits(result.closed_form.tolist()) == bits(closed)

@@ -519,11 +519,37 @@ class TestMalformedInput:
                 {"n": 1, "T": IDENTITY, "N": [[0.0, "x"], [0.0, 0.0]], "d0": [0.0, 0.0]},
                 "channel field N is not an array of numbers: could not convert string to float: 'x'",
             ),
+            (
+                "measure",
+                {"n": 1, "d": [None, 0.0], "cm": IDENTITY},
+                "state field d is not an array of numbers: it holds null",
+            ),
+            (
+                "validate",
+                {"n": 1, "d": [None, 0.0], "cm": IDENTITY},
+                "state field d is not an array of numbers: it holds null",
+            ),
+            (
+                "validate",
+                {"n": 1, "d": None, "cm": IDENTITY},
+                "state field d is not an array of numbers: it holds null",
+            ),
+            (
+                "validate",
+                {"n": 1, "d": [0.0, 0.0], "cm": [[1.0, None], [0.0, 1.0]]},
+                "state field cm is not an array of numbers: it holds null",
+            ),
+            (
+                "validate",
+                {"n": 1, "T": IDENTITY, "N": IDENTITY, "d0": [None, 0.0]},
+                "channel field d0 is not an array of numbers: it holds null",
+            ),
         ],
     )
     def test_wrong_typed_field_is_a_parse_error(self, tmp_path, capsys, command, obj, message):
         # a null or dict field once printed a TypeError traceback, a string
-        # inside cm or N a ValueError with exit 1; an n of 1.5 was read as 1
+        # inside cm or N a ValueError with exit 1; an n of 1.5 was read as 1;
+        # a null inside an array was read as NaN (exit 1), a NaN literal still is
         assert main([command, write_json(tmp_path / "input.json", obj)]) == 2
         assert capsys.readouterr() == ("", f"parse error: {message}\n")
 

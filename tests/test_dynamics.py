@@ -5,10 +5,8 @@ import pytest
 
 from gaussimag.dynamics import (
     BathParams,
-    bath_derived,
     coherent_imaginarity,
     evolve,
-    nu_infinity,
     squeezed_vacuum_imaginarity,
     trajectory,
 )
@@ -20,21 +18,31 @@ from gaussimag.states import GaussianState, coherent_state, two_mode_squeezed_va
 BATH = BathParams(lam=0.1, n_th=1.5, big_r=1.0, phi=np.pi / 2)
 
 
+def scalars(p):
+    """The one bath of ``p.stack`` as Python scalars, under the same field names."""
+    return p.stack._make(a.item() for a in p.stack)
+
+
+def stationary(p):
+    """The stationary state: any start evolved to t = inf."""
+    return evolve(two_mode_squeezed_vacuum(1.0), p, math.inf)
+
+
 class TestBathParams:
     def test_unsqueezed_bath(self):
-        d = bath_derived(BathParams(lam=1.0, n_th=0.8))
+        d = scalars(BathParams(lam=1.0, n_th=0.8))
         assert d.n == pytest.approx(0.8)
         assert d.m == 0.0
         assert d.l_plus == pytest.approx(0.8)
         assert d.l_minus == pytest.approx(0.8)
 
     def test_squeezed_bath_values(self):
-        d = bath_derived(BathParams(lam=0.1, n_th=1.5, big_r=1.0))
+        d = scalars(BathParams(lam=0.1, n_th=1.5, big_r=1.0))
         assert d.n == pytest.approx(1.5 * math.cosh(2.0) + math.sinh(1.0) ** 2, abs=1e-12)
         assert abs(d.m) == pytest.approx(2.0 * math.sinh(2.0), abs=1e-12)
 
     def test_vacuum_bath(self):
-        d = bath_derived(BathParams(lam=0.5, n_th=0.0, big_r=0.0))
+        d = scalars(BathParams(lam=0.5, n_th=0.0, big_r=0.0))
         assert (d.n, d.m, d.l_plus, d.l_minus) == (0.0, 0.0, 0.0, 0.0)
 
     def test_squeezing_bound_holds_identically(self, rng):
@@ -45,7 +53,7 @@ class TestBathParams:
                 big_r=float(rng.uniform(0, 3)),
                 phi=float(rng.uniform(0, 2 * np.pi)),
             )
-            d = bath_derived(p)
+            d = scalars(p)
             assert abs(d.m) ** 2 <= d.n * (d.n + 1) + 1e-9
 
     def test_parameter_validation(self):
@@ -73,7 +81,7 @@ class TestBathParams:
     @pytest.mark.parametrize("big_r", [8.0, 10.0, 20.0, -10.0])
     def test_large_squeezing_is_physical(self, big_r):
         # N(N+1) - |M|^2 = n_th(n_th+1) exactly; at these R rounding once broke a bound check
-        d = bath_derived(BathParams(lam=0.1, n_th=0.5, big_r=big_r, phi=0.3))
+        d = scalars(BathParams(lam=0.1, n_th=0.5, big_r=big_r, phi=0.3))
         assert abs(d.m) ** 2 == pytest.approx(d.n * (d.n + 1) - 0.75, rel=1e-12)
 
     @pytest.mark.parametrize("big_r", [300.0, 1000.0, -1000.0])
@@ -85,22 +93,25 @@ class TestBathParams:
 
 class TestStationaryState:
     def test_vacuum_bath_gives_identity(self):
-        np.testing.assert_allclose(
-            nu_infinity(BathParams(lam=1.0, n_th=0.0, big_r=0.0)), np.eye(4)
-        )
+        out = stationary(BathParams(lam=1.0, n_th=0.0, big_r=0.0))
+        np.testing.assert_allclose(out.cm, np.eye(4))
 
     def test_real_squeezing_phase_is_diagonal(self):
-        out = nu_infinity(BathParams(lam=1.0, n_th=1.5, big_r=1.0, phi=0.0))
+        out = stationary(BathParams(lam=1.0, n_th=1.5, big_r=1.0, phi=0.0)).cm
         np.testing.assert_allclose(out, np.diag(np.diag(out)))
 
     def test_cross_entry_value(self):
-        out = nu_infinity(BATH)
+        out = stationary(BATH).cm
         assert out[0, 1] == pytest.approx(-2.0 * 2.0 * math.sinh(2.0), abs=1e-12)
         np.testing.assert_allclose(out[:2, :2], out[2:, 2:])
         np.testing.assert_allclose(out[:2, 2:], np.zeros((2, 2)))
 
     def test_stationary_state_is_physical(self):
-        GaussianState(np.zeros(4), nu_infinity(BATH))
+        out = stationary(BATH)
+        np.testing.assert_array_equal(out.d, np.zeros(4))
+        GaussianState(out.d, out.cm)
+        # the same stationary state from another start, to the bit
+        np.testing.assert_array_equal(evolve(coherent_state([2 + 1j, -1j]), BATH, math.inf).cm, out.cm)
 
 
 class TestEvolve:
@@ -113,7 +124,7 @@ class TestEvolve:
     def test_long_time_limit(self):
         s0 = coherent_state([2 + 1j, -1j])
         out = evolve(s0, BATH, 500.0)
-        np.testing.assert_allclose(out.cm, nu_infinity(BATH), atol=1e-12)
+        np.testing.assert_allclose(out.cm, stationary(BATH).cm, atol=1e-12)
         np.testing.assert_allclose(out.d, np.zeros(4), atol=1e-8)
 
     def test_semigroup_property(self, rng):
@@ -133,7 +144,7 @@ class TestEvolve:
 
     def test_interpolated_entries_match_closed_coefficients(self):
         r, t = 1.0, 7.3
-        d = bath_derived(BATH)
+        d = scalars(BATH)
         decay = math.exp(-BATH.lam * t)
         ap = 2 * decay * math.cosh(2 * r) + (1 - decay) * (1 + 2 * d.l_plus)
         am = 2 * decay * math.cosh(2 * r) + (1 - decay) * (1 + 2 * d.l_minus)
@@ -242,9 +253,8 @@ class TestClosedForms:
     def test_limit_matches_stationary_evaluation(self):
         for phi in (10.0, 15.0, 20.0):
             p = BathParams(lam=0.1, n_th=1.5, big_r=1.0, phi=phi)
-            stationary = imaginarity(GaussianState(np.zeros(4), nu_infinity(p)))
             assert squeezed_vacuum_imaginarity(1.0, p, 1e6) == pytest.approx(
-                stationary, abs=1e-9
+                imaginarity(stationary(p)), abs=1e-9
             )
 
     def test_coherent_initial_value_is_exactly_one(self):

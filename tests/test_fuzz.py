@@ -78,7 +78,8 @@ def williamson_margin(rng, case, tol):
     cm = random_cm(n, rng)
     form = williamson(cm, tol=float("inf"))
     delta = symplectic_form(n)
-    res_cm = np.linalg.norm(form.s @ form.diagonal() @ form.s.T - cm) / np.linalg.norm(cm)
+    diagonal = np.diag(np.repeat(form.nus, 2))
+    res_cm = np.linalg.norm(form.s @ diagonal @ form.s.T - cm) / np.linalg.norm(cm)
     res_sympl = float(np.linalg.norm(form.s @ delta @ form.s.T - delta))
     return max(res_cm, res_sympl) - tol
 

@@ -13,7 +13,6 @@ from gaussimag.linalg import (
     ItemErrors,
     block_split,
     grouped_index,
-    is_psd_hermitian,
     sqrt_complex_principal,
     sqrt_principal_stack,
     symplectic_form,
@@ -45,24 +44,6 @@ class TestSymplecticForm:
     def test_rejects_zero_modes(self):
         with pytest.raises(ValueError):
             symplectic_form(0)
-
-
-class TestPsdCheck:
-    def test_identity(self):
-        assert is_psd_hermitian(np.eye(3))
-
-    def test_negative_eigenvalue(self):
-        assert not is_psd_hermitian(np.diag([1.0, -1.0]))
-
-    def test_vacuum_boundary(self):
-        # eigenvalues of [[1, i], [-i, 1]] are {0, 2}: PSD but singular
-        h = np.eye(2) + 1j * symplectic_form(1)
-        assert is_psd_hermitian(h)
-        np.testing.assert_allclose(np.linalg.eigvalsh(h), [0.0, 2.0], atol=1e-14)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            is_psd_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestSqrtComplexPrincipal:
@@ -188,7 +169,7 @@ class TestWilliamson:
             cm = random_cm(n, rng)
             form = williamson(cm)
             delta = symplectic_form(n)
-            recon = form.s @ form.diagonal() @ form.s.T
+            recon = form.s @ np.diag(np.repeat(form.nus, 2)) @ form.s.T
             assert np.linalg.norm(recon - cm) <= 1e-8 * np.linalg.norm(cm)
             assert np.linalg.norm(form.s @ delta @ form.s.T - delta) <= 1e-8
 

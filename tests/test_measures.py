@@ -13,12 +13,11 @@ from gaussimag.measures import (
     imaginarity,
     imaginarity_single_mode,
     measure_all,
-    momentum_indicator,
     tsallis_imaginarity,
     tsallis_imaginarity_single_mode,
 )
 from gaussimag.sampling import inject_cross_entry, random_real_state, random_state
-from gaussimag.states import GaussianState, coherent_state, displaced_squeezed_thermal
+from gaussimag.states import GaussianState, coherent_state, displaced_squeezed_thermal, momentum_displaced
 
 
 def product_state(a, b):
@@ -48,7 +47,7 @@ class TestCovarianceRatioMeasure:
         for _ in range(200):
             state = random_state(int(rng.integers(1, 4)), rng)
             value = imaginarity(state)
-            if momentum_indicator(state) == 0:
+            if not momentum_displaced(state.d):
                 assert 0.0 <= value < 1.0
             else:
                 assert 1.0 <= value <= 2.0

@@ -1,3 +1,9 @@
+"""The paper's multipartite claim, through ``imaginarity`` and ``GaussianState.reduce``.
+
+The measure is defined mode-wise, so its value cannot depend on how modes are
+grouped into parties, and discarding modes can only lower it.
+"""
+
 import itertools
 
 import numpy as np
@@ -5,12 +11,6 @@ import pytest
 
 from gaussimag.dynamics import BathParams, evolve
 from gaussimag.measures import imaginarity
-from gaussimag.multipartite import (
-    Partition,
-    check_reduction_hierarchy,
-    check_refinement_hierarchy,
-    partition_imaginarity,
-)
 from gaussimag.sampling import random_real_state, random_state
 from gaussimag.states import GaussianState, two_mode_squeezed_vacuum
 
@@ -20,40 +20,6 @@ def all_proper_subsets(n):
         yield from itertools.combinations(range(1, n + 1), size)
 
 
-class TestPartition:
-    def test_blocks_normalized(self):
-        p = Partition([[1, 2], [3]])
-        assert p.blocks == ((1, 2), (3,))
-        assert p.modes() == (1, 2, 3)
-
-    def test_rejects_overlap_and_empty(self):
-        with pytest.raises(ValueError):
-            Partition([[1], [1, 2]])
-        with pytest.raises(ValueError):
-            Partition([[1], []])
-        with pytest.raises(ValueError):
-            Partition([])
-
-
-class TestPartitionIndependence:
-    def test_value_identical_across_partitions(self, rng):
-        state = random_state(3, rng)
-        direct = imaginarity(state)
-        for blocks in ([[1], [2], [3]], [[1, 2], [3]], [[1, 3], [2]], [[1, 2, 3]]):
-            assert partition_imaginarity(state, Partition(blocks)) == direct
-
-    def test_block_order_irrelevant(self, rng):
-        state = random_state(3, rng)
-        a = partition_imaginarity(state, Partition([[1], [2, 3]]))
-        b = partition_imaginarity(state, Partition([[2, 3], [1]]))
-        assert a == b
-
-    def test_partition_must_cover(self, rng):
-        state = random_state(3, rng)
-        with pytest.raises(ValueError):
-            partition_imaginarity(state, Partition([[1], [2]]))
-
-
 class TestReductionHierarchy:
     def test_discarding_real_factor(self, rng):
         noisy = random_state(1, rng)
@@ -61,60 +27,42 @@ class TestReductionHierarchy:
         cm = np.zeros((4, 4))
         cm[:2, :2], cm[2:, 2:] = noisy.cm, real.cm
         product = GaussianState(np.concatenate([noisy.d, real.d]), cm)
-        check = check_reduction_hierarchy(product, [1])
-        assert check.holds
-        assert check.lhs == pytest.approx(check.rhs, abs=1e-10)
+        assert imaginarity(product.reduce([1])) == pytest.approx(imaginarity(product), abs=1e-10)
 
     def test_evolved_bath_state(self):
         bath = BathParams(lam=0.1, n_th=1.5, big_r=1.0, phi=np.pi / 2)
         for t in (0.0, 3.0, 30.0):
             evolved = evolve(two_mode_squeezed_vacuum(1.0), bath, t)
-            check = check_reduction_hierarchy(evolved, [1], tol=1e-9)
-            assert check.holds
-            assert check.lhs <= check.rhs + 1e-9
+            assert imaginarity(evolved.reduce([1])) <= imaginarity(evolved) + 1e-9
 
     def test_random_states_never_violate(self, rng):
         for _ in range(300):
             n = int(rng.integers(2, 5))
             state = random_state(n, rng)
+            full = imaginarity(state)
             for modes in all_proper_subsets(n):
-                assert check_reduction_hierarchy(state, list(modes), tol=1e-9).holds
-
-    def test_full_subset_rejected(self, rng):
-        with pytest.raises(ValueError):
-            check_reduction_hierarchy(random_state(2, rng), [1, 2])
+                assert imaginarity(state.reduce(modes)) <= full + 1e-9
 
 
 class TestRefinementHierarchy:
     def test_keeping_everything_is_equality(self, rng):
         state = random_state(3, rng)
-        p = Partition([[1, 2], [3]])
-        check = check_refinement_hierarchy(state, p, p)
-        assert check.holds
-        assert check.lhs == check.rhs
+        assert imaginarity(state.reduce([1, 2, 3])) == imaginarity(state)
 
     def test_random_refinements_hold(self, rng):
+        # a nonempty subset of each block of a random two-block partition,
+        # kept in block order: a permuted proper or full subset of the modes
         for _ in range(200):
             n = int(rng.integers(2, 5))
             state = random_state(n, rng)
             modes = [int(m) + 1 for m in rng.permutation(n)]
             cut = int(rng.integers(1, n))
-            coarse = Partition([sorted(modes[:cut]), sorted(modes[cut:])])
-            fine = Partition(
-                [
-                    sorted(rng.choice(block, size=int(rng.integers(1, len(block) + 1)), replace=False).tolist())
-                    for block in coarse.blocks
-                ]
-            )
-            assert check_refinement_hierarchy(state, coarse, fine, tol=1e-9).holds
-
-    def test_incompatible_refinement_rejected(self, rng):
-        state = random_state(3, rng)
-        coarse = Partition([[1, 2], [3]])
-        with pytest.raises(ValueError):
-            check_refinement_hierarchy(state, coarse, Partition([[3], [1]]))
-        with pytest.raises(ValueError):
-            check_refinement_hierarchy(state, Partition([[1], [2]]), Partition([[1], [2]]))
+            kept = [
+                m
+                for block in (sorted(modes[:cut]), sorted(modes[cut:]))
+                for m in sorted(rng.choice(block, size=int(rng.integers(1, len(block) + 1)), replace=False).tolist())
+            ]
+            assert imaginarity(state.reduce(kept)) <= imaginarity(state) + 1e-9
 
 
 class TestModePermutationSymmetry:

@@ -194,6 +194,12 @@ class TestReduce:
             state.reduce([3])
         with pytest.raises(ValueError):
             state.reduce([1, 1])
+        # once a bare IndexError (1.0, 1.5) or TypeError ("1") from numpy; True read as mode 1
+        for label in (1.0, 1.5, "1", True):
+            with pytest.raises(ValueError, match=f"^mode labels must be integers, got {label!r}$"):
+                state.reduce([label])
+        # numpy integers are labels too
+        np.testing.assert_array_equal(state.reduce(np.array([2])).cm, state.reduce([2]).cm)
 
 
 class TestConstructors:

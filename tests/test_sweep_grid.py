@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gaussimag.cli import FAMILY_PARAMS, SweepSpec, _grid_states
-from gaussimag.dynamics import BathParams, bath_derived, evolve
+from gaussimag.dynamics import BathParams, evolve
 from gaussimag.states import coherent_state, displaced_squeezed_thermal, two_mode_squeezed_vacuum
 
 POLAR = {"abs_zeta": 0.4, "theta": 1.1}
@@ -60,9 +60,9 @@ def reference_two_mode_squeezed(r):
 
 def reference_evolved(d0, cm0, bath, t):
     # the one-time arithmetic that evolve always had
-    b = bath_derived(bath)
-    c = 2.0 * b.m.imag
-    block = np.array([[1.0 + 2.0 * b.l_plus, c], [c, 1.0 + 2.0 * b.l_minus]])
+    _, _, m, l_plus, l_minus = (a[0].item() for a in bath.stack)
+    c = 2.0 * m.imag
+    block = np.array([[1.0 + 2.0 * l_plus, c], [c, 1.0 + 2.0 * l_minus]])
     nu = np.zeros((4, 4))
     nu[:2, :2] = nu[2:, 2:] = block
     decay = math.exp(-bath.lam * t)
