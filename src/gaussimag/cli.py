@@ -69,6 +69,14 @@ def _fmt_csv(value) -> str:
     return format(float(value), ".12g")
 
 
+def _is_number(value, integer: bool = False) -> bool:
+    # a JSON value that float() or numpy has read is a number (an integer, if
+    # asked) unless it is true or false, which both read as 1 and 0
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return False
+    return not integer or isinstance(value, int) or isinstance(value, float) and value.is_integer()
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     family: str
@@ -82,13 +90,20 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SweepSpec":
+        def number(name, value):
+            read = float(value)  # names the fault of a null or a non-numeric string
+            if not _is_number(value):
+                raise TypeError(f"{name} is not a number: {json.dumps(value)}")
+            return read
+
         try:
-            family = obj["family"]
-            axis = obj["axis"]
-            grid = obj["grid"]
-            start, stop, count = float(grid["start"]), float(grid["stop"]), int(grid["count"])
-            fixed = {k: float(v) for k, v in dict(obj.get("fixed", {})).items()}
-            mu, zero_tol = float(obj.get("mu", 0.5)), float(obj.get("zero_tol", ZERO_TOL))
+            family, axis, grid = obj["family"], obj["axis"], obj["grid"]
+            start, stop = number("grid start", grid["start"]), number("grid stop", grid["stop"])
+            if not _is_number(count := grid["count"], integer=True):
+                raise TypeError(f"grid count is not an integer: {json.dumps(count)}")
+            fixed = {k: number(f"fixed {k}", v) for k, v in dict(obj.get("fixed", {})).items()}
+            mu = number("mu", obj.get("mu", 0.5))
+            zero_tol = number("zero_tol", obj.get("zero_tol", ZERO_TOL))
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"missing or malformed spec field: {exc}") from exc
         if family not in FAMILIES:
@@ -108,7 +123,7 @@ class SweepSpec:
             check_zero_tol(zero_tol)
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
-        return cls(family, axis, start, stop, count, fixed, mu, zero_tol)
+        return cls(family, axis, start, stop, int(count), fixed, mu, zero_tol)
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -212,18 +227,18 @@ def _fields(obj, kind: str, *keys: str) -> dict:
     # holding every one of them and any declared mode count n is an integer
     if not (isinstance(obj, dict) and all(key in obj for key in keys)):
         raise _ParseError(f"{kind} file is not a JSON object with fields {', '.join(keys)}")
-    n = obj.get("n", 0)
-    if isinstance(n, bool) or not (isinstance(n, int) or isinstance(n, float) and n.is_integer()):
+    if not _is_number(n := obj.get("n", 0), integer=True):
         raise _ParseError(f"{kind} field n is not an integer: {json.dumps(n)}")
     arrays = {}
     for key in keys:
+        fault = f"{kind} field {key} is not an array of numbers"
         try:
             arrays[key] = np.asarray(obj[key], dtype=float)
         except (TypeError, ValueError) as exc:
-            raise _ParseError(f"{kind} field {key} is not an array of numbers: {exc}") from exc
-        # numpy reads a JSON null as NaN
-        if np.isnan(arrays[key]).any() and None in np.asarray(obj[key], dtype=object):
-            raise _ParseError(f"{kind} field {key} is not an array of numbers: it holds null")
+            raise _ParseError(f"{fault}: {exc}") from exc
+        # numpy reads null, true and false as NaN, 1.0 and 0.0
+        if held := [x for x in np.asarray(obj[key], dtype=object).flat if not _is_number(x)]:
+            raise _ParseError(f"{fault}: it holds {json.dumps(held[0])}")
     return {**obj, **arrays}
 
 

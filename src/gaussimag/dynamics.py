@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import WrongModeCount
 from .measures import StackReport, _libm, measure_stack
-from .states import ZERO_TOL, GaussianState, check_zero_tol
+from .states import ZERO_TOL, GaussianState, check_zero_tol, two_mode_squeezed_layout
 
 
 @dataclass(frozen=True)
@@ -200,14 +200,7 @@ def _detect_family(state0: GaussianState):
         return ("coherent", alphas)
     if float(np.abs(d).max()) <= ZERO_TOL:
         ch, sh = cm[0, 0] / 2.0, cm[0, 2] / 2.0
-        pattern = np.array(
-            [
-                [2 * ch, 0.0, 2 * sh, 0.0],
-                [0.0, 2 * ch, 0.0, -2 * sh],
-                [2 * sh, 0.0, 2 * ch, 0.0],
-                [0.0, -2 * sh, 0.0, 2 * ch],
-            ]
-        )
+        pattern = two_mode_squeezed_layout(cm[0, 0], cm[0, 2])
         hyperbolic = abs(ch**2 - sh**2 - 1.0) <= 1e-9
         if ch >= 1.0 and hyperbolic and np.allclose(cm, pattern, atol=ZERO_TOL):
             return ("squeezed_vacuum", 0.5 * math.asinh(sh))

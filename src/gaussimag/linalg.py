@@ -42,8 +42,9 @@ class ItemErrors:
     """Per-item failures of a computation over a stack of ``count`` items.
 
     ``errors[k]`` is None or the exception item k failed with.  ``live`` holds
-    the indices of the items not failed yet; every stage works on those only,
-    so the arrays handed between stages are aligned with ``live``.
+    the indices of the items not failed yet; every stage works on those only.
+    The one alignment rule: a stage hands the caller's arrays, passed as
+    ``carry``, back after its own results, without the items that failed in it.
     """
 
     def __init__(self, count: int):
@@ -79,13 +80,6 @@ class ItemErrors:
             bad = np.isin(np.arange(len(args[0])), list(caught))
             kept = self.fail(bad, caught.__getitem__, *args, *carry)
             return (fn(*kept[: len(args)]), *kept[len(args) :])
-
-    def narrow(self, before: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Restrict arrays aligned with an earlier live set ``before`` to the items still live."""
-        if len(before) == len(self.live):
-            return arrays
-        keep = np.isin(before, self.live)
-        return tuple(a[keep] for a in arrays)
 
     def spread(self, values: np.ndarray) -> np.ndarray:
         """Values of the live items at their stack positions, NaN at the failed ones."""
@@ -126,38 +120,37 @@ def _inv_or_nan(m: np.ndarray) -> np.ndarray:
         return out
 
 
-def sqrt_principal_stack(a: np.ndarray, errors: ItemErrors) -> np.ndarray:
-    """Principal square roots of a stack ``(L, m, m)`` aligned with ``errors.live``.
+def sqrt_principal_stack(a: np.ndarray, errors: ItemErrors, carry=()) -> tuple:
+    """``(root, *carry)``: principal square roots of a stack ``(L, m, m)`` over ``errors.live``.
 
     Items whose root is undefined or unreliable fail with
     ``ComplexSqrtBranchFailure``; the result covers the items still live.
     See ``sqrt_complex_principal``.
     """
-    (w, v), a = errors.call(np.linalg.eig, a, carry=(a,))
+    (w, v), a, *carry = errors.call(np.linalg.eig, a, carry=(a, *carry))
     scale = np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))[:, None]
     clamped = np.abs(w) <= SQRT_ZERO_CLAMP * scale
     w = np.where(clamped, 0.0, w)
     on_negative_axis = ~clamped & (w.real <= 1e-13 * scale) & (np.abs(w.imag) <= 1e-13 * scale)
-    a, w, v = errors.fail(
+    a, w, v, *carry = errors.fail(
         on_negative_axis.any(axis=-1),
         lambda j: ComplexSqrtBranchFailure(
             "eigenvalue on the closed negative real axis; principal branch undefined"
         ),
-        a, w, v,
+        a, w, v, *carry,
     )
     # an exactly singular eigenvector basis gives NaN, which the residual rejects
     v_inv = _inv_or_nan(v)
     root = (v * np.sqrt(w)[:, None, :]) @ v_inv
     residual = np.abs(root @ root - a).max(axis=(-2, -1), initial=0.0)
     limit = 1e-10 * (1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0))
-    (root,) = errors.fail(
+    return errors.fail(
         ~(residual <= limit),  # NaN residual included
         lambda j: ComplexSqrtBranchFailure(
             f"square-root reconstruction residual {residual[j]:.3e} above tolerance"
         ),
-        root,
+        root, *carry,
     )
-    return root
 
 
 def sqrt_complex_principal(a: np.ndarray) -> np.ndarray:
@@ -179,7 +172,7 @@ def sqrt_complex_principal(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("input must be a square matrix")
     errors = ItemErrors(1)
-    root = sqrt_principal_stack(a[None], errors)
+    (root,) = sqrt_principal_stack(a[None], errors)
     errors.raise_first()
     return root[0]
 
@@ -226,33 +219,34 @@ class WilliamsonForm:
     nus: np.ndarray  # symplectic eigenvalues, descending
 
 
-def williamson_stack(
-    cm: np.ndarray, errors: ItemErrors, tol: float = 1e-8
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def williamson_stack(cm: np.ndarray, errors: ItemErrors, tol: float = 1e-8, carry=()) -> tuple:
     """Symplectic normal forms of a stack ``(L, 2n, 2n)`` aligned with ``errors.live``.
 
-    Returns ``(s, nus, residual)`` for the items still live, ``residual`` the
-    larger of the two Frobenius reconstruction residuals (relative for the cm
-    round trip, absolute for ``s Delta s^T = Delta``).  Items that are not
+    Returns ``(s, nus, residual, *carry)`` over the live items: ``residual`` is
+    the larger of the two Frobenius reconstruction residuals (relative for the
+    cm round trip, absolute for ``s Delta s^T = Delta``).  Items that are not
     positive definite fail with ``ValueError``, items whose residual exceeds
     ``tol`` with ``WilliamsonResidualError``.  See ``williamson`` for the method.
     """
     n = cm.shape[-1] // 2
     delta = symplectic_form(n)
-    (w, v), cm = errors.call(np.linalg.eigh, 0.5 * (cm + _mT(cm)), carry=(cm,))
-    cm, w, v = errors.fail(
-        w.min(axis=-1) <= 0.0, lambda j: ValueError("matrix is not positive definite"), cm, w, v
+    (w, v), cm, *carry = errors.call(np.linalg.eigh, 0.5 * (cm + _mT(cm)), carry=(cm, *carry))
+    cm, w, v, *carry = errors.fail(
+        w.min(axis=-1) <= 0.0, lambda j: ValueError("matrix is not positive definite"),
+        cm, w, v, *carry,
     )
     sw = np.sqrt(w)[:, None, :]
     root, inv_root = (v * sw) @ _mT(v), (v / sw) @ _mT(v)
     skew = inv_root @ delta @ inv_root
     skew = 0.5 * (skew - _mT(skew))
     # Hermitian companion i*skew has spectrum {+-1/nu_l}
-    (eigvals, eigvecs), cm, root = errors.call(np.linalg.eigh, 1j * skew, carry=(cm, root))
-    cm, root, eigvals, eigvecs = errors.fail(
+    (eigvals, eigvecs), cm, root, *carry = errors.call(
+        np.linalg.eigh, 1j * skew, carry=(cm, root, *carry)
+    )
+    cm, root, eigvals, eigvecs, *carry = errors.fail(
         (eigvals > 0.0).sum(axis=-1) != n,
         lambda j: WilliamsonResidualError("could not pair the canonical eigenvalues"),
-        cm, root, eigvals, eigvecs,
+        cm, root, eigvals, eigvecs, *carry,
     )
     # eigenvalues ascend, so the n positive ones come last and give descending nus
     vecs = eigvecs[..., n:]
@@ -277,7 +271,7 @@ def williamson_stack(
         lambda j: WilliamsonResidualError(
             f"reconstruction residuals {res_cm[j]:.3e} / {res_sympl[j]:.3e} exceed tol={tol:.1e}"
         ),
-        s, nus, np.maximum(res_cm, res_sympl),
+        s, nus, np.maximum(res_cm, res_sympl), *carry,
     )
 
 

@@ -100,84 +100,59 @@ def imaginarity_single_mode(
     return 1.0 - 1.0 / (1.0 + s2) + h
 
 
-def _w_chain_stack(half_cm1: np.ndarray, half_cm2: np.ndarray, errors: ItemErrors):
-    # (w_aux, f_tot4) of the stacked chain, for the items still live
+def _w_chain_stack(half_cm1: np.ndarray, half_cm2: np.ndarray, errors: ItemErrors, carry=()):
+    """``(w_aux, f_tot4, *carry)`` of the fidelity chain on half-normalized cms (vacuum = I/2).
+
+    ``f_tot4`` is the fourth power of the un-normalized total fidelity; an
+    imaginary residue in it means the square root left the principal branch.
+    """
     n = half_cm1.shape[-1] // 2
     eye = np.eye(2 * n)
     i_delta = 1j * symplectic_form(n)
     w1 = -2.0 * half_cm1 @ i_delta
     w2 = -2.0 * half_cm2 @ i_delta
-    w_aux = -errors.call(np.linalg.solve, w1 + w2, eye + w2 @ w1)[0]
-    inv_sq, w_aux = errors.call(
-        np.linalg.solve, w_aux @ w_aux, np.broadcast_to(eye, w_aux.shape), carry=(w_aux,)
+    minus_w_aux, *carry = errors.call(np.linalg.solve, w1 + w2, eye + w2 @ w1, carry=carry)
+    w_aux = -minus_w_aux
+    inv_sq, w_aux, *carry = errors.call(
+        np.linalg.solve, w_aux @ w_aux, np.broadcast_to(eye, w_aux.shape), carry=(w_aux, *carry)
     )
-    before = errors.live
-    root = sqrt_principal_stack(eye - inv_sq, errors)
-    (w_aux,) = errors.narrow(before, w_aux)
+    root, w_aux, *carry = sqrt_principal_stack(eye - inv_sq, errors, carry=(w_aux, *carry))
     f_tot4 = np.linalg.det((root + eye) @ w_aux @ i_delta)
-    w_aux, f_tot4 = errors.fail(
+    w_aux, f_tot4, *carry = errors.fail(
         np.abs(f_tot4.imag) > 1e-9 * (1.0 + np.abs(f_tot4.real)),
         lambda j: NonRealResult(
             f"total-fidelity determinant has imaginary part {f_tot4[j].imag:.3e}"
         ),
-        w_aux, f_tot4,
+        w_aux, f_tot4, *carry,
     )
     return errors.fail(
         f_tot4.real <= 0.0,
         lambda j: NonRealResult(
             f"total-fidelity determinant is not positive: {f_tot4[j].real:.3e}"
         ),
-        w_aux, f_tot4,
+        w_aux, f_tot4, *carry,
     )
-
-
-def _fidelity_w_chain(half_cm1: np.ndarray, half_cm2: np.ndarray) -> dict:
-    """Auxiliary-matrix chain of the closed-form Gaussian fidelity.
-
-    Operates on half-normalized covariance matrices (vacuum = I/2); the
-    determinant of the assembled matrix is the fourth power of the
-    un-normalized total fidelity.  The square root must stay on the principal
-    branch, so the determinant is checked for a spurious imaginary residue.
-    """
-    errors = ItemErrors(1)
-    w_aux, f_tot4 = _w_chain_stack(
-        np.asarray(half_cm1, dtype=float)[None], np.asarray(half_cm2, dtype=float)[None], errors
-    )
-    errors.raise_first()
-    return {"w_aux": w_aux[0], "f_tot4": complex(f_tot4[0])}
 
 
 def _fidelity_stack(d: np.ndarray, cm: np.ndarray, errors: ItemErrors):
     # (f0, value) of the chain between each state and its conjugate, for the items still live
     o = momentum_signs(cm.shape[-1] // 2)
     # conjugation by diag(o) only flips signs, so it is applied elementwise
-    conj_cm = np.outer(o, o) * cm
-    before = errors.live
-    _, f_tot4 = _w_chain_stack(0.5 * cm, 0.5 * conj_cm, errors)
-    d, cm, conj_cm = errors.narrow(before, d, cm, conj_cm)
-    cm_sum, dd = cm + conj_cm, d - o * d
+    flip = np.outer(o, o)
+    _, f_tot4, d, cm = _w_chain_stack(0.5 * cm, 0.5 * (flip * cm), errors, carry=(d, cm))
+    cm_sum, dd = cm + flip * cm, d - o * d
     log_det, f_tot4, cm_sum, dd = errors.call(logdet_spd, 0.5 * cm_sum, carry=(f_tot4, cm_sum, dd))
     f0 = _libm(pow, f_tot4.real, 0.25) / _libm(pow, np.exp(log_det), 0.25)
     x, f0, dd = errors.call(_solve_vectors, cm_sum, dd, carry=(f0, dd))
     return f0, 1.0 - f0 * _libm(math.exp, -0.25 * _dot(dd, x))
 
 
-def _fidelity_chain(state: GaussianState) -> dict:
-    """Evaluate the Gaussian fidelity between a state and its conjugate.
-
-    Returns ``{"f0", "value"}``: the fidelity without its displacement factor,
-    and one minus the fidelity, so both can be regression-tested.  The
-    square-root branch of the chain is pinned through ``_fidelity_w_chain``.
-    """
-    errors = ItemErrors(1)
-    f0, value = _fidelity_stack(state.d[None], state.cm[None], errors)
-    errors.raise_first()
-    return {"f0": f0[0].item(), "value": value[0].item()}
-
-
 def fidelity_imaginarity(state: GaussianState) -> float:
     """One minus the fidelity between the state and its conjugate."""
-    return _fidelity_chain(state)["value"]
+    errors = ItemErrors(1)
+    _, value = _fidelity_stack(state.d[None], state.cm[None], errors)
+    errors.raise_first()
+    return value[0].item()
 
 
 def fidelity_imaginarity_single_mode(n_th: float, zeta: complex, alpha: complex) -> float:
@@ -211,9 +186,7 @@ def _check_mu(mu: float) -> None:
 def _tsallis_stack(d: np.ndarray, cm: np.ndarray, mu: float, errors: ItemErrors) -> np.ndarray:
     # Tsallis-type measure of each state, for the items still live
     n = cm.shape[-1] // 2
-    before = errors.live
-    s, nus, _ = williamson_stack(cm, errors)
-    (d,) = errors.narrow(before, d)
+    s, nus, _, d = williamson_stack(cm, errors, carry=(d,))
     factors, scale_mu, scale_1mu = _mu_weights(nus, mu)
     s_t = s.swapaxes(-1, -2)
     cm_mu = (s * scale_mu.repeat(2, axis=-1)[:, None, :]) @ s_t
@@ -390,8 +363,9 @@ def measure_stack(
     d = np.asarray(d, dtype=float)
     cm = np.asarray(cm, dtype=float)
     base = ItemErrors(len(cm))
-    ((value, h, *log_dets),) = base.call(partial(_imaginarity_stack, zero_tol=zero_tol), d, cm)
-    d, cm = base.narrow(np.arange(len(cm)), d, cm)
+    (value, h, *log_dets), d, cm = base.call(
+        partial(_imaginarity_stack, zero_tol=zero_tol), d, cm, carry=(d, cm)
+    )
     return StackReport(
         mu=mu,
         zero_tol=zero_tol,

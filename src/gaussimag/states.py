@@ -221,12 +221,18 @@ def displaced_squeezed_thermal(n_th: float, zeta: complex, alpha: complex) -> Ga
     return GaussianState(*(a[0] for a in stacks))
 
 
+def two_mode_squeezed_layout(diagonal, cross) -> np.ndarray:
+    """4x4 matrices stacked over the arrays' shape: ``diagonal`` on the diagonal,
+    ``cross`` between the two positions and ``-cross`` between the two momenta."""
+    a, c, z = diagonal, cross, np.zeros_like(diagonal)
+    cm = np.stack((a, z, c, z, z, a, z, -c, c, z, a, z, z, -c, z, a), axis=-1)
+    return cm.reshape(*z.shape, 4, 4)
+
+
 def two_mode_squeezed_stack(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(d, cm)`` stacks of ``two_mode_squeezed_vacuum`` over squeezings ``r`` ``(B,)``."""
-    ch, sh = 2.0 * np.cosh(2 * r), 2.0 * np.sinh(2 * r)
-    z = np.zeros_like(ch)
-    cm = np.stack((ch, z, sh, z, z, ch, z, -sh, sh, z, ch, z, z, -sh, z, ch), axis=-1)
-    return np.zeros((len(r), 4)), cm.reshape(-1, 4, 4)
+    cm = two_mode_squeezed_layout(2.0 * np.cosh(2 * r), 2.0 * np.sinh(2 * r))
+    return np.zeros((len(r), 4)), cm
 
 
 def two_mode_squeezed_vacuum(r: float) -> GaussianState:

@@ -9,10 +9,10 @@ import math
 import numpy as np
 from gaussimag.dynamics import BathParams, evolve, trajectory
 from gaussimag.fuzz import run_suite
-from gaussimag.linalg import symplectic_form
+from gaussimag.linalg import ItemErrors, symplectic_form
 from gaussimag.measures import (
-    _fidelity_chain,
-    _fidelity_w_chain,
+    _fidelity_stack,
+    _w_chain_stack,
     fidelity_imaginarity,
     fidelity_imaginarity_single_mode,
     imaginarity,
@@ -220,11 +220,12 @@ def test_c10_normal_form_and_determinant_oracles():
 
 def test_c11_vacuum_fidelity_regression():
     # the hand-derived auxiliary-chain trace that pins the square-root branch
-    chain = _fidelity_w_chain(np.eye(2), np.eye(2))
-    assert np.abs(chain["w_aux"] - 1.25j * symplectic_form(1)).max() <= 1e-12
-    assert abs(chain["f_tot4"] - 4.0) <= 1e-12
+    w_aux, f_tot4 = _w_chain_stack(np.eye(2)[None], np.eye(2)[None], ItemErrors(1))
+    assert np.abs(w_aux[0] - 1.25j * symplectic_form(1)).max() <= 1e-12
+    assert abs(complex(f_tot4[0]) - 4.0) <= 1e-12
 
-    vacuum = _fidelity_chain(coherent_state([0]))
-    assert abs(vacuum["f0"] - 1.0) <= 1e-12
-    assert abs(vacuum["value"]) <= 1e-12
+    vacuum = coherent_state([0])
+    f0, value = _fidelity_stack(vacuum.d[None], vacuum.cm[None], ItemErrors(1))
+    assert abs(f0[0] - 1.0) <= 1e-12
+    assert abs(value[0]) <= 1e-12
     done(11, "vacuum fidelity-chain intermediates and value reproduce the fixed trace")

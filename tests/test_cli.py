@@ -544,12 +544,38 @@ class TestMalformedInput:
                 {"n": 1, "T": IDENTITY, "N": IDENTITY, "d0": [None, 0.0]},
                 "channel field d0 is not an array of numbers: it holds null",
             ),
+            (
+                "validate",
+                {"n": 1, "d": [True, 0.0], "cm": IDENTITY},
+                "state field d is not an array of numbers: it holds true",
+            ),
+            (
+                "measure",
+                {"n": 1, "d": [True, 0.0], "cm": IDENTITY},
+                "state field d is not an array of numbers: it holds true",
+            ),
+            (
+                "validate",
+                {"n": 1, "d": False, "cm": IDENTITY},
+                "state field d is not an array of numbers: it holds false",
+            ),
+            (
+                "measure",
+                {"n": 1, "d": [0.0, 0.0], "cm": [[1.0, False], [0.0, 1.0]]},
+                "state field cm is not an array of numbers: it holds false",
+            ),
+            (
+                "validate",
+                {"n": 1, "T": IDENTITY, "N": IDENTITY, "d0": [0.0, True]},
+                "channel field d0 is not an array of numbers: it holds true",
+            ),
         ],
     )
     def test_wrong_typed_field_is_a_parse_error(self, tmp_path, capsys, command, obj, message):
         # a null or dict field once printed a TypeError traceback, a string
         # inside cm or N a ValueError with exit 1; an n of 1.5 was read as 1;
-        # a null inside an array was read as NaN (exit 1), a NaN literal still is
+        # a null inside an array was read as NaN (exit 1), a NaN literal still is;
+        # a true or false inside an array was read as 1.0 or 0.0 (exit 0)
         assert main([command, write_json(tmp_path / "input.json", obj)]) == 2
         assert capsys.readouterr() == ("", f"parse error: {message}\n")
 
@@ -576,10 +602,20 @@ class TestMalformedInput:
         ("mu", "x", "could not convert string to float: 'x'"),
         ("zero_tol", "x", "could not convert string to float: 'x'"),
         ("mu", None, "float() argument must be a string or a real number, not 'NoneType'"),
+        ("mu", True, "mu is not a number: true"),
+        ("zero_tol", False, "zero_tol is not a number: false"),
+        ("grid", {"start": False, "stop": 1.0, "count": 3}, "grid start is not a number: false"),
+        ("grid", {"start": 0.0, "stop": 1.0, "count": 3.7}, "grid count is not an integer: 3.7"),
+        ("grid", {"start": 0.0, "stop": 1.0, "count": "3"}, 'grid count is not an integer: "3"'),
+        ("grid", {"start": 0.0, "stop": 1.0, "count": True}, "grid count is not an integer: true"),
+        ("grid", {"start": 0.0, "stop": 1.0, "count": math.inf}, "grid count is not an integer: Infinity"),
+        ("fixed", {"r": 1.0, "n_th": 1.5, "lam": True}, "fixed lam is not a number: true"),
     ],
 )
 def test_non_numeric_spec_field_is_an_invalid_spec(tmp_path, capsys, command, key, value, message):
-    # a non-numeric mu or zero_tol once printed a ValueError traceback
+    # a non-numeric mu or zero_tol once printed a ValueError traceback, an
+    # infinite count an OverflowError one; a true was read as 1.0, and a count
+    # of 3.7 or "3" as 3
     spec = {
         "family": "sv_dynamics",
         "axis": "t",

@@ -17,6 +17,7 @@ from gaussimag.linalg import (
     sqrt_principal_stack,
     symplectic_form,
     williamson,
+    williamson_stack,
 )
 from gaussimag.sampling import random_cm
 from gaussimag.states import displaced_squeezed_thermal
@@ -119,11 +120,16 @@ class TestSqrtComplexPrincipal:
             np.linalg.inv(np.linalg.eig(nilpotent)[1])
         regular = random_hermitian_pd(3, rng)
         errors = ItemErrors(2)
-        root = sqrt_principal_stack(np.stack([nilpotent, regular]), errors)
+        (root,) = sqrt_principal_stack(np.stack([nilpotent, regular]), errors)
         assert isinstance(errors.errors[0], ComplexSqrtBranchFailure)
         assert "residual nan" in str(errors.errors[0])
         assert errors.errors[1] is None
         assert root[0].tobytes() == sqrt_complex_principal(regular).tobytes()
+        # the caller's arrays come back without the failed item
+        _, labels = sqrt_principal_stack(
+            np.stack([nilpotent, regular]), ItemErrors(2), carry=(np.arange(2),)
+        )
+        assert labels.tolist() == [1]
 
 
 def test_import_does_not_load_scipy():
@@ -194,6 +200,18 @@ class TestWilliamson:
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValueError):
             williamson(np.eye(3))
+
+    def test_a_failed_item_leaves_the_carried_arrays(self, rng):
+        # the indefinite item fails, and the caller's arrays come back
+        # aligned with the item left
+        good = random_cm(2, rng)
+        errors = ItemErrors(2)
+        s, _, _, labels = williamson_stack(
+            np.stack([np.diag([1.0, -1.0, 1.0, 1.0]), good]), errors, carry=(np.arange(2),)
+        )
+        assert isinstance(errors.errors[0], ValueError)
+        assert labels.tolist() == [1]
+        assert s[0].tobytes() == williamson(good).s.tobytes()
 
 
 class TestModeReordering:

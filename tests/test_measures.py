@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from gaussimag.errors import InvalidMu, NonRealResult
+from gaussimag.linalg import ItemErrors
 from gaussimag.measures import (
-    _fidelity_chain,
-    _fidelity_w_chain,
+    _fidelity_stack,
+    _w_chain_stack,
     fidelity_imaginarity,
     fidelity_imaginarity_single_mode,
     imaginarity,
@@ -84,16 +85,15 @@ class TestFidelityMeasure:
     def test_vacuum_chain_intermediates(self):
         from gaussimag.linalg import symplectic_form
 
-        chain = _fidelity_w_chain(np.eye(2), np.eye(2))
-        np.testing.assert_allclose(
-            chain["w_aux"], 1.25j * symplectic_form(1), atol=1e-14
-        )
-        assert chain["f_tot4"] == pytest.approx(4.0, abs=1e-14)
+        w_aux, f_tot4 = _w_chain_stack(np.eye(2)[None], np.eye(2)[None], ItemErrors(1))
+        np.testing.assert_allclose(w_aux[0], 1.25j * symplectic_form(1), atol=1e-14)
+        assert complex(f_tot4[0]) == pytest.approx(4.0, abs=1e-14)
 
     def test_vacuum_value(self):
-        chain = _fidelity_chain(coherent_state([0]))
-        assert chain["f0"] == pytest.approx(1.0, abs=1e-14)
-        assert chain["value"] == pytest.approx(0.0, abs=1e-14)
+        vacuum = coherent_state([0])
+        f0, value = _fidelity_stack(vacuum.d[None], vacuum.cm[None], ItemErrors(1))
+        assert f0[0] == pytest.approx(1.0, abs=1e-14)
+        assert value[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_coherent_closed_form(self):
         for alpha in (1j, 0.5 - 0.25j, 2j):

@@ -79,6 +79,21 @@ class TestStackMatchesSingleCalls:
         for field in ("imaginarity", "fidelity_imaginarity", "tsallis_imaginarity", "log_dets"):
             np.testing.assert_array_equal(getattr(mixed, field)[keep], getattr(alone, field))
 
+    def test_several_chain_failures_in_one_stack(self):
+        # the wide states that test_wide_pool_outcomes_are_pinned scores one at
+        # a time, in one stack per mode count; 12 of them fail the fidelity chain
+        failed = 0
+        for n, count in ((8, 64), (16, 16)):
+            states = [
+                random_state(n, np.random.default_rng([n, k]), max_squeeze=2.0) for k in range(count)
+            ]
+            reports = measure_stack(*stack(states))
+            for k, state in enumerate(states):
+                report = reports.report(k).to_dict()
+                assert report == measure_all(state).to_dict()
+                failed += report["fidelity_error"] is not None
+        assert failed == 12
+
     def test_linalg_error_is_kept_per_item(self):
         # an indefinite matrix makes the stacked Cholesky fail; only its item fails
         d = np.zeros((3, 2))
