@@ -303,15 +303,13 @@ def cmd_sweep(args) -> int:
     reports = measure_stack(d, cm, spec.mu, spec.zero_tol)
     columns = (reports.imaginarity, reports.fidelity_imaginarity, reports.tsallis_imaginarity)
     rows = zip(grid[: len(d)].tolist(), *(c.tolist() for c in columns))
-    for k, (row, failed) in enumerate(zip(rows, reports.failures)):
+    for row, failed in zip(rows, reports.failures):
         if not any(failed):
             lines.append("%.12g,%.12g,%.12g,%.12g" % row)
             continue
-        # raises what report(k) raises; a numeric failure leaves its cell empty
-        try:
-            reports.report(k)
-        except ValueError as exc:
-            raise SpecError(_at_point(spec, row[0], exc)) from exc
+        # a covariance-ratio failure ends the sweep; a fidelity or Tsallis one leaves its cell empty
+        if failed[0] is not None:
+            raise SpecError(_at_point(spec, row[0], failed[0])) from failed[0]
         row = row[:2] + tuple(None if exc else v for v, exc in zip(row[2:], failed[1:]))
         lines.append(",".join(_fmt_csv(c) for c in row))
     if error is not None:

@@ -106,26 +106,11 @@ class ItemErrors:
 SQRT_ZERO_CLAMP = 1e-12
 
 
-def _inv_or_nan(m: np.ndarray) -> np.ndarray:
-    """Inverses of a stack ``(L, k, k)``; NaN for each exactly singular item."""
-    try:
-        return np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        out = np.full_like(m, np.nan)
-        for j in range(len(m)):
-            try:
-                out[j] = np.linalg.inv(m[j])
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
 def sqrt_principal_stack(a: np.ndarray, errors: ItemErrors, carry=()) -> tuple:
     """``(root, *carry)``: principal square roots of a stack ``(L, m, m)`` over ``errors.live``.
 
-    Items whose root is undefined or unreliable fail with
-    ``ComplexSqrtBranchFailure``; the result covers the items still live.
-    See ``sqrt_complex_principal``.
+    An item fails with what ``sqrt_complex_principal`` raises on it; the result
+    covers the items still live.
     """
     (w, v), a, *carry = errors.call(np.linalg.eig, a, carry=(a, *carry))
     scale = np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))[:, None]
@@ -139,8 +124,7 @@ def sqrt_principal_stack(a: np.ndarray, errors: ItemErrors, carry=()) -> tuple:
         ),
         a, w, v, *carry,
     )
-    # an exactly singular eigenvector basis gives NaN, which the residual rejects
-    v_inv = _inv_or_nan(v)
+    v_inv, a, w, v, *carry = errors.call(np.linalg.inv, v, carry=(a, w, v, *carry))
     root = (v * np.sqrt(w)[:, None, :]) @ v_inv
     residual = np.abs(root @ root - a).max(axis=(-2, -1), initial=0.0)
     limit = 1e-10 * (1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0))
@@ -167,6 +151,7 @@ def sqrt_complex_principal(a: np.ndarray) -> np.ndarray:
     Raises:
         ComplexSqrtBranchFailure: if an eigenvalue sits on the closed negative
             real axis, or the reconstruction residual is above 1e-10 relative.
+        LinAlgError: if the eigenvector basis is exactly singular.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -224,15 +209,16 @@ def williamson_stack(cm: np.ndarray, errors: ItemErrors, tol: float = 1e-8, carr
 
     Returns ``(s, nus, residual, *carry)`` over the live items: ``residual`` is
     the larger of the two Frobenius reconstruction residuals (relative for the
-    cm round trip, absolute for ``s Delta s^T = Delta``).  Items that are not
-    positive definite fail with ``ValueError``, items whose residual exceeds
-    ``tol`` with ``WilliamsonResidualError``.  See ``williamson`` for the method.
+    cm round trip, absolute for ``s Delta s^T = Delta``).  Indefinite or NaN
+    items fail with ``LinAlgError``, items whose residual exceeds ``tol`` with
+    ``WilliamsonResidualError``.  See ``williamson`` for the method.
     """
     n = cm.shape[-1] // 2
     delta = symplectic_form(n)
     (w, v), cm, *carry = errors.call(np.linalg.eigh, 0.5 * (cm + _mT(cm)), carry=(cm, *carry))
     cm, w, v, *carry = errors.fail(
-        w.min(axis=-1) <= 0.0, lambda j: ValueError("matrix is not positive definite"),
+        ~(w.min(axis=-1) > 0.0),  # NaN spectrum included
+        lambda j: np.linalg.LinAlgError("matrix is not positive definite"),
         cm, w, v, *carry,
     )
     sw = np.sqrt(w)[:, None, :]
@@ -291,6 +277,7 @@ def williamson(cm: np.ndarray, tol: float = 1e-8) -> WilliamsonForm:
         WilliamsonForm with ``s`` symplectic and ``nus`` sorted descending.
 
     Raises:
+        LinAlgError (a ``ValueError``): when the input is not positive definite or holds a NaN.
         WilliamsonResidualError: when the construction fails to reproduce the
             input within ``tol`` (ill-conditioned input).
     """

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from gaussimag import measures
-from gaussimag.cli import _complex, main
+from gaussimag.cli import SweepSpec, _complex, _grid_states, main
 from gaussimag.errors import NonRealResult
-from gaussimag.states import coherent_state
+from gaussimag.states import GaussianState, coherent_state
 
 
 def write_json(path, obj):
@@ -830,27 +830,44 @@ class TestFragilePathFailures:
                 cells[2] = ""
             assert row == ",".join(cells)
 
-    @pytest.fixture
-    def failing_tsallis(self, monkeypatch):
-        # the last item of each stack fails the Tsallis path with an error that is not numeric
-        tsallis_stack = measures._tsallis_stack
+    # |zeta| = 9.30..9.36 at theta = 1: pure states whose covariance ratio
+    # still exists, while the Tsallis and fidelity paths fail on some of them
+    SQUEEZED = {
+        "family": "squeezed",
+        "axis": "abs_zeta",
+        "grid": {"start": 9.3, "stop": 9.36, "count": 7},
+        "fixed": {"theta": 1.0},
+    }
 
-        def fail_last(d, cm, mu, errors):
-            last = errors.live == len(errors.errors) - 1
-            d, cm = errors.fail(last, lambda j: ValueError("synthetic failure"), d, cm)
-            return tsallis_stack(d, cm, mu, errors)
+    def squeezed_states(self):
+        spec = SweepSpec.from_dict(self.SQUEEZED)
+        d, cm, error = _grid_states(spec, spec.grid())
+        assert error is None
+        return [GaussianState(*item) for item in zip(d, cm)]
 
-        monkeypatch.setattr(measures, "_tsallis_stack", fail_last)
-
-    def test_non_numeric_failure_raises_from_measure_all(self, failing_tsallis):
-        with pytest.raises(ValueError, match="synthetic failure"):
-            measures.measure_all(coherent_state([1j]))
-
-    def test_non_numeric_failure_is_an_invalid_spec(self, failing_tsallis, sweep_spec, capsys):
-        assert main(["sweep", sweep_spec]) == 1
+    def test_indefinite_normal_form_is_a_measure_warning(self, tmp_path, capsys):
+        path = write_json(tmp_path / "state.json", self.squeezed_states()[-1].to_dict())
+        assert main(["measure", path]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "invalid spec: im_alpha=2: ValueError: synthetic failure\n"
+        assert '"tsallis_imaginarity": null' in captured.out
+        assert captured.err == (
+            "warning: tsallis path failed: LinAlgError: matrix is not positive definite\n"
+        )
+
+    def test_squeezed_sweep_leaves_failed_cells_empty(self, tmp_path, capsys):
+        assert main(["sweep", write_json(tmp_path / "spec.json", self.SQUEEZED)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [row.split(",") for row in captured.out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["9.3", "9.31", "9.32", "9.33", "9.34", "9.35", "9.36"]
+        empty = 0
+        for row, state in zip(rows, self.squeezed_states()):
+            report = measures.measure_all(state)
+            values = report.fidelity_imaginarity, report.tsallis_imaginarity
+            for cell, value in zip(row[2:], values):
+                assert cell == ("" if value is None else "%.12g" % value)
+                empty += value is None
+        assert empty > 0
 
 
 class TestRepeatedCalls:

@@ -113,16 +113,16 @@ class TestSqrtComplexPrincipal:
 
     def test_singular_eigenvector_basis_in_a_stack(self, rng):
         # eig returns an exactly singular basis for the 3x3 nilpotent Jordan
-        # block; that item fails alone, and its neighbour keeps the root it
-        # gets on its own
+        # block; that item fails alone, as inverting the basis fails, and its
+        # neighbour keeps the root it gets on its own
         nilpotent = np.diag([1.0, 1.0], 1).astype(complex)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(np.linalg.eig(nilpotent)[1])
         regular = random_hermitian_pd(3, rng)
         errors = ItemErrors(2)
         (root,) = sqrt_principal_stack(np.stack([nilpotent, regular]), errors)
-        assert isinstance(errors.errors[0], ComplexSqrtBranchFailure)
-        assert "residual nan" in str(errors.errors[0])
+        assert isinstance(errors.errors[0], np.linalg.LinAlgError)
+        assert str(errors.errors[0]) == "Singular matrix"
         assert errors.errors[1] is None
         assert root[0].tobytes() == sqrt_complex_principal(regular).tobytes()
         # the caller's arrays come back without the failed item
@@ -201,6 +201,14 @@ class TestWilliamson:
         with pytest.raises(ValueError):
             williamson(np.eye(3))
 
+    @pytest.mark.parametrize(
+        "cm", [np.diag([1.0, -1.0, 1.0, 1.0]), np.diag([1.0, 0.0]), np.diag([2.0, np.nan])]
+    )
+    def test_rejects_non_positive_definite(self, cm):
+        # a NaN spectrum fails the positivity check too; LinAlgError is a ValueError
+        with pytest.raises(np.linalg.LinAlgError, match="^matrix is not positive definite$"):
+            williamson(cm)
+
     def test_a_failed_item_leaves_the_carried_arrays(self, rng):
         # the indefinite item fails, and the caller's arrays come back
         # aligned with the item left
@@ -209,7 +217,7 @@ class TestWilliamson:
         s, _, _, labels = williamson_stack(
             np.stack([np.diag([1.0, -1.0, 1.0, 1.0]), good]), errors, carry=(np.arange(2),)
         )
-        assert isinstance(errors.errors[0], ValueError)
+        assert isinstance(errors.errors[0], np.linalg.LinAlgError)
         assert labels.tolist() == [1]
         assert s[0].tobytes() == williamson(good).s.tobytes()
 

@@ -8,7 +8,13 @@ import pytest
 from gaussimag import measures
 from gaussimag.cli import main
 from gaussimag.dynamics import BathParams, evolve, trajectory
-from gaussimag.errors import AsymmetricCM, ComplexSqrtBranchFailure, UncertaintyViolation
+from gaussimag.errors import (
+    AsymmetricCM,
+    ComplexSqrtBranchFailure,
+    NonRealResult,
+    UncertaintyViolation,
+    WilliamsonResidualError,
+)
 from gaussimag.linalg import symplectic_form
 from gaussimag.measures import fidelity_imaginarity, imaginarity, measure_all, measure_stack
 from gaussimag.sampling import draw_symplectic, random_state, symplectic_stack
@@ -17,6 +23,7 @@ from gaussimag.states import (
     coherent_state,
     displaced_squeezed_thermal,
     real_pattern,
+    squeezed_thermal_stack,
     two_mode_squeezed_vacuum,
     validate,
 )
@@ -224,6 +231,27 @@ class TestPureStateOracle:
             lhs = (1.0 - reports.fidelity_imaginarity) ** 2
             worst = max(worst, float(np.abs(lhs - (1.0 - reports.tsallis_imaginarity)).max()))
         assert worst <= 1e-12
+
+
+class TestNamedFailures:
+    def test_squeezing_scan_records_only_named_failures(self):
+        # squeezed vacua at 4 phases x 1,201 values of |zeta| in [0, 12]: the
+        # covariance ratio fails from |zeta| ~ 9.2 on, the fragile paths earlier
+        r = np.linspace(0.0, 12.0, 1201)
+        zeta = (r * np.exp(1j * np.array([0.3, 1.0, np.pi / 2, 2.0]))[:, None]).ravel()
+        d, cm = squeezed_thermal_stack(np.zeros(zeta.size), zeta, np.zeros(zeta.size, complex))
+        reports = measure_stack(d, cm)
+        named = (
+            np.linalg.LinAlgError, ComplexSqrtBranchFailure, NonRealResult, WilliamsonResidualError
+        )
+        for k, (imag_exc, *fragile) in enumerate(reports.failures):
+            assert all(exc is None or isinstance(exc, named) for exc in fragile)
+            if imag_exc is None:
+                reports.report(k)
+                continue
+            with pytest.raises(type(imag_exc)) as raised:
+                reports.report(k)
+            assert raised.value is imag_exc
 
 
 class TestRealnessPredicate:
