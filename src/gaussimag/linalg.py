@@ -89,6 +89,16 @@ class ItemErrors:
         out[self.live] = values
         return out
 
+    def revive(self, items: np.ndarray, ours: tuple, theirs: tuple) -> tuple:
+        """Make the failed ``items`` live again, merging ``theirs`` (rows of ``items``) into
+        ``ours`` (rows of ``live``); the merged arrays follow the new live set."""
+        for k in items:
+            self.errors[k] = None
+        live = np.concatenate([self.live, items])
+        order = np.argsort(live)
+        self.live = live[order]
+        return tuple(np.concatenate([a, b])[order] for a, b in zip(ours, theirs))
+
     def copy(self) -> "ItemErrors":
         other = ItemErrors(0)
         other.errors, other.live = list(self.errors), self.live

@@ -6,7 +6,8 @@ Three quantifiers of how far a state is from having a real density operator:
   position/momentum blocks plus a 0/1 indicator of momentum displacement.
   Cheap for any mode count; this is the measure the package is built around.
 * ``fidelity_imaginarity`` -- one minus the fidelity between the state and its
-  conjugate, evaluated through the closed-form Gaussian fidelity chain.
+  conjugate, evaluated through the closed-form Gaussian fidelity chain; the
+  states the chain fails on go through a real spectral stage instead.
 * ``tsallis_imaginarity`` -- one minus a Tsallis-type overlap of order mu,
   evaluated through the symplectic normal form.
 
@@ -134,12 +135,65 @@ def _w_chain_stack(half_cm1: np.ndarray, half_cm2: np.ndarray, errors: ItemError
     )
 
 
+# symplectic eigenvalues up to this count as pure modes (nu = 1): both fragile
+# paths have a square-root cusp at nu = 1 that would amplify rounding noise
+PURE_NU = 1.0 + 1e-10
+
+
+def _spectral_f_tot4_stack(cm: np.ndarray, errors: ItemErrors, carry=()):
+    """``(f_tot4, *carry)``: ``_w_chain_stack``'s ``f_tot4`` between each state and its conjugate.
+
+    Real arithmetic throughout, after the spectral form of Banchi, Braunstein
+    and Pirandola (PRL 115, 260501, 2015).  With ``cm = L L^T``, ``K = L^T Delta L``,
+    ``K^T K = U diag(nu^2) U^T`` and ``T = L U``, ``W1^2 - I = T E T^{-1}`` with
+    ``E = nu^2 - 1`` (0 on pure modes) and ``(W1 + W2)^{-1} = -i Delta Sigma^{-1}``,
+    ``Sigma = cm + P cm P``.  The 2n values ``mu`` are the squared eigenvalues of
+    ``T^{-1} (-Delta Sigma^{-1}) P T E``, and ``f_tot4 = prod(sqrt(1 + mu) + sqrt(mu))``:
+    the chain's ``prod(w + sqrt(w^2 - 1))`` without its cusp at ``w = 1``.
+    """
+    n = cm.shape[-1] // 2
+    o = momentum_signs(n)
+    sigma = cm + np.outer(o, o) * cm
+    chol, sigma, *carry = errors.call(np.linalg.cholesky, cm, carry=(sigma, *carry))
+    x, chol, *carry = errors.call(np.linalg.solve, sigma, o[:, None] * chol, carry=(chol, *carry))
+    k = chol.swapaxes(-1, -2) @ symplectic_form(n) @ chol
+    (nu2, u), chol, k, x, *carry = errors.call(
+        np.linalg.eigh, k.swapaxes(-1, -2) @ k, carry=(chol, k, x, *carry)
+    )
+    e = np.where(np.sqrt(nu2) <= PURE_NU, 0.0, nu2 - 1.0)
+    # T^{-1} = -diag(nu^-2) U^T K L^T Delta, from K^2 = -U diag(nu^2) U^T, so the
+    # matrix is -diag(nu^-2) U^T K L^T Sigma^{-1} P L U E; the columns of pure
+    # modes are exact zeros, which LAPACK's balancing isolates
+    m = u.swapaxes(-1, -2) @ k @ chol.swapaxes(-1, -2) @ x @ u
+    lam, *carry = errors.call(
+        np.linalg.eigvals, m * (-1.0 / nu2)[:, :, None] * e[:, None, :], carry=carry
+    )
+    mu = lam * lam
+    mu, *carry = errors.fail(
+        ~((np.abs(mu.imag) <= 1e-9 * (1.0 + np.abs(mu))) & (mu.real >= -1e-9)).all(axis=-1),
+        lambda j: NonRealResult("spectral fidelity value mu is not real and non-negative"),
+        mu, *carry,
+    )
+    mu = np.maximum(mu.real, 0.0)
+    return (np.prod(np.sqrt(1.0 + mu) + np.sqrt(mu), axis=-1), *carry)
+
+
 def _fidelity_stack(d: np.ndarray, cm: np.ndarray, errors: ItemErrors):
-    # (f0, value) of the chain between each state and its conjugate, for the items still live
+    # (f0, value) between each state and its conjugate, for the items still live:
+    # f_tot4 comes from the chain, or from the spectral stage on the items the
+    # chain failed; an item both fail keeps the chain's exception
     o = momentum_signs(cm.shape[-1] // 2)
     # conjugation by diag(o) only flips signs, so it is applied elementwise
     flip = np.outer(o, o)
-    _, f_tot4, d, cm = _w_chain_stack(0.5 * cm, 0.5 * (flip * cm), errors, carry=(d, cm))
+    live = errors.live
+    _, f_tot4, *kept = _w_chain_stack(0.5 * cm, 0.5 * (flip * cm), errors, carry=(d, cm))
+    missed = ~np.isin(live, errors.live)
+    if missed.any():
+        retry = errors.copy()
+        retry.live = live[missed]
+        rescued = _spectral_f_tot4_stack(cm[missed], retry, carry=(d[missed], cm[missed]))
+        f_tot4, *kept = errors.revive(retry.live, (f_tot4, *kept), rescued)
+    d, cm = kept
     cm_sum, dd = cm + flip * cm, d - o * d
     log_det, f_tot4, cm_sum, dd = errors.call(logdet_spd, 0.5 * cm_sum, carry=(f_tot4, cm_sum, dd))
     f0 = _libm(pow, f_tot4.real, 0.25) / _libm(pow, np.exp(log_det), 0.25)
@@ -171,7 +225,7 @@ def _mu_weights(nus: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray, np.
     # q = exp(-eta) per symplectic eigenvalue; q = 0 is the pure-state limit.
     # q**mu has a sqrt-type cusp at q = 0, so eigenvalues within rounding
     # noise of 1 must be snapped to the limit or the cusp amplifies the noise.
-    q = np.where(nus <= 1.0 + 1e-10, 0.0, (nus - 1.0) / (nus + 1.0))
+    q = np.where(nus <= PURE_NU, 0.0, (nus - 1.0) / (nus + 1.0))
     factors = (1.0 - q) / ((1.0 - q**mu) * (1.0 - q ** (1.0 - mu)))
     scale_mu = 2.0 / (1.0 - q**mu) - 1.0
     scale_1mu = 2.0 / (1.0 - q ** (1.0 - mu)) - 1.0
@@ -370,7 +424,9 @@ def measure_all(state: GaussianState, mu: float = 0.5, zero_tol: float = ZERO_TO
     """Evaluate all three measures; the fragile paths may fail and are flagged.
 
     Failures of the fidelity or Tsallis path are captured as messages instead
-    of raising.  A failure of the covariance-ratio measure raises: on valid
-    single-mode states its log-determinants fail from |zeta| ~ 9.2 on.
+    of raising; a fidelity failure means the chain and its spectral rescue
+    both failed, and the message is the chain's.  A failure of the
+    covariance-ratio measure raises: on valid single-mode states its
+    log-determinants fail from |zeta| ~ 9.2 on.
     """
     return measure_stack(state.d[None], state.cm[None], mu, zero_tol).report(0)

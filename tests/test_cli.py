@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import struct
@@ -8,6 +9,7 @@ import pytest
 from gaussimag import measures
 from gaussimag.cli import SweepSpec, _complex, _grid_states, main
 from gaussimag.errors import NonRealResult
+from gaussimag.sampling import random_state
 from gaussimag.states import GaussianState, coherent_state
 
 
@@ -831,7 +833,7 @@ class TestFragilePathFailures:
             assert row == ",".join(cells)
 
     # |zeta| = 9.30..9.36 at theta = 1: pure states whose covariance ratio
-    # still exists, while the Tsallis and fidelity paths fail on some of them
+    # still exists, while the Tsallis path fails on some of them
     SQUEEZED = {
         "family": "squeezed",
         "axis": "abs_zeta",
@@ -868,6 +870,26 @@ class TestFragilePathFailures:
                 assert cell == ("" if value is None else "%.12g" % value)
                 empty += value is None
         assert empty > 0
+
+    def test_rescued_chain_failure_is_measured(self, tmp_path, capsys):
+        # the fidelity chain fails this state; the spectral stage gives its value
+        state = random_state(2, np.random.default_rng([7, 2, 424]), max_squeeze=2.0)
+        assert main(["measure", write_json(tmp_path / "state.json", state.to_dict())]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["fidelity_imaginarity"] is not None
+        assert report["fidelity_error"] is None
+
+    def test_squeezed_sweep_fills_rescued_fidelity_cells(self, tmp_path, capsys):
+        # the chain fails at |zeta| = 9.30, 9.31 and 9.33; the spectral stage
+        # fills those cells, and they match the single-mode closed form
+        assert main(["sweep", write_json(tmp_path / "spec.json", self.SQUEEZED)]) == 0
+        rows = {row.split(",")[0]: row.split(",") for row in capsys.readouterr().out.splitlines()}
+        for abs_zeta in (9.30, 9.31, 9.33):
+            cell = rows["%.12g" % abs_zeta][2]
+            want = measures.fidelity_imaginarity_single_mode(0.0, abs_zeta * cmath.exp(1j), 0.0)
+            assert abs(float(cell) - want) <= 1e-11
 
 
 class TestRepeatedCalls:

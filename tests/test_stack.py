@@ -35,8 +35,14 @@ def stack(states):
     return np.stack([s.d for s in states]), np.stack([s.cm for s in states])
 
 
-def failing_fidelity_state():
-    # a two-mode state on which the fidelity square root leaves the principal branch
+def failing_fidelity_state(monkeypatch):
+    # a two-mode state on which the fidelity chain's square root leaves the
+    # principal branch, with the spectral stage that would rescue it made to fail
+    def no_rescue(cm, errors, carry=()):
+        failed = errors.fail(np.ones(len(cm), dtype=bool), lambda j: NonRealResult("planted"), *carry)
+        return (np.empty(0), *failed)
+
+    monkeypatch.setattr(measures, "_spectral_f_tot4_stack", no_rescue)
     state = random_state(2, np.random.default_rng([7, 2, 424]), max_squeeze=2.0)
     with pytest.raises(ComplexSqrtBranchFailure):
         fidelity_imaginarity(state)
@@ -63,18 +69,18 @@ def mixed_states(n, rng):
 
 class TestStackMatchesSingleCalls:
     @pytest.mark.parametrize("n", [1, 2])
-    def test_mixed_stack_item_equals_one_item_call(self, n, rng):
+    def test_mixed_stack_item_equals_one_item_call(self, n, rng, monkeypatch):
         states = mixed_states(n, rng)
         if n == 2:
-            states.insert(3, failing_fidelity_state())
+            states.insert(3, failing_fidelity_state(monkeypatch))
         reports = measure_stack(*stack(states), mu=0.3)
         assert len(reports.failures) == len(states)
         for k, state in enumerate(states):
             assert reports.report(k).to_dict() == measure_all(state, mu=0.3).to_dict()
 
-    def test_forced_failure_leaves_other_items_unchanged(self, rng):
+    def test_forced_failure_leaves_other_items_unchanged(self, rng, monkeypatch):
         good = [random_state(2, rng) for _ in range(6)]
-        bad = failing_fidelity_state()
+        bad = failing_fidelity_state(monkeypatch)
         alone = measure_stack(*stack(good))
         mixed = measure_stack(*stack(good[:3] + [bad] + good[3:]))
         report = mixed.report(3)
@@ -86,20 +92,32 @@ class TestStackMatchesSingleCalls:
         for field in ("imaginarity", "fidelity_imaginarity", "tsallis_imaginarity", "log_dets"):
             np.testing.assert_array_equal(getattr(mixed, field)[keep], getattr(alone, field))
 
-    def test_several_chain_failures_in_one_stack(self):
+    def test_several_chain_failures_in_one_stack(self, monkeypatch):
         # the wide states that test_wide_pool_outcomes_are_pinned scores one at
-        # a time, in one stack per mode count; 12 of them fail the fidelity chain
+        # a time, in one stack per mode count; 12 of them fail the fidelity
+        # chain, and the spectral stage rescues all 12 within the stack
+        spectral = measures._spectral_f_tot4_stack
+        rescued = []
+
+        def counted(cm, errors, carry=()):
+            rescued.append(len(cm))
+            return spectral(cm, errors, carry)
+
         failed = 0
         for n, count in ((8, 64), (16, 16)):
             states = [
                 random_state(n, np.random.default_rng([n, k]), max_squeeze=2.0) for k in range(count)
             ]
+            monkeypatch.setattr(measures, "_spectral_f_tot4_stack", counted)
             reports = measure_stack(*stack(states))
+            assert len(reports.failures) == count
+            monkeypatch.setattr(measures, "_spectral_f_tot4_stack", spectral)
             for k, state in enumerate(states):
                 report = reports.report(k).to_dict()
                 assert report == measure_all(state).to_dict()
                 failed += report["fidelity_error"] is not None
-        assert failed == 12
+        assert failed == 0
+        assert sum(rescued) == 12
 
     def test_linalg_error_is_kept_per_item(self):
         # an indefinite matrix makes the stacked Cholesky fail; only its item fails
