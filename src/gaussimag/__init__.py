@@ -24,7 +24,6 @@ from .linalg import (
     ModeBlocks,
     WilliamsonForm,
     block_split,
-    sqrt_complex_principal,
     symplectic_form,
     williamson,
 )

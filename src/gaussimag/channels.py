@@ -70,7 +70,7 @@ class GaussianChannel(_Frozen):
         return GaussianState._trusted(d[0], cm[0])
 
 
-def classify_real(channel: GaussianChannel, zero_tol: float = ZERO_TOL) -> RealnessClass:
+def classify_real(channel: GaussianChannel) -> RealnessClass:
     """Classify a channel by the sparsity patterns that preserve state realness.
 
     A real channel needs zero momentum shift and a checkerboard noise pattern;
@@ -78,18 +78,18 @@ def classify_real(channel: GaussianChannel, zero_tol: float = ZERO_TOL) -> Realn
     real), covariant real when T couples q only to q and p only to p.
     """
     t, noise, d0 = channel.t, channel.noise, channel.d0
-    completely = completely_real(t, noise, d0, zero_tol)
+    completely = completely_real(t, noise, d0)
     q_p = float(np.abs(np.stack([t[0::2, 1::2], t[1::2, 0::2]])).max())
-    covariant = real_pattern(d0, noise, zero_tol) and q_p <= zero_tol
+    covariant = real_pattern(d0, noise) and q_p <= ZERO_TOL
     if completely:
         return RealnessClass.BOTH if covariant else RealnessClass.COMPLETELY_REAL
     return RealnessClass.COVARIANT_REAL if covariant else RealnessClass.NOT_REAL
 
 
-def completely_real(t: np.ndarray, noise: np.ndarray, d0: np.ndarray, zero_tol: float = ZERO_TOL):
+def completely_real(t: np.ndarray, noise: np.ndarray, d0: np.ndarray):
     """Whether d0 and noise have the real pattern and T's momentum rows vanish; a flag per item."""
     t_p = np.abs(t[..., 1::2, :]).max(axis=(-2, -1))
-    return real_pattern(d0, noise, zero_tol) & (t_p <= zero_tol)
+    return real_pattern(d0, noise) & (t_p <= ZERO_TOL)
 
 
 def apply_stack(

@@ -25,7 +25,7 @@ from .channels import GaussianChannel, classify_real
 from .dynamics import BathParams, BathStack, _evolved, bath_stack, trajectory
 from .errors import DimensionMismatch
 from .measures import _check_mu, _describe, _libm, measure_all, measure_stack
-from .states import ZERO_TOL, GaussianState, arrays_from_dict, check_zero_tol, coherent_stack
+from .states import ZERO_TOL, GaussianState, check_zero_tol, coherent_stack
 from .states import squeezed_thermal_stack, two_mode_squeezed_stack, validate
 
 FAMILY_PARAMS = {
@@ -58,8 +58,6 @@ def _fmt_json(value) -> str:
     if isinstance(value, dict):
         items = ", ".join(f"{json.dumps(k)}: {_fmt_json(v)}" for k, v in value.items())
         return "{" + items + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fmt_json(v) for v in value) + "]"
     return json.dumps(value)
 
 
@@ -222,9 +220,14 @@ def _load_json(path: str):
         raise _ParseError(exc) from exc
 
 
-def _fields(obj, kind: str, *keys: str) -> dict:
-    # obj with the fields in keys read as float arrays, once it is a JSON object
-    # holding every one of them and any declared mode count n is an integer
+# each file kind: its array fields, and the vector a declared mode count n sizes, with its name
+_FILES = {"state": (("d", "cm"), "d", "displacement"), "channel": (("T", "N", "d0"), "d0", "shift")}
+
+
+def _fields(obj, kind: str) -> dict:
+    # obj with the fields of kind read as float arrays, once it is a JSON object
+    # holding every one of them and any declared mode count n is an integer sizing its vector
+    keys, vector, noun = _FILES[kind]
     if not (isinstance(obj, dict) and all(key in obj for key in keys)):
         raise _ParseError(f"{kind} file is not a JSON object with fields {', '.join(keys)}")
     if not _is_number(n := obj.get("n", 0), integer=True):
@@ -239,6 +242,8 @@ def _fields(obj, kind: str, *keys: str) -> dict:
         # numpy reads null, true and false as NaN, 1.0 and 0.0
         if held := [x for x in np.asarray(obj[key], dtype=object).flat if not _is_number(x)]:
             raise _ParseError(f"{fault}: it holds {json.dumps(held[0])}")
+    if "n" in obj and 2 * int(n) != arrays[vector].size:
+        raise DimensionMismatch(f"declared n={n} but {noun} has {arrays[vector].size} entries")
     return {**obj, **arrays}
 
 
@@ -256,17 +261,15 @@ def cmd_validate(args) -> int:
     if not isinstance(obj, dict) or not ("cm" in obj or "T" in obj):
         raise _ParseError("file is neither a state ('cm') nor a channel ('T')")
     if "cm" in obj:
-        obj = _fields(obj, "state", "d", "cm")
-        state, min_eig = GaussianState.checked(*arrays_from_dict(obj))
+        obj = _fields(obj, "state")
+        state, min_eig = GaussianState.checked(obj["d"], obj["cm"])
         sym = float(np.abs(obj["cm"] - obj["cm"].T).max())
         print(f"state: n={state.n}")
         print(f"cm_symmetry_residual={_fmt_csv(sym)}")
         print(f"uncertainty_min_eig={_fmt_csv(min_eig)}")
         print(f"is_real={state.is_real()}")
     else:
-        obj = _fields(obj, "channel", "T", "N", "d0")
-        if "n" in obj and 2 * int(obj["n"]) != obj["d0"].size:
-            raise DimensionMismatch(f"declared n={obj['n']} but shift has {obj['d0'].size} entries")
+        obj = _fields(obj, "channel")
         channel, noise_min, condition_min = GaussianChannel.checked(obj["T"], obj["N"], obj["d0"])
         print(f"channel: n={channel.n}")
         print(f"noise_min_eig={_fmt_csv(noise_min)}")
@@ -277,7 +280,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    state = GaussianState.from_dict(_fields(_load_json(args.path), "state", "d", "cm"))
+    obj = _fields(_load_json(args.path), "state")
+    state = GaussianState(obj["d"], obj["cm"])
     report = measure_all(state, mu=args.mu, zero_tol=args.zero_tol)
     if args.format == "json":
         print(_fmt_json(report.to_dict()))

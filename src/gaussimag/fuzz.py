@@ -242,11 +242,10 @@ _RUNNERS = {
     "williamson": (run_williamson, 1e-8),
 }
 SUITES = tuple(_RUNNERS)
-DEFAULT_TOLS = {suite: tol for suite, (_, tol) in _RUNNERS.items()}
 
 
 def run_suite(suite: str, seed: int = 0, count: int = 1000, tol: float | None = None) -> FuzzResult:
-    """Run ``count`` cases of one suite; ``tol`` defaults to ``DEFAULT_TOLS[suite]``.
+    """Run ``count`` cases of one suite; ``tol`` defaults to the suite's own (``FuzzResult.tol``).
 
     ``tol`` moves the bound of each suite's main property only.  Three
     bounds stay fixed whatever ``tol`` is:

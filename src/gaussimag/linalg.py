@@ -196,11 +196,11 @@ class ModeBlocks:
     a22: np.ndarray  # momentum-momentum
 
 
-def block_split(cm: np.ndarray, n: int) -> ModeBlocks:
+def block_split(cm: np.ndarray) -> ModeBlocks:
     """Split a 2n x 2n covariance matrix (or a stack of them) into position/momentum blocks."""
     cm = np.asarray(cm, dtype=float)
-    if cm.ndim < 2 or cm.shape[-2:] != (2 * n, 2 * n):
-        raise ValueError(f"expected a {2 * n}x{2 * n} matrix, got {cm.shape}")
+    if cm.ndim < 2 or cm.shape[-1] != cm.shape[-2] or cm.shape[-1] % 2:
+        raise ValueError(f"expected a 2n x 2n matrix, got {cm.shape}")
     return ModeBlocks(
         a11=cm[..., 0::2, 0::2], a12=cm[..., 0::2, 1::2], a22=cm[..., 1::2, 1::2]
     )
@@ -271,7 +271,7 @@ def williamson_stack(cm: np.ndarray, errors: ItemErrors, tol: float = 1e-8, carr
     )
 
 
-def williamson(cm: np.ndarray, tol: float = 1e-8) -> WilliamsonForm:
+def williamson(cm: np.ndarray) -> WilliamsonForm:
     """Symplectic diagonalization of a symmetric positive definite matrix.
 
     Computes the antisymmetric matrix cm^{-1/2} Delta cm^{-1/2}, brings it to
@@ -281,7 +281,6 @@ def williamson(cm: np.ndarray, tol: float = 1e-8) -> WilliamsonForm:
 
     Args:
         cm: symmetric positive definite 2n x 2n matrix.
-        tol: accepted Frobenius residual (relative for the cm round trip).
 
     Returns:
         WilliamsonForm with ``s`` symplectic and ``nus`` sorted descending.
@@ -289,12 +288,13 @@ def williamson(cm: np.ndarray, tol: float = 1e-8) -> WilliamsonForm:
     Raises:
         LinAlgError (a ``ValueError``): when the input is not positive definite or holds a NaN.
         WilliamsonResidualError: when the construction fails to reproduce the
-            input within ``tol`` (ill-conditioned input).
+            input within ``williamson_stack``'s default 1e-8 Frobenius
+            residual (relative for the cm round trip; ill-conditioned input).
     """
     cm = np.asarray(cm, dtype=float)
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] % 2:
         raise ValueError("input must be a 2n x 2n matrix")
     errors = ItemErrors(1)
-    s, nus, _ = williamson_stack(cm[None], errors, tol)
+    s, nus, _ = williamson_stack(cm[None], errors)
     errors.raise_first()
     return WilliamsonForm(s=s[0], nus=nus[0])

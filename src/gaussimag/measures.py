@@ -27,7 +27,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import InvalidMu, NonRealResult
+from .errors import DimensionMismatch, InvalidMu, NonRealResult
 from .linalg import (
     ItemErrors,
     block_split,
@@ -59,7 +59,7 @@ def _libm(fn, x: np.ndarray, *args) -> np.ndarray:
 def _imaginarity_stack(d: np.ndarray, cm: np.ndarray, zero_tol: float):
     # (value, indicator, log dets of cm, A11 and A22) per item; raises
     # LinAlgError when any covariance matrix or block is not positive definite
-    blocks = block_split(cm, cm.shape[-1] // 2)
+    blocks = block_split(cm)
     log_dets = logdet_spd(cm), logdet_spd(blocks.a11), logdet_spd(blocks.a22)
     h = momentum_displaced(d, zero_tol)
     det_part = -_libm(math.expm1, log_dets[0] - log_dets[1] - log_dets[2])  # 1 - ratio
@@ -396,14 +396,18 @@ def measure_stack(
 
     The covariance-ratio measure is computed here; the fidelity and Tsallis
     paths run on the first read of their results (see ``StackReport``).  An
-    invalid ``mu`` or ``zero_tol`` raises here.  A failure stays with its
-    item: the item's value is NaN, its exception is kept in ``failures``,
-    and it takes no part in later stages.  Items that fail the
-    covariance-ratio measure skip the fragile paths.
+    invalid ``mu`` or ``zero_tol`` raises here, and so do other shapes
+    (``DimensionMismatch``).  A failure stays with its item: the item's value
+    is NaN, its exception is kept in ``failures``, and it takes no part in
+    later stages.  Items that fail the covariance-ratio measure skip the
+    fragile paths.
     """
     _check_mu(mu)
     d = np.asarray(d, dtype=float)
     cm = np.asarray(cm, dtype=float)
+    n = cm.shape[-1] // 2 if cm.ndim == 3 else 0
+    if n < 1 or cm.shape[1:] != (2 * n, 2 * n) or d.shape != cm.shape[:2]:
+        raise DimensionMismatch(f"need d (B, 2n) and cm (B, 2n, 2n), got {d.shape} and {cm.shape}")
     base = ItemErrors(len(cm))
     (value, h, *log_dets), d, cm = base.call(
         partial(_imaginarity_stack, zero_tol=zero_tol), d, cm, carry=(d, cm)

@@ -34,10 +34,10 @@ def momentum_displaced(d: np.ndarray, zero_tol: float = ZERO_TOL):
     return np.abs(d[..., 1::2]).sum(axis=-1) > zero_tol
 
 
-def real_pattern(d: np.ndarray, cm: np.ndarray, zero_tol: float = ZERO_TOL):
-    """True iff no momentum is displaced and no q-p covariance is nonzero; a stack gives B flags."""
+def real_pattern(d: np.ndarray, cm: np.ndarray):
+    """True iff no momentum is displaced and no q-p covariance exceeds ZERO_TOL; a flag per item."""
     q_p = np.abs(cm[..., 0::2, 1::2]).max(axis=(-2, -1))
-    return ~momentum_displaced(d, zero_tol) & (q_p <= zero_tol)
+    return ~momentum_displaced(d) & (q_p <= ZERO_TOL)
 
 
 def momentum_signs(n: int) -> np.ndarray:
@@ -145,9 +145,9 @@ class GaussianState(_Frozen):
         # no re-validation: O cm O + i*Delta = O conj(cm + i*Delta) O has the same spectrum
         return GaussianState._trusted(o * self.d, np.outer(o, o) * self.cm)
 
-    def is_real(self, zero_tol: float = ZERO_TOL) -> bool:
-        """True iff all momentum displacements and all q-p covariances vanish."""
-        return bool(real_pattern(self.d, self.cm, zero_tol))
+    def is_real(self) -> bool:
+        """True iff no momentum displacement and no q-p covariance is above ZERO_TOL."""
+        return bool(real_pattern(self.d, self.cm))
 
     def reduce(self, modes: Sequence[int]) -> "GaussianState":
         """Restrict to a subset of modes (1-based), keeping the given order."""
@@ -164,22 +164,6 @@ class GaussianState(_Frozen):
         idx = np.concatenate([[2 * (m - 1), 2 * m - 1] for m in modes])
         # no re-validation: a principal submatrix of the PSD cm + i*Delta is PSD
         return GaussianState._trusted(self.d[idx], self.cm[np.ix_(idx, idx)])
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "d": self.d.tolist(), "cm": self.cm.tolist()}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "GaussianState":
-        return cls(*arrays_from_dict(obj))
-
-
-def arrays_from_dict(obj: dict) -> tuple[np.ndarray, np.ndarray]:
-    """(d, cm) of a state dict, with its declared mode count checked."""
-    d = np.asarray(obj["d"], dtype=float)
-    cm = np.asarray(obj["cm"], dtype=float)
-    if "n" in obj and 2 * int(obj["n"]) != d.size:
-        raise DimensionMismatch(f"declared n={obj['n']} but displacement has {d.size} entries")
-    return d, cm
 
 
 def coherent_stack(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,9 +18,14 @@ def write_json(path, obj):
     return str(path)
 
 
+def state_json(state):
+    # a state in the file format that validate and measure read
+    return {"n": state.n, "d": state.d.tolist(), "cm": state.cm.tolist()}
+
+
 @pytest.fixture
 def coherent_file(tmp_path):
-    return write_json(tmp_path / "coherent.json", coherent_state([1j]).to_dict())
+    return write_json(tmp_path / "coherent.json", state_json(coherent_state([1j])))
 
 
 @pytest.fixture
@@ -141,7 +146,7 @@ class TestMeasure:
     def test_real_squeezed_all_zero(self, tmp_path, capsys):
         from gaussimag.states import displaced_squeezed_thermal
 
-        path = write_json(tmp_path / "sq.json", displaced_squeezed_thermal(0.5, 0.9, 1.5).to_dict())
+        path = write_json(tmp_path / "sq.json", state_json(displaced_squeezed_thermal(0.5, 0.9, 1.5)))
         assert main(["measure", path]) == 0
         report = json.loads(capsys.readouterr().out)
         assert abs(report["imaginarity"]) <= 1e-10
@@ -376,14 +381,14 @@ class TestNegativeZeroTol:
     """A negative realness threshold would call every state displaced; it is rejected."""
 
     def test_measure_exits_1(self, tmp_path, capsys):
-        path = write_json(tmp_path / "vacuum.json", coherent_state([0]).to_dict())
+        path = write_json(tmp_path / "vacuum.json", state_json(coherent_state([0])))
         assert main(["measure", path, "--zero-tol", "-1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "ValueError: zero_tol must be >= 0, got -1.0\n"
 
     def test_zero_is_valid(self, tmp_path, capsys):
-        path = write_json(tmp_path / "vacuum.json", coherent_state([0]).to_dict())
+        path = write_json(tmp_path / "vacuum.json", state_json(coherent_state([0])))
         assert main(["measure", path, "--zero-tol", "0"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert (report["imaginarity"], report["h_term"]) == (0.0, 0)
@@ -447,6 +452,12 @@ VACUUM = {"n": 1, "d": [0.0, 0.0], "cm": IDENTITY}
             [],
             "PhysicalityViolation: "
             "channel condition N + i(Delta - T Delta T^T) has min eig -3.000e+00",
+        ),
+        (
+            ["validate"],
+            {"n": 2, "T": IDENTITY, "N": IDENTITY, "d0": [0.0, 0.0]},
+            [],
+            "DimensionMismatch: declared n=2 but shift has 2 entries",
         ),
         (["measure"], VACUUM, ["--mu", "1.5"], "InvalidMu: mu must be in (0, 1), got 1.5"),
         (["measure"], VACUUM, ["--zero-tol", "-1"], "ValueError: zero_tol must be >= 0, got -1.0"),
@@ -848,7 +859,7 @@ class TestFragilePathFailures:
         return [GaussianState(*item) for item in zip(d, cm)]
 
     def test_indefinite_normal_form_is_a_measure_warning(self, tmp_path, capsys):
-        path = write_json(tmp_path / "state.json", self.squeezed_states()[-1].to_dict())
+        path = write_json(tmp_path / "state.json", state_json(self.squeezed_states()[-1]))
         assert main(["measure", path]) == 0
         captured = capsys.readouterr()
         assert '"tsallis_imaginarity": null' in captured.out
@@ -874,7 +885,7 @@ class TestFragilePathFailures:
     def test_rescued_chain_failure_is_measured(self, tmp_path, capsys):
         # the fidelity chain fails this state; the spectral stage gives its value
         state = random_state(2, np.random.default_rng([7, 2, 424]), max_squeeze=2.0)
-        assert main(["measure", write_json(tmp_path / "state.json", state.to_dict())]) == 0
+        assert main(["measure", write_json(tmp_path / "state.json", state_json(state))]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         report = json.loads(captured.out)

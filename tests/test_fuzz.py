@@ -9,8 +9,8 @@ import pytest
 
 from gaussimag import fuzz
 from gaussimag.channels import RealnessClass, random_real_channel
-from gaussimag.fuzz import DEFAULT_TOLS, SUITES, FuzzResult, _draw_by_mode_count, run_suite
-from gaussimag.linalg import symplectic_form, williamson
+from gaussimag.fuzz import SUITES, FuzzResult, _draw_by_mode_count, run_suite
+from gaussimag.linalg import ItemErrors, symplectic_form, williamson_stack
 from gaussimag.measures import imaginarity
 from gaussimag.sampling import inject_cross_entry, random_cm, random_real_state, random_state
 
@@ -76,11 +76,13 @@ def hierarchy_margin(rng, case, tol):
 def williamson_margin(rng, case, tol):
     n = int(rng.integers(1, 5))
     cm = random_cm(n, rng)
-    form = williamson(cm, tol=float("inf"))
+    errors = ItemErrors(1)
+    (s,), (nus,), _ = williamson_stack(cm[None], errors, tol=float("inf"))
+    errors.raise_first()
     delta = symplectic_form(n)
-    diagonal = np.diag(np.repeat(form.nus, 2))
-    res_cm = np.linalg.norm(form.s @ diagonal @ form.s.T - cm) / np.linalg.norm(cm)
-    res_sympl = float(np.linalg.norm(form.s @ delta @ form.s.T - delta))
+    diagonal = np.diag(np.repeat(nus, 2))
+    res_cm = np.linalg.norm(s @ diagonal @ s.T - cm) / np.linalg.norm(cm)
+    res_sympl = float(np.linalg.norm(s @ delta @ s.T - delta))
     return max(res_cm, res_sympl) - tol
 
 
@@ -108,7 +110,7 @@ def recorded_margins(monkeypatch, suite, seed, count, tol=None):
 @pytest.mark.parametrize("seed", [3, 2024])
 def test_margins_match_the_per_case_oracle(monkeypatch, suite, seed):
     result, recorded = recorded_margins(monkeypatch, suite, seed, CASES)
-    tol = DEFAULT_TOLS[suite]
+    tol = result.tol  # the suite's default
     expected = [
         (case, ORACLES[suite](np.random.default_rng([seed, case]), case, tol))
         for case in range(CASES)

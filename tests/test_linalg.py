@@ -195,7 +195,9 @@ class TestWilliamson:
 
     def test_residual_guard_raises(self):
         with pytest.raises(WilliamsonResidualError):
-            williamson(np.diag([3.0, 2.0, 5.0, 1.0]), tol=1e-18)
+            errors = ItemErrors(1)
+            williamson_stack(np.diag([3.0, 2.0, 5.0, 1.0])[None], errors, tol=1e-18)
+            errors.raise_first()
 
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValueError):
@@ -243,20 +245,20 @@ class TestModeReordering:
         for n in (1, 2, 3):
             cm = random_cm(n, rng)
             grouped = cm[np.ix_(grouped_index(n), grouped_index(n))]
-            blocks = block_split(cm, n)
+            blocks = block_split(cm)
             np.testing.assert_array_equal(blocks.a11, grouped[:n, :n])
             np.testing.assert_array_equal(blocks.a12, grouped[:n, n:])
             np.testing.assert_array_equal(blocks.a22, grouped[n:, n:])
 
     def test_block_split_identity(self):
-        blocks = block_split(np.eye(4), 2)
+        blocks = block_split(np.eye(4))
         np.testing.assert_array_equal(blocks.a11, np.eye(2))
         np.testing.assert_array_equal(blocks.a22, np.eye(2))
         np.testing.assert_array_equal(blocks.a12, np.zeros((2, 2)))
 
     def test_block_split_single_mode_scalars(self):
         cm = np.array([[2.0, 0.5], [0.5, 3.0]])
-        blocks = block_split(cm, 1)
+        blocks = block_split(cm)
         assert blocks.a11[0, 0] == 2.0
         assert blocks.a22[0, 0] == 3.0
         assert blocks.a12[0, 0] == 0.5
@@ -267,14 +269,16 @@ class TestModeReordering:
         cm = np.array(
             [[ap, c, b, 0.0], [c, am, 0.0, -b], [b, 0.0, ap, c], [0.0, -b, c, am]]
         )
-        blocks = block_split(cm, 2)
+        blocks = block_split(cm)
         np.testing.assert_array_equal(blocks.a11, [[ap, b], [b, ap]])
         np.testing.assert_array_equal(blocks.a22, [[am, -b], [-b, am]])
         np.testing.assert_array_equal(blocks.a12, c * np.eye(2))
 
     def test_block_split_dimension_check(self):
-        with pytest.raises(ValueError):
-            block_split(np.eye(4), 3)
+        # odd-sized, non-square and one-dimensional
+        for cm in (np.eye(3), np.ones((2, 4)), np.ones(4)):
+            with pytest.raises(ValueError):
+                block_split(cm)
 
 
 class TestDeterminantLemmas:

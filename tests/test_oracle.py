@@ -1,9 +1,15 @@
 """The float measures against the mpmath reference values of ``oracle``."""
 
+import json
+import pathlib
+
+import mpmath as mp
 import numpy as np
 import oracle
+import pytest
 
 from gaussimag import measures
+from gaussimag.cli import SweepSpec, _grid_states
 from gaussimag.linalg import ItemErrors
 from gaussimag.measures import measure_all, measure_stack
 from gaussimag.sampling import random_state
@@ -44,3 +50,25 @@ class TestRescuedFidelity:
             state = random_state(n, rng)
             value = measure_all(state).fidelity_imaginarity
             assert abs(value - oracle.fidelity_imaginarity(state.d, state.cm)) <= 1e-11
+
+
+class TestOracle:
+    def test_all_three_match_the_package_on_random_states(self, rng):
+        for n in (1, 2, 3):
+            for _ in range(3):
+                state = random_state(n, rng)
+                report = measure_all(state, mu=0.3)
+                assert abs(report.imaginarity - oracle.imaginarity(state.d, state.cm)) <= 1e-13
+                want = oracle.tsallis_imaginarity(state.d, state.cm, 0.3)
+                assert abs(report.tsallis_imaginarity - want) <= 1e-13
+
+    def test_fidelity_retries_where_the_eigensolver_fails(self):
+        # mpmath's QR iteration does not converge on this 2-mode state at 50
+        # digits and does at 60, 2.7e-16 from the package's value
+        path = pathlib.Path(__file__).resolve().parent.parent / "figures" / "fig3b_phi_t1.json"
+        spec = SweepSpec.from_dict(json.loads(path.read_text()))
+        d, cm, _ = _grid_states(spec, spec.grid())
+        with mp.workdps(oracle.DPS), pytest.raises(RuntimeError, match="failed to converge"):
+            oracle.fidelity_imaginarity.__wrapped__(d[220], cm[220])
+        value = measure_stack(d[220:221], cm[220:221]).fidelity_imaginarity[0]
+        assert abs(oracle.fidelity_imaginarity(d[220], cm[220]) - value) <= 1e-15

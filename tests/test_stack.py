@@ -11,6 +11,7 @@ from gaussimag.dynamics import BathParams, evolve, trajectory
 from gaussimag.errors import (
     AsymmetricCM,
     ComplexSqrtBranchFailure,
+    DimensionMismatch,
     NonRealResult,
     UncertaintyViolation,
     WilliamsonResidualError,
@@ -290,4 +291,20 @@ class TestRealnessPredicate:
         ]
         flags = real_pattern(*stack(states))
         assert flags.tolist() == [s.is_real() for s in states] == [True, False, False, False]
-        assert real_pattern(*stack(states[1:]), zero_tol=np.inf).all()
+
+
+@pytest.mark.parametrize(
+    "d, cm",
+    [
+        (np.zeros((2, 2)), np.eye(2)[None]),  # two displacements, one covariance matrix
+        (np.zeros((1, 4)), np.eye(2)[None]),  # a two-mode displacement, a one-mode cm
+        (np.zeros((1, 3)), np.eye(3)[None]),  # an odd quadrature count
+        (np.zeros((1, 2)), np.ones((1, 2, 4))),  # a non-square cm
+        (np.zeros(2), np.eye(2)),  # one state, not a stack of one
+    ],
+)
+def test_mismatched_shapes_raise_at_call_time(d, cm):
+    # the first two once returned a report: two items for one cm, or a value
+    # whose fidelity and Tsallis arrays raised numpy's broadcast error on first read
+    with pytest.raises(DimensionMismatch, match=r"need d \(B, 2n\) and cm \(B, 2n, 2n\)"):
+        measure_stack(d, cm)

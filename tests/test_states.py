@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -100,7 +98,6 @@ class TestZeroTol:
         state = coherent_state([0])
         calls = [
             lambda: momentum_displaced(state.d, zero_tol),
-            lambda: state.is_real(zero_tol),
             lambda: imaginarity(state, zero_tol),
             lambda: measure_all(state, zero_tol=zero_tol),
             lambda: measure_stack(state.d[None], state.cm[None], zero_tol=zero_tol),
@@ -259,15 +256,3 @@ class TestConstructors:
     def test_negative_thermal_rejected(self):
         with pytest.raises(ValueError):
             displaced_squeezed_thermal(-0.5, 0.0, 0.0)
-
-
-class TestJsonRoundTrip:
-    def test_dict_round_trip_is_exact(self, rng):
-        state = random_state(2, rng)
-        again = GaussianState.from_dict(json.loads(json.dumps(state.to_dict())))
-        np.testing.assert_array_equal(again.d, state.d)
-        np.testing.assert_array_equal(again.cm, state.cm)
-
-    def test_declared_mode_count_checked(self):
-        with pytest.raises(DimensionMismatch):
-            GaussianState.from_dict({"n": 2, "d": [0.0, 0.0], "cm": [[1.0, 0.0], [0.0, 1.0]]})
