@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""Wall time and traced memory peak of each stacked stage of the measure core.
+
+Runs ``states.validate`` and the five stacked stages (covariance ratio,
+fidelity, spectral fidelity, Williamson normal form, Tsallis) on the first B
+states of the benchmark's seeded n-mode pool (squeezing up to 2), for n in
+{1, 2, 4, 8, 16, 32, 64} and B in {1, 64}.  Each row holds the median and
+minimum wall time over the repeats, the traced peak of one further call
+(``tracemalloc``: the arrays a stage allocates, not LAPACK's own workspace)
+in bytes and in complex ``(B, 2n, 2n)`` stacks, and how many items failed.
+The file also records the environment fields ``perfbench/run.py`` records
+(BLAS threads, library versions, usable cores) and the machine.  The pool and
+those fields come from the benchmark's own modules, imported without writing
+anything under ``perfbench/``.
+
+Usage, from the root of a checkout, with the BLAS settings ``perfbench/run.py``
+gives its workers:
+
+    OPENBLAS_NUM_THREADS=$(nproc) OPENBLAS_THREAD_TIMEOUT=24 PYTHONPATH=src \
+        python3 scripts/bench.py --out BENCH_<n>.json
+"""
+
+import argparse
+import json
+import pathlib
+import platform
+import statistics
+import sys
+import time
+import tracemalloc
+from functools import partial
+
+import numpy as np
+
+from gaussimag import linalg, measures, states
+from gaussimag.linalg import ItemErrors
+from gaussimag.states import ZERO_TOL
+
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+from worker import environment as perfbench_environment  # noqa: E402
+from workloads import wide_state  # noqa: E402
+
+MODES = (1, 2, 4, 8, 16, 32, 64)
+SIZES = (1, 64)
+REPEATS = 5  # timed calls per row
+MU = 0.5
+
+
+def per_item(run):
+    # a stage over fresh per-item errors, returning them
+    def call(d, cm):
+        errors = ItemErrors(len(cm))
+        run(d, cm, errors)
+        return errors.errors
+
+    return call
+
+
+# each maps (d, cm) to the per-item errors of one call
+STAGES = {
+    "validate": lambda d, cm: states.validate(cm)[2],
+    "imaginarity": per_item(
+        lambda d, cm, e: e.call(partial(measures._imaginarity_stack, zero_tol=ZERO_TOL), d, cm)
+    ),
+    "fidelity": per_item(lambda d, cm, e: measures._fidelity_stack(d, cm, e)),
+    "spectral_f_tot4": per_item(lambda d, cm, e: measures._spectral_f_tot4_stack(cm, e)),
+    "williamson": per_item(lambda d, cm, e: linalg.williamson_stack(cm, e)),
+    "tsallis": per_item(lambda d, cm, e: measures._tsallis_stack(d, cm, MU, e)),
+}
+
+
+def pool_stack(n: int, count: int):
+    pool = [wide_state(n, k) for k in range(count)]
+    return np.stack([s.d for s in pool]), np.stack([s.cm for s in pool])
+
+
+def traced_peak(stage, d, cm) -> int:
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        stage(d, cm)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def measure(stage, d, cm) -> dict:
+    errors = stage(d, cm)  # warm-up
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        stage(d, cm)
+        times.append(time.perf_counter() - t0)
+    peak = traced_peak(stage, d, cm)
+    return {
+        "wall_s_median": statistics.median(times),
+        "wall_s_min": min(times),
+        "peak_bytes": peak,
+        "peak_complex_stacks": peak / cm.size / 16,
+        "failed": sum(e is not None for e in errors),
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    args = parser.parse_args()
+    rows = []
+    for n in MODES:
+        for count in SIZES:
+            d, cm = pool_stack(n, count)
+            for name, stage in STAGES.items():
+                row = {"stage": name, "n": n, "B": count, **measure(stage, d, cm)}
+                rows.append(row)
+                print(
+                    f"{name:16s} n={n:2d} B={count:2d} {row['wall_s_median'] * 1e3:9.3f} ms "
+                    f"peak {row['peak_complex_stacks']:6.2f} stacks, {row['failed']} failed",
+                    file=sys.stderr,
+                )
+    environment = {**perfbench_environment(), "machine": platform.machine()}
+    out = {"environment": environment, "repeats": REPEATS, "stages": rows}
+    pathlib.Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,6 +6,12 @@ routines take a leading item axis, ``(B, m, m)``, and run numpy's stacked
 ``linalg`` over it.  A failure of one item is recorded in an ``ItemErrors``
 and drops that item from later stages instead of failing the whole stack;
 the single-matrix functions are the one-item case and raise it.
+
+The stacked routines hold a few ``(B, m, m)`` stacks at a time: each
+intermediate is freed at its last use, and an operation is done in place only
+on an array the routine allocated itself, with its operands in the same
+order, so every value is the same bytes as the plain expression gives.  No
+routine writes into an array it was handed.
 """
 
 from __future__ import annotations
@@ -135,9 +141,14 @@ def sqrt_principal_stack(a: np.ndarray, errors: ItemErrors, carry=()) -> tuple:
         a, w, v, *carry,
     )
     v_inv, a, w, v, *carry = errors.call(np.linalg.inv, v, carry=(a, w, v, *carry))
-    root = (v * np.sqrt(w)[:, None, :]) @ v_inv
-    residual = np.abs(root @ root - a).max(axis=(-2, -1), initial=0.0)
+    v *= np.sqrt(w)[:, None, :]
+    root = v @ v_inv
+    del v, v_inv
     limit = 1e-10 * (1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0))
+    residual = root @ root
+    residual -= a
+    del a
+    residual = np.abs(residual).max(axis=(-2, -1), initial=0.0)
     return errors.fail(
         ~(residual <= limit),  # NaN residual included
         lambda j: ComplexSqrtBranchFailure(
@@ -232,13 +243,18 @@ def williamson_stack(cm: np.ndarray, errors: ItemErrors, tol: float = 1e-8, carr
         cm, w, v, *carry,
     )
     sw = np.sqrt(w)[:, None, :]
-    root, inv_root = (v * sw) @ _mT(v), (v / sw) @ _mT(v)
+    root = (v * sw) @ _mT(v)
+    inv_root = (v / sw) @ _mT(v)
+    del v
     skew = inv_root @ delta @ inv_root
-    skew = 0.5 * (skew - _mT(skew))
-    # Hermitian companion i*skew has spectrum {+-1/nu_l}
+    del inv_root
+    # Hermitian companion i*skew, skew = 0.5 (X - X^T), has spectrum {+-1/nu_l}
+    companion = 1j * (0.5 * (skew - _mT(skew)))
+    del skew
     (eigvals, eigvecs), cm, root, *carry = errors.call(
-        np.linalg.eigh, 1j * skew, carry=(cm, root, *carry)
+        np.linalg.eigh, companion, carry=(cm, root, *carry)
     )
+    del companion
     cm, root, eigvals, eigvecs, *carry = errors.fail(
         (eigvals > 0.0).sum(axis=-1) != n,
         lambda j: WilliamsonResidualError("could not pair the canonical eigenvalues"),
@@ -251,11 +267,15 @@ def williamson_stack(cm: np.ndarray, errors: ItemErrors, tol: float = 1e-8, carr
     # complex abs may differ from it in the last bit)
     pivot = vecs[np.arange(len(vecs))[:, None], np.abs(vecs).argmax(axis=-2), np.arange(n)]
     vecs = vecs / (pivot / np.hypot(pivot.real, pivot.imag))[:, None, :]
+    del eigvecs
     canonicalizer = np.empty(cm.shape)
     canonicalizer[..., 0::2] = np.sqrt(2.0) * vecs.imag
     canonicalizer[..., 1::2] = np.sqrt(2.0) * vecs.real
+    del vecs
     nus = 1.0 / eigvals[..., n:]
-    s = (root @ canonicalizer) * (1.0 / np.sqrt(nus)).repeat(2, axis=-1)[:, None, :]
+    s = root @ canonicalizer
+    del root, canonicalizer
+    s *= (1.0 / np.sqrt(nus)).repeat(2, axis=-1)[:, None, :]
 
     def frobenius(m):
         return np.sqrt((m * m).sum(axis=(-2, -1)))

@@ -15,7 +15,8 @@ Single-mode closed forms of all three are provided for cross-validation.
 
 All three are computed by one stacked core, ``measure_stack``, over arrays
 ``d: (B, 2n)`` and ``cm: (B, 2n, 2n)``; the single-state functions are its
-one-item case.
+one-item case.  Its stages follow ``linalg``'s rule for stacked routines:
+each intermediate is freed at its last use, and nothing handed in is written.
 """
 
 from __future__ import annotations
@@ -111,14 +112,34 @@ def _w_chain_stack(half_cm1: np.ndarray, half_cm2: np.ndarray, errors: ItemError
     eye = np.eye(2 * n)
     i_delta = 1j * symplectic_form(n)
     w1 = -2.0 * half_cm1 @ i_delta
+    del half_cm1
     w2 = -2.0 * half_cm2 @ i_delta
-    minus_w_aux, *carry = errors.call(np.linalg.solve, w1 + w2, eye + w2 @ w1, carry=carry)
-    w_aux = -minus_w_aux
+    del half_cm2
+    rhs = w2 @ w1
+    rhs += eye
+    w1 += w2
+    del w2
+    w_aux, *carry = errors.call(np.linalg.solve, w1, rhs, carry=carry)
+    del w1, rhs
+    np.negative(w_aux, out=w_aux)
     inv_sq, w_aux, *carry = errors.call(
         np.linalg.solve, w_aux @ w_aux, np.broadcast_to(eye, w_aux.shape), carry=(w_aux, *carry)
     )
-    root, w_aux, *carry = sqrt_principal_stack(eye - inv_sq, errors, carry=(w_aux, *carry))
-    f_tot4 = np.linalg.det((root + eye) @ w_aux @ i_delta)
+    np.subtract(eye, inv_sq, out=inv_sq)
+    # the square root copies the items it keeps when some fail: handing it the
+    # only references lets those copies replace the originals, not double them.
+    # This, like freeing the half cms above, relies on CPython >= 3.11 moving
+    # call arguments into the callee's frame (pyproject's requires-python); on
+    # 3.10, or under a PEP 523 frame hook such as some debuggers, the caller
+    # keeps them to the end of the call and the fidelity peak rises from 5.8 to
+    # 7.3 complex stacks on tests/test_working_set.py's stack
+    handoff = [inv_sq, (w_aux, *carry)]
+    del inv_sq, w_aux, carry
+    root, w_aux, *carry = sqrt_principal_stack(handoff.pop(0), errors, carry=handoff.pop())
+    root += eye
+    f_tot4 = root @ w_aux
+    del root
+    f_tot4 = np.linalg.det(f_tot4 @ i_delta)
     w_aux, f_tot4, *carry = errors.fail(
         np.abs(f_tot4.imag) > 1e-9 * (1.0 + np.abs(f_tot4.real)),
         lambda j: NonRealResult(
@@ -153,9 +174,11 @@ def _spectral_f_tot4_stack(cm: np.ndarray, errors: ItemErrors, carry=()):
     """
     n = cm.shape[-1] // 2
     o = momentum_signs(n)
-    sigma = cm + np.outer(o, o) * cm
+    sigma = np.outer(o, o) * cm
+    np.add(cm, sigma, out=sigma)
     chol, sigma, *carry = errors.call(np.linalg.cholesky, cm, carry=(sigma, *carry))
     x, chol, *carry = errors.call(np.linalg.solve, sigma, o[:, None] * chol, carry=(chol, *carry))
+    del sigma
     k = chol.swapaxes(-1, -2) @ symplectic_form(n) @ chol
     (nu2, u), chol, k, x, *carry = errors.call(
         np.linalg.eigh, k.swapaxes(-1, -2) @ k, carry=(chol, k, x, *carry)
@@ -164,10 +187,17 @@ def _spectral_f_tot4_stack(cm: np.ndarray, errors: ItemErrors, carry=()):
     # T^{-1} = -diag(nu^-2) U^T K L^T Delta, from K^2 = -U diag(nu^2) U^T, so the
     # matrix is -diag(nu^-2) U^T K L^T Sigma^{-1} P L U E; the columns of pure
     # modes are exact zeros, which LAPACK's balancing isolates
-    m = u.swapaxes(-1, -2) @ k @ chol.swapaxes(-1, -2) @ x @ u
-    lam, *carry = errors.call(
-        np.linalg.eigvals, m * (-1.0 / nu2)[:, :, None] * e[:, None, :], carry=carry
-    )
+    m = u.swapaxes(-1, -2) @ k
+    del k
+    m = m @ chol.swapaxes(-1, -2)
+    del chol
+    m = m @ x
+    del x
+    m = m @ u
+    del u
+    m *= (-1.0 / nu2)[:, :, None]
+    m *= e[:, None, :]
+    lam, *carry = errors.call(np.linalg.eigvals, m, carry=carry)
     mu = lam * lam
     mu, *carry = errors.fail(
         ~((np.abs(mu.imag) <= 1e-9 * (1.0 + np.abs(mu))) & (mu.real >= -1e-9)).all(axis=-1),
@@ -186,7 +216,7 @@ def _fidelity_stack(d: np.ndarray, cm: np.ndarray, errors: ItemErrors):
     # conjugation by diag(o) only flips signs, so it is applied elementwise
     flip = np.outer(o, o)
     live = errors.live
-    _, f_tot4, *kept = _w_chain_stack(0.5 * cm, 0.5 * (flip * cm), errors, carry=(d, cm))
+    f_tot4, *kept = _w_chain_stack(0.5 * cm, 0.5 * (flip * cm), errors, carry=(d, cm))[1:]
     missed = ~np.isin(live, errors.live)
     if missed.any():
         retry = errors.copy()
@@ -245,10 +275,15 @@ def _tsallis_stack(d: np.ndarray, cm: np.ndarray, mu: float, errors: ItemErrors)
     s_t = s.swapaxes(-1, -2)
     cm_mu = (s * scale_mu.repeat(2, axis=-1)[:, None, :]) @ s_t
     cm_1mu = (s * scale_1mu.repeat(2, axis=-1)[:, None, :]) @ s_t
+    del s, s_t
     o = momentum_signs(n)
     # conjugation by diag(o) only flips signs, so it is applied elementwise
-    cm_sum = cm_mu + np.outer(o, o) * cm_1mu
-    cm_sum = 0.5 * (cm_sum + cm_sum.swapaxes(-1, -2))
+    cm_1mu *= np.outer(o, o)
+    cm_mu += cm_1mu
+    del cm_1mu
+    cm_sum = cm_mu + cm_mu.swapaxes(-1, -2)
+    del cm_mu
+    cm_sum *= 0.5
     log_det, factors, cm_sum, d = errors.call(logdet_spd, cm_sum, carry=(factors, cm_sum, d))
     prefactor = 2.0**n * np.prod(factors, axis=-1) / np.sqrt(np.exp(log_det))
     dd = d - o * d

@@ -1,0 +1,151 @@
+"""Working set of the stacked fidelity and Tsallis stages, and what they may write.
+
+Each stage frees its intermediates at their last use and writes in place only
+into arrays it allocated itself, so its traced peak stays a few complex
+``(B, 2n, 2n)`` stacks and its inputs come back bitwise unchanged.
+"""
+
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gaussimag import linalg, measures
+from gaussimag.linalg import ItemErrors
+from gaussimag.measures import measure_stack
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_wide_state():
+    # the benchmark's pool, imported from its source without writing bytecode under perfbench/
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from workloads import wide_state
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.dont_write_bytecode = saved
+    return wide_state
+
+
+wide_state = load_wide_state()
+
+
+def wide_stack(n, count):
+    # the first ``count`` states of the benchmark's n-mode pool, in one stack
+    states = [wide_state(n, k) for k in range(count)]
+    return np.stack([s.d for s in states]), np.stack([s.cm for s in states])
+
+
+B, N = 256, 16
+# one complex (B, 2n, 2n) stack, the unit of every bound below
+COMPLEX_STACK = B * (2 * N) ** 2 * 16
+
+
+@pytest.fixture(scope="module")
+def stages():
+    # the pool's first 256 16-mode states: the chain fails 57 of them, so the
+    # fidelity stage's failure copies and spectral rescue are inside its peak
+    d, cm = wide_stack(N, B)
+    return {
+        "fidelity": lambda: measures._fidelity_stack(d, cm, ItemErrors(B)),
+        "spectral": lambda: measures._spectral_f_tot4_stack(cm, ItemErrors(B)),
+        "williamson": lambda: linalg.williamson_stack(cm, ItemErrors(B)),
+        "tsallis": lambda: measures._tsallis_stack(d, cm, 0.5, ItemErrors(B)),
+    }
+
+
+def traced_peak(stage) -> float:
+    """Peak of the memory ``stage()`` allocates, in complex stacks."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        stage()
+        return (tracemalloc.get_traced_memory()[1] - start) / COMPLEX_STACK
+    finally:
+        tracemalloc.stop()
+
+
+# measured 5.81, 2.53, 2.57 and 2.57 stacks with numpy 2.4; each stage held
+# 11.49, 4.05, 5.59 and 5.59 while its intermediates lived to the end.  The
+# fidelity bound needs CPython >= 3.11, which frees a call's arguments with
+# the callee's frame (see _w_chain_stack)
+@pytest.mark.parametrize(
+    "stage, bound", [("fidelity", 6.0), ("spectral", 2.75), ("williamson", 2.75), ("tsallis", 2.75)]
+)
+def test_traced_peak_is_bounded(stages, stage, bound):
+    assert traced_peak(stages[stage]) <= bound
+
+
+def writable(*arrays):
+    return tuple(np.array(a) for a in arrays)
+
+
+def read_everything(reports, count):
+    arrays = (reports.imaginarity, reports.h_term, reports.log_dets)
+    arrays += (reports.fidelity_imaginarity, reports.tsallis_imaginarity)
+    assert all(len(a) == count for a in arrays)
+    for k, failed in enumerate(reports.failures):
+        if failed[0] is None:
+            reports.report(k)
+
+
+@pytest.mark.parametrize(
+    "d, cm",
+    [
+        # wide state 8:9 fails the chain, so the spectral rescue runs
+        wide_stack(8, 12),
+        # the middle item is indefinite and fails the covariance ratio
+        (np.zeros((3, 2)), np.stack([np.eye(2), np.diag([1.0, -1.0]), 2.0 * np.eye(2)])),
+    ],
+    ids=["chain-failure", "indefinite"],
+)
+def test_measure_stack_leaves_its_inputs_unchanged(d, cm):
+    d, cm = writable(d, cm)
+    before = d.tobytes(), cm.tobytes()
+    reports = measure_stack(d, cm, mu=0.3)
+    read_everything(reports, len(cm))
+    assert (d.tobytes(), cm.tobytes()) == before
+
+
+def test_stages_leave_their_inputs_unchanged():
+    d, cm = writable(*wide_stack(8, 12))
+    half = 0.5 * cm
+    # the last item has its eigenvalues on the negative axis and fails
+    square = np.concatenate([cm, -cm[:1]]).astype(complex)
+    inputs = (d, cm, half, square)
+    before = [a.tobytes() for a in inputs]
+    measures._w_chain_stack(half, half, ItemErrors(12), carry=(d, cm))
+    measures._spectral_f_tot4_stack(cm, ItemErrors(12), carry=(d, cm))
+    measures._fidelity_stack(d, cm, ItemErrors(12))
+    linalg.williamson_stack(cm, ItemErrors(12), carry=(d,))
+    measures._tsallis_stack(d, cm, 0.5, ItemErrors(12))
+    linalg.sqrt_principal_stack(square, ItemErrors(13), carry=(square,))
+    assert [a.tobytes() for a in inputs] == before
+
+
+def test_one_array_passed_twice_equals_two_copies():
+    _, cm = wide_stack(8, 12)
+    half = 0.5 * cm
+    once, twice = ItemErrors(12), ItemErrors(12)
+    shared = measures._w_chain_stack(half, half, once)
+    copied = measures._w_chain_stack(half.copy(), half.copy(), twice)
+    assert len(shared) == len(copied) == 2
+    for a, b in zip(shared, copied):
+        np.testing.assert_array_equal(a, b)
+    assert list(once.live) == list(twice.live)
+    assert [repr(e) for e in once.errors] == [repr(e) for e in twice.errors]
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_empty_stack_gives_empty_fields(n):
+    reports = measure_stack(np.zeros((0, 2 * n)), np.zeros((0, 2 * n, 2 * n)))
+    assert reports.imaginarity.shape == reports.h_term.shape == (0,)
+    assert reports.log_dets.shape == (0, 3)
+    assert reports.fidelity_imaginarity.shape == reports.tsallis_imaginarity.shape == (0,)
+    assert reports.failures == []
