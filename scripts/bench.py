@@ -4,7 +4,8 @@
 Runs ``states.validate`` and the five stacked stages (covariance ratio,
 fidelity, spectral fidelity, Williamson normal form, Tsallis) on the first B
 states of the benchmark's seeded n-mode pool (squeezing up to 2), for n in
-{1, 2, 4, 8, 16, 32, 64} and B in {1, 64}.  Each row holds the median and
+{1, 2, 4, 8, 16, 32, 64} and B in {1, 64, 256}; the n = 16, B = 256 rows run
+the stack of ``tests/test_working_set.py``.  Each row holds the median and
 minimum wall time over the repeats, the traced peak of one further call
 (``tracemalloc``: the arrays a stage allocates, not LAPACK's own workspace)
 in bytes and in complex ``(B, 2n, 2n)`` stacks, and how many items failed.
@@ -42,7 +43,7 @@ from worker import environment as perfbench_environment  # noqa: E402
 from workloads import wide_state  # noqa: E402
 
 MODES = (1, 2, 4, 8, 16, 32, 64)
-SIZES = (1, 64)
+SIZES = (1, 64, 256)
 REPEATS = 5  # timed calls per row
 MU = 0.5
 
@@ -114,7 +115,7 @@ def main() -> int:
                 row = {"stage": name, "n": n, "B": count, **measure(stage, d, cm)}
                 rows.append(row)
                 print(
-                    f"{name:16s} n={n:2d} B={count:2d} {row['wall_s_median'] * 1e3:9.3f} ms "
+                    f"{name:16s} n={n:2d} B={count:3d} {row['wall_s_median'] * 1e3:9.3f} ms "
                     f"peak {row['peak_complex_stacks']:6.2f} stacks, {row['failed']} failed",
                     file=sys.stderr,
                 )

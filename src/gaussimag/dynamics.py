@@ -191,9 +191,7 @@ def coherent_imaginarity(
 
 
 def _detect_family(state0: GaussianState):
-    """Recognize the two initial families that have printed closed forms."""
-    if state0.n != 2:
-        return None
+    """Recognize the two 2-mode initial families that have printed closed forms."""
     cm, d = state0.cm, state0.d
     if np.allclose(cm, np.eye(4), atol=ZERO_TOL):
         alphas = (complex(d[0], d[1]) / 2.0, complex(d[2], d[3]) / 2.0)

@@ -49,8 +49,11 @@ class ItemErrors:
 
     ``errors[k]`` is None or the exception item k failed with.  ``live`` holds
     the indices of the items not failed yet; every stage works on those only.
-    The one alignment rule: a stage hands the caller's arrays, passed as
-    ``carry``, back after its own results, without the items that failed in it.
+    The one alignment rule: a stage returns only its own results, over ``live``
+    as it leaves it.  A caller that holds an array across a stage reads
+    ``live = errors.live`` before the call and indexes the array with
+    ``kept(live)`` after it; ``carry`` of ``call`` and ``fail`` is for a
+    stage's own arrays.
     """
 
     def __init__(self, count: int):
@@ -87,6 +90,13 @@ class ItemErrors:
             kept = self.fail(bad, caught.__getitem__, *args, *carry)
             return (fn(*kept[: len(args)]), *kept[len(args) :])
 
+    def kept(self, live: np.ndarray):
+        """Index of the items still live into an array over ``live``, an earlier ``self.live``."""
+        # live only loses items or regains its own: equal lengths mean none failed
+        if len(self.live) == len(live):
+            return slice(None)
+        return np.isin(live, self.live)
+
     def spread(self, values: np.ndarray) -> np.ndarray:
         """Values of the live items at their stack positions, NaN at the failed ones."""
         if len(self.live) == len(self.errors):
@@ -95,15 +105,15 @@ class ItemErrors:
         out[self.live] = values
         return out
 
-    def revive(self, items: np.ndarray, ours: tuple, theirs: tuple) -> tuple:
+    def revive(self, items: np.ndarray, ours: np.ndarray, theirs: np.ndarray) -> np.ndarray:
         """Make the failed ``items`` live again, merging ``theirs`` (rows of ``items``) into
-        ``ours`` (rows of ``live``); the merged arrays follow the new live set."""
+        ``ours`` (rows of ``live``); the merged array follows the new live set."""
         for k in items:
             self.errors[k] = None
         live = np.concatenate([self.live, items])
         order = np.argsort(live)
         self.live = live[order]
-        return tuple(np.concatenate([a, b])[order] for a, b in zip(ours, theirs))
+        return np.concatenate([ours, theirs])[order]
 
     def copy(self) -> "ItemErrors":
         other = ItemErrors(0)
@@ -122,25 +132,25 @@ class ItemErrors:
 SQRT_ZERO_CLAMP = 1e-12
 
 
-def sqrt_principal_stack(a: np.ndarray, errors: ItemErrors, carry=()) -> tuple:
-    """``(root, *carry)``: principal square roots of a stack ``(L, m, m)`` over ``errors.live``.
+def sqrt_principal_stack(a: np.ndarray, errors: ItemErrors) -> tuple:
+    """``(root,)``: principal square roots of a stack ``(L, m, m)`` over ``errors.live``.
 
     An item fails with what ``sqrt_complex_principal`` raises on it; the result
     covers the items still live.
     """
-    (w, v), a, *carry = errors.call(np.linalg.eig, a, carry=(a, *carry))
+    (w, v), a = errors.call(np.linalg.eig, a, carry=(a,))
     scale = np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))[:, None]
     clamped = np.abs(w) <= SQRT_ZERO_CLAMP * scale
     w = np.where(clamped, 0.0, w)
     on_negative_axis = ~clamped & (w.real <= 1e-13 * scale) & (np.abs(w.imag) <= 1e-13 * scale)
-    a, w, v, *carry = errors.fail(
+    a, w, v = errors.fail(
         on_negative_axis.any(axis=-1),
         lambda j: ComplexSqrtBranchFailure(
             "eigenvalue on the closed negative real axis; principal branch undefined"
         ),
-        a, w, v, *carry,
+        a, w, v,
     )
-    v_inv, a, w, v, *carry = errors.call(np.linalg.inv, v, carry=(a, w, v, *carry))
+    v_inv, a, w, v = errors.call(np.linalg.inv, v, carry=(a, w, v))
     v *= np.sqrt(w)[:, None, :]
     root = v @ v_inv
     del v, v_inv
@@ -154,7 +164,7 @@ def sqrt_principal_stack(a: np.ndarray, errors: ItemErrors, carry=()) -> tuple:
         lambda j: ComplexSqrtBranchFailure(
             f"square-root reconstruction residual {residual[j]:.3e} above tolerance"
         ),
-        root, *carry,
+        root,
     )
 
 
@@ -225,10 +235,10 @@ class WilliamsonForm:
     nus: np.ndarray  # symplectic eigenvalues, descending
 
 
-def williamson_stack(cm: np.ndarray, errors: ItemErrors, tol: float = 1e-8, carry=()) -> tuple:
+def williamson_stack(cm: np.ndarray, errors: ItemErrors, tol: float = 1e-8) -> tuple:
     """Symplectic normal forms of a stack ``(L, 2n, 2n)`` aligned with ``errors.live``.
 
-    Returns ``(s, nus, residual, *carry)`` over the live items: ``residual`` is
+    Returns ``(s, nus, residual)`` over the live items: ``residual`` is
     the larger of the two Frobenius reconstruction residuals (relative for the
     cm round trip, absolute for ``s Delta s^T = Delta``).  Indefinite or NaN
     items fail with ``LinAlgError``, items whose residual exceeds ``tol`` with
@@ -236,11 +246,11 @@ def williamson_stack(cm: np.ndarray, errors: ItemErrors, tol: float = 1e-8, carr
     """
     n = cm.shape[-1] // 2
     delta = symplectic_form(n)
-    (w, v), cm, *carry = errors.call(np.linalg.eigh, 0.5 * (cm + _mT(cm)), carry=(cm, *carry))
-    cm, w, v, *carry = errors.fail(
+    (w, v), cm = errors.call(np.linalg.eigh, 0.5 * (cm + _mT(cm)), carry=(cm,))
+    cm, w, v = errors.fail(
         ~(w.min(axis=-1) > 0.0),  # NaN spectrum included
         lambda j: np.linalg.LinAlgError("matrix is not positive definite"),
-        cm, w, v, *carry,
+        cm, w, v,
     )
     sw = np.sqrt(w)[:, None, :]
     root = (v * sw) @ _mT(v)
@@ -251,14 +261,12 @@ def williamson_stack(cm: np.ndarray, errors: ItemErrors, tol: float = 1e-8, carr
     # Hermitian companion i*skew, skew = 0.5 (X - X^T), has spectrum {+-1/nu_l}
     companion = 1j * (0.5 * (skew - _mT(skew)))
     del skew
-    (eigvals, eigvecs), cm, root, *carry = errors.call(
-        np.linalg.eigh, companion, carry=(cm, root, *carry)
-    )
+    (eigvals, eigvecs), cm, root = errors.call(np.linalg.eigh, companion, carry=(cm, root))
     del companion
-    cm, root, eigvals, eigvecs, *carry = errors.fail(
+    cm, root, eigvals, eigvecs = errors.fail(
         (eigvals > 0.0).sum(axis=-1) != n,
         lambda j: WilliamsonResidualError("could not pair the canonical eigenvalues"),
-        cm, root, eigvals, eigvecs, *carry,
+        cm, root, eigvals, eigvecs,
     )
     # eigenvalues ascend, so the n positive ones come last and give descending nus
     vecs = eigvecs[..., n:]
@@ -287,7 +295,7 @@ def williamson_stack(cm: np.ndarray, errors: ItemErrors, tol: float = 1e-8, carr
         lambda j: WilliamsonResidualError(
             f"reconstruction residuals {res_cm[j]:.3e} / {res_sympl[j]:.3e} exceed tol={tol:.1e}"
         ),
-        s, nus, np.maximum(res_cm, res_sympl), *carry,
+        s, nus, np.maximum(res_cm, res_sympl),
     )
 
 

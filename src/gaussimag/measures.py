@@ -102,8 +102,8 @@ def imaginarity_single_mode(
     return 1.0 - 1.0 / (1.0 + s2) + h
 
 
-def _w_chain_stack(half_cm1: np.ndarray, half_cm2: np.ndarray, errors: ItemErrors, carry=()):
-    """``(w_aux, f_tot4, *carry)`` of the fidelity chain on half-normalized cms (vacuum = I/2).
+def _w_chain_stack(half_cm1: np.ndarray, half_cm2: np.ndarray, errors: ItemErrors):
+    """``(w_aux, f_tot4)`` of the fidelity chain on half-normalized cms (vacuum = I/2).
 
     ``f_tot4`` is the fourth power of the un-normalized total fidelity; an
     imaginary residue in it means the square root left the principal branch.
@@ -111,6 +111,8 @@ def _w_chain_stack(half_cm1: np.ndarray, half_cm2: np.ndarray, errors: ItemError
     n = half_cm1.shape[-1] // 2
     eye = np.eye(2 * n)
     i_delta = 1j * symplectic_form(n)
+    # these dels free a caller's temporary arguments only because CPython >= 3.11
+    # moves call arguments into the callee's frame (pyproject's requires-python)
     w1 = -2.0 * half_cm1 @ i_delta
     del half_cm1
     w2 = -2.0 * half_cm2 @ i_delta
@@ -119,40 +121,34 @@ def _w_chain_stack(half_cm1: np.ndarray, half_cm2: np.ndarray, errors: ItemError
     rhs += eye
     w1 += w2
     del w2
-    w_aux, *carry = errors.call(np.linalg.solve, w1, rhs, carry=carry)
+    (w_aux,) = errors.call(np.linalg.solve, w1, rhs)
     del w1, rhs
     np.negative(w_aux, out=w_aux)
-    inv_sq, w_aux, *carry = errors.call(
-        np.linalg.solve, w_aux @ w_aux, np.broadcast_to(eye, w_aux.shape), carry=(w_aux, *carry)
+    inv_sq, w_aux = errors.call(
+        np.linalg.solve, w_aux @ w_aux, np.broadcast_to(eye, w_aux.shape), carry=(w_aux,)
     )
     np.subtract(eye, inv_sq, out=inv_sq)
-    # the square root copies the items it keeps when some fail: handing it the
-    # only references lets those copies replace the originals, not double them.
-    # This, like freeing the half cms above, relies on CPython >= 3.11 moving
-    # call arguments into the callee's frame (pyproject's requires-python); on
-    # 3.10, or under a PEP 523 frame hook such as some debuggers, the caller
-    # keeps them to the end of the call and the fidelity peak rises from 5.8 to
-    # 7.3 complex stacks on tests/test_working_set.py's stack
-    handoff = [inv_sq, (w_aux, *carry)]
-    del inv_sq, w_aux, carry
-    root, w_aux, *carry = sqrt_principal_stack(handoff.pop(0), errors, carry=handoff.pop())
+    live = errors.live
+    (root,) = sqrt_principal_stack(inv_sq, errors)
+    del inv_sq
+    w_aux = w_aux[errors.kept(live)]
     root += eye
     f_tot4 = root @ w_aux
     del root
     f_tot4 = np.linalg.det(f_tot4 @ i_delta)
-    w_aux, f_tot4, *carry = errors.fail(
+    w_aux, f_tot4 = errors.fail(
         np.abs(f_tot4.imag) > 1e-9 * (1.0 + np.abs(f_tot4.real)),
         lambda j: NonRealResult(
             f"total-fidelity determinant has imaginary part {f_tot4[j].imag:.3e}"
         ),
-        w_aux, f_tot4, *carry,
+        w_aux, f_tot4,
     )
     return errors.fail(
         f_tot4.real <= 0.0,
         lambda j: NonRealResult(
             f"total-fidelity determinant is not positive: {f_tot4[j].real:.3e}"
         ),
-        w_aux, f_tot4, *carry,
+        w_aux, f_tot4,
     )
 
 
@@ -161,8 +157,8 @@ def _w_chain_stack(half_cm1: np.ndarray, half_cm2: np.ndarray, errors: ItemError
 PURE_NU = 1.0 + 1e-10
 
 
-def _spectral_f_tot4_stack(cm: np.ndarray, errors: ItemErrors, carry=()):
-    """``(f_tot4, *carry)``: ``_w_chain_stack``'s ``f_tot4`` between each state and its conjugate.
+def _spectral_f_tot4_stack(cm: np.ndarray, errors: ItemErrors) -> np.ndarray:
+    """``_w_chain_stack``'s ``f_tot4`` between each state and its conjugate.
 
     Real arithmetic throughout, after the spectral form of Banchi, Braunstein
     and Pirandola (PRL 115, 260501, 2015).  With ``cm = L L^T``, ``K = L^T Delta L``,
@@ -176,13 +172,11 @@ def _spectral_f_tot4_stack(cm: np.ndarray, errors: ItemErrors, carry=()):
     o = momentum_signs(n)
     sigma = np.outer(o, o) * cm
     np.add(cm, sigma, out=sigma)
-    chol, sigma, *carry = errors.call(np.linalg.cholesky, cm, carry=(sigma, *carry))
-    x, chol, *carry = errors.call(np.linalg.solve, sigma, o[:, None] * chol, carry=(chol, *carry))
+    chol, sigma = errors.call(np.linalg.cholesky, cm, carry=(sigma,))
+    x, chol = errors.call(np.linalg.solve, sigma, o[:, None] * chol, carry=(chol,))
     del sigma
     k = chol.swapaxes(-1, -2) @ symplectic_form(n) @ chol
-    (nu2, u), chol, k, x, *carry = errors.call(
-        np.linalg.eigh, k.swapaxes(-1, -2) @ k, carry=(chol, k, x, *carry)
-    )
+    (nu2, u), chol, k, x = errors.call(np.linalg.eigh, k.swapaxes(-1, -2) @ k, carry=(chol, k, x))
     e = np.where(np.sqrt(nu2) <= PURE_NU, 0.0, nu2 - 1.0)
     # T^{-1} = -diag(nu^-2) U^T K L^T Delta, from K^2 = -U diag(nu^2) U^T, so the
     # matrix is -diag(nu^-2) U^T K L^T Sigma^{-1} P L U E; the columns of pure
@@ -197,15 +191,15 @@ def _spectral_f_tot4_stack(cm: np.ndarray, errors: ItemErrors, carry=()):
     del u
     m *= (-1.0 / nu2)[:, :, None]
     m *= e[:, None, :]
-    lam, *carry = errors.call(np.linalg.eigvals, m, carry=carry)
+    (lam,) = errors.call(np.linalg.eigvals, m)
     mu = lam * lam
-    mu, *carry = errors.fail(
+    (mu,) = errors.fail(
         ~((np.abs(mu.imag) <= 1e-9 * (1.0 + np.abs(mu))) & (mu.real >= -1e-9)).all(axis=-1),
         lambda j: NonRealResult("spectral fidelity value mu is not real and non-negative"),
-        mu, *carry,
+        mu,
     )
     mu = np.maximum(mu.real, 0.0)
-    return (np.prod(np.sqrt(1.0 + mu) + np.sqrt(mu), axis=-1), *carry)
+    return np.prod(np.sqrt(1.0 + mu) + np.sqrt(mu), axis=-1)
 
 
 def _fidelity_stack(d: np.ndarray, cm: np.ndarray, errors: ItemErrors):
@@ -216,14 +210,15 @@ def _fidelity_stack(d: np.ndarray, cm: np.ndarray, errors: ItemErrors):
     # conjugation by diag(o) only flips signs, so it is applied elementwise
     flip = np.outer(o, o)
     live = errors.live
-    f_tot4, *kept = _w_chain_stack(0.5 * cm, 0.5 * (flip * cm), errors, carry=(d, cm))[1:]
-    missed = ~np.isin(live, errors.live)
-    if missed.any():
+    f_tot4 = _w_chain_stack(0.5 * cm, 0.5 * (flip * cm), errors)[1]
+    if len(errors.live) < len(live):
+        missed = ~errors.kept(live)
         retry = errors.copy()
         retry.live = live[missed]
-        rescued = _spectral_f_tot4_stack(cm[missed], retry, carry=(d[missed], cm[missed]))
-        f_tot4, *kept = errors.revive(retry.live, (f_tot4, *kept), rescued)
-    d, cm = kept
+        rescued = _spectral_f_tot4_stack(cm[missed], retry)
+        f_tot4 = errors.revive(retry.live, f_tot4, rescued)
+    kept = errors.kept(live)
+    d, cm = d[kept], cm[kept]
     cm_sum, dd = cm + flip * cm, d - o * d
     log_det, f_tot4, cm_sum, dd = errors.call(logdet_spd, 0.5 * cm_sum, carry=(f_tot4, cm_sum, dd))
     f0 = _libm(pow, f_tot4.real, 0.25) / _libm(pow, np.exp(log_det), 0.25)
@@ -270,7 +265,9 @@ def _check_mu(mu: float) -> None:
 def _tsallis_stack(d: np.ndarray, cm: np.ndarray, mu: float, errors: ItemErrors) -> np.ndarray:
     # Tsallis-type measure of each state, for the items still live
     n = cm.shape[-1] // 2
-    s, nus, _, d = williamson_stack(cm, errors, carry=(d,))
+    live = errors.live
+    s, nus, _ = williamson_stack(cm, errors)
+    d = d[errors.kept(live)]
     factors, scale_mu, scale_1mu = _mu_weights(nus, mu)
     s_t = s.swapaxes(-1, -2)
     cm_mu = (s * scale_mu.repeat(2, axis=-1)[:, None, :]) @ s_t

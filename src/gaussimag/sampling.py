@@ -6,8 +6,9 @@ distribution are one call, which yields the same numbers as separate calls.
 A ``*_stack`` builder does all the arithmetic (masks, offsets, complex
 assembly) on the draws of one mode count, once for the stack ``(B, ...)``.
 No builder checks physicality: each output is physical by construction and
-only symmetrized.  ``random_cm``, ``random_state``, ... are the builder on a
-single draw, so item k of a stack equals the sampler on generator k, byte for byte.
+only symmetrized.  ``random_state`` and ``random_real_state`` are the builder
+on a single draw, so item k of a stack equals the sampler on generator k, byte
+for byte.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .linalg import _mT, grouped_index
 from .states import GaussianState
 
-# inject_cross_entry first pushes the covariance matrix this far inside the
+# cross_entry_stack first pushes each covariance matrix this far inside the
 # physical cone; a planted entry may be up to half of it
 _CROSS_MARGIN = 0.25
 
@@ -57,7 +58,7 @@ def symplectic_stack(rs: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def draw_cm(n: int, rng: np.random.Generator, max_squeeze: float = 1.0) -> tuple:
-    """Raw draws ``(e, u, rs, g)`` of ``random_cm``: thermal excesses, pure-mode uniforms."""
+    """Raw draws ``(e, u, rs, g)`` of a ``cm_stack`` item: thermal excesses, pure-mode uniforms."""
     e, u = rng.exponential(_THERMAL_SCALE, size=n), rng.random(n)
     return (e, u, *draw_symplectic(n, rng, max_squeeze))
 
@@ -68,11 +69,6 @@ def cm_stack(draws: list[tuple]) -> np.ndarray:
     nus = np.where(u < _PURE_PROB, 1.0, 1.0 + e)
     s = symplectic_stack(rs, g)
     return (s * nus.repeat(2, axis=-1)[:, None, :]) @ _mT(s)
-
-
-def random_cm(n: int, rng: np.random.Generator, max_squeeze: float = 1.0) -> np.ndarray:
-    """Valid covariance matrix built from a random symplectic normal form."""
-    return cm_stack([draw_cm(n, rng, max_squeeze)])[0]
 
 
 def draw_state(n: int, rng: np.random.Generator, max_squeeze: float = 1.0) -> tuple:
@@ -150,7 +146,7 @@ def random_real_state(n: int, rng: np.random.Generator) -> GaussianState:
 
 
 def draw_cross_entry(n: int, rng: np.random.Generator, eps: float) -> tuple[int, int, float]:
-    """Raw draws ``(k, l, eps)`` of ``inject_cross_entry``: the entry (q_k, p_l) gets eps."""
+    """Raw draws ``(k, l, eps)`` of a ``cross_entry_stack`` item: entry (q_k, p_l) gets eps."""
     if not 0.0 < eps <= _CROSS_MARGIN / 2.0:
         raise ValueError(f"eps must be in (0, {_CROSS_MARGIN / 2}], got {eps}")
     return int(rng.integers(n)), int(rng.integers(n)), eps
@@ -165,16 +161,3 @@ def cross_entry_stack(cm: np.ndarray, draws: list[tuple]) -> np.ndarray:
     cm[items, 2 * l + 1, 2 * k] += eps
     # no validation: a planted pair of size eps <= _CROSS_MARGIN / 2 stays inside the margin
     return 0.5 * (cm + _mT(cm))
-
-
-def inject_cross_entry(
-    state: GaussianState, rng: np.random.Generator, eps: float
-) -> GaussianState:
-    """Break realness by planting a q-p covariance entry of magnitude eps.
-
-    The covariance matrix is first pushed strictly inside the physical cone so
-    the planted entry cannot violate the uncertainty principle; eps must stay
-    below half that margin.
-    """
-    cm = cross_entry_stack(state.cm[None], [draw_cross_entry(state.n, rng, eps)])
-    return GaussianState._trusted(state.d, cm[0])

@@ -62,6 +62,9 @@ class TestValidation:
             GaussianChannel(np.eye(2), np.zeros((2, 2)), np.zeros(4))
         with pytest.raises(DimensionMismatch):
             identity_channel(1).apply(coherent_state([0, 0]))
+        message = r"^shift must have even length >= 2, got shape \(3,\)$"
+        with pytest.raises(DimensionMismatch, match=message):
+            GaussianChannel(np.eye(2), np.zeros((2, 2)), np.zeros(3))
 
 
 class TestApply:

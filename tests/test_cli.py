@@ -641,6 +641,47 @@ def test_non_numeric_spec_field_is_an_invalid_spec(tmp_path, capsys, command, ke
     assert capsys.readouterr() == ("", message)
 
 
+GRID = {"start": 0.0, "stop": 1.0, "count": 3}
+
+
+@pytest.mark.parametrize(
+    "commands, spec, message",
+    [
+        (
+            ["sweep", "dynamics"],
+            {"family": "bogus", "axis": "t", "grid": GRID},
+            "unknown family 'bogus'; choose from ('coherent', 'squeezed', 'squeezed_thermal', "
+            "'sv_dynamics', 'coherent_dynamics')",
+        ),
+        (
+            ["sweep", "dynamics"],
+            {"family": "coherent", "axis": "im_alpha", "grid": GRID, "fixed": {"r": 1.0}},
+            "fixed parameter 'r' does not belong to family 'coherent'",
+        ),
+        (
+            ["sweep", "dynamics"],
+            {"family": "sv_dynamics", "axis": "t", "grid": GRID, "fixed": {"r": 1.0, "t": 2.0}},
+            "axis 't' may not also be fixed",
+        ),
+        (
+            ["sweep"],
+            {"family": "squeezed", "axis": "s", "grid": GRID, "fixed": {"theta": 1.0}},
+            "parameter 's' fixes theta=pi/2 and cannot be combined",
+        ),
+        (
+            ["sweep"],
+            {"family": "squeezed", "axis": "re_zeta", "grid": GRID, "fixed": {"abs_zeta": 1.0}},
+            "give zeta either in cartesian or polar form, not both",
+        ),
+    ],
+)
+def test_inconsistent_spec_is_an_invalid_spec(tmp_path, capsys, commands, spec, message):
+    path = write_json(tmp_path / "spec.json", spec)
+    for command in commands:
+        assert main([command, path]) == 1
+        assert capsys.readouterr() == ("", f"invalid spec: {message}\n")
+
+
 def test_complex_keeps_signed_zeros():
     values = [-0.0, 0.0, 1.5, -2.0]
     pairs = [(a, b) for a in values for b in values]

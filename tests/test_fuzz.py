@@ -12,7 +12,9 @@ from gaussimag.channels import RealnessClass, random_real_channel
 from gaussimag.fuzz import SUITES, FuzzResult, _draw_by_mode_count, run_suite
 from gaussimag.linalg import ItemErrors, symplectic_form, williamson_stack
 from gaussimag.measures import imaginarity
-from gaussimag.sampling import inject_cross_entry, random_cm, random_real_state, random_state
+from gaussimag.sampling import random_real_state, random_state
+
+from conftest import inject_cross_entry, random_cm
 
 CASES = 60
 # sha256 of each suite's output: summary() and repr(worst_margin) at seeds 0,
@@ -144,6 +146,11 @@ def test_case_generators_match_default_rng(seed):
 def test_bad_seed_raises(seed, error):
     with pytest.raises(error):
         run_suite("williamson", seed=seed, count=3)
+
+
+def test_unknown_suite_raises():
+    with pytest.raises(KeyError, match=r"unknown suite 'bogus'; choose from \('monotonicity', "):
+        run_suite("bogus", seed=0, count=3)
 
 
 def test_nan_tol_raises():

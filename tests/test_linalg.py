@@ -19,10 +19,9 @@ from gaussimag.linalg import (
     williamson,
     williamson_stack,
 )
-from gaussimag.sampling import random_cm
 from gaussimag.states import displaced_squeezed_thermal
 
-from conftest import random_hermitian_pd
+from conftest import random_cm, random_hermitian_pd
 
 
 class TestSymplecticForm:
@@ -66,6 +65,10 @@ class TestSqrtComplexPrincipal:
         # only eigenvalues within the zero clamp count as zero
         with pytest.raises(ComplexSqrtBranchFailure, match="negative real axis"):
             sqrt_complex_principal(np.diag([-1e-6 + 0j, 2.0]))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="^input must be a square matrix$"):
+            sqrt_complex_principal(np.ones((2, 3)))
 
     def test_zero_eigenvalues_are_clamped(self):
         root = sqrt_complex_principal(np.zeros((2, 2), dtype=complex))
@@ -125,11 +128,9 @@ class TestSqrtComplexPrincipal:
         assert str(errors.errors[0]) == "Singular matrix"
         assert errors.errors[1] is None
         assert root[0].tobytes() == sqrt_complex_principal(regular).tobytes()
-        # the caller's arrays come back without the failed item
-        _, labels = sqrt_principal_stack(
-            np.stack([nilpotent, regular]), ItemErrors(2), carry=(np.arange(2),)
-        )
-        assert labels.tolist() == [1]
+        # the root covers the live items only
+        assert errors.live.tolist() == [1]
+        assert len(root) == 1
 
 
 def test_import_does_not_load_scipy():
@@ -211,17 +212,29 @@ class TestWilliamson:
         with pytest.raises(np.linalg.LinAlgError, match="^matrix is not positive definite$"):
             williamson(cm)
 
-    def test_a_failed_item_leaves_the_carried_arrays(self, rng):
-        # the indefinite item fails, and the caller's arrays come back
-        # aligned with the item left
+    def test_a_failed_item_leaves_the_live_set(self, rng):
+        # the indefinite item fails, and the results cover the item left
         good = random_cm(2, rng)
         errors = ItemErrors(2)
-        s, _, _, labels = williamson_stack(
-            np.stack([np.diag([1.0, -1.0, 1.0, 1.0]), good]), errors, carry=(np.arange(2),)
-        )
+        cm = np.stack([np.diag([1.0, -1.0, 1.0, 1.0]), good])
+        s, nus, residual = williamson_stack(cm, errors)
         assert isinstance(errors.errors[0], np.linalg.LinAlgError)
-        assert labels.tolist() == [1]
+        assert errors.live.tolist() == [1]
+        assert len(s) == len(nus) == len(residual) == 1
         assert s[0].tobytes() == williamson(good).s.tobytes()
+
+
+def test_kept_realigns_an_array_over_a_snapshot():
+    errors = ItemErrors(5)
+    live = errors.live
+    # nothing failed: the index copies nothing
+    assert errors.kept(live) == slice(None)
+    errors.fail(np.array([False, True, False, True, False]), ValueError)
+    rows = np.arange(5) * 10
+    assert rows[errors.kept(live)].tolist() == [0, 20, 40]
+    # a revived item is one of the snapshot's own
+    errors.revive(np.array([3]), np.zeros(3), np.ones(1))
+    assert rows[errors.kept(live)].tolist() == [0, 20, 30, 40]
 
 
 class TestModeReordering:

@@ -17,8 +17,10 @@ from gaussimag.measures import (
     tsallis_imaginarity,
     tsallis_imaginarity_single_mode,
 )
-from gaussimag.sampling import inject_cross_entry, random_real_state, random_state
+from gaussimag.sampling import random_real_state, random_state
 from gaussimag.states import GaussianState, coherent_state, displaced_squeezed_thermal, momentum_displaced
+
+from conftest import inject_cross_entry
 
 
 def product_state(a, b):
@@ -79,6 +81,20 @@ class TestCovarianceRatioMeasure:
             imaginarity_single_mode(n_th, zeta, alpha) for n_th in (0.0, 0.5, 1.0, 5.0, 20.0)
         }
         assert len(values) == 1
+
+
+@pytest.mark.parametrize(
+    "closed_form",
+    [
+        imaginarity_single_mode,
+        fidelity_imaginarity_single_mode,
+        lambda n_th, zeta, alpha: tsallis_imaginarity_single_mode(n_th, zeta, alpha, 0.5),
+    ],
+    ids=["imaginarity", "fidelity", "tsallis"],
+)
+def test_single_mode_closed_forms_reject_negative_n_th(closed_form):
+    with pytest.raises(ValueError, match="^thermal photon number must be >= 0, got -1.0$"):
+        closed_form(-1.0, 0.5, 0.0)
 
 
 class TestFidelityMeasure:

@@ -20,15 +20,15 @@ from gaussimag.sampling import (
     draw_cross_entry,
     draw_real_state,
     draw_state,
-    inject_cross_entry,
     orthogonal_symplectic_stack,
-    random_cm,
     random_real_state,
     random_state,
     real_state_stack,
     state_stack,
 )
 from gaussimag.states import GaussianState, validate
+
+from conftest import inject_cross_entry, random_cm
 
 # sha256 over d and cm bytes of random_state(n, default_rng([n, k]),
 # max_squeeze=2) for k < count: the wide reference pool of the benchmark.
@@ -139,6 +139,12 @@ def test_wide_reference_pool_is_unchanged(n):
     for d, cm in zip(*state_stack(draws)):
         stacked.update(d.tobytes() + cm.tobytes())
     assert one.hexdigest() == stacked.hexdigest() == digest
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.01, 0.13, np.nan])
+def test_cross_entry_outside_the_margin_is_rejected(eps):
+    with pytest.raises(ValueError, match=rf"^eps must be in \(0, 0.125\], got {eps}$"):
+        draw_cross_entry(2, np.random.default_rng(0), eps)
 
 
 def test_full_validation_accepts_every_built_state():

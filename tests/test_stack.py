@@ -39,9 +39,9 @@ def stack(states):
 def failing_fidelity_state(monkeypatch):
     # a two-mode state on which the fidelity chain's square root leaves the
     # principal branch, with the spectral stage that would rescue it made to fail
-    def no_rescue(cm, errors, carry=()):
-        failed = errors.fail(np.ones(len(cm), dtype=bool), lambda j: NonRealResult("planted"), *carry)
-        return (np.empty(0), *failed)
+    def no_rescue(cm, errors):
+        errors.fail(np.ones(len(cm), dtype=bool), lambda j: NonRealResult("planted"))
+        return np.empty(0)
 
     monkeypatch.setattr(measures, "_spectral_f_tot4_stack", no_rescue)
     state = random_state(2, np.random.default_rng([7, 2, 424]), max_squeeze=2.0)
@@ -100,9 +100,9 @@ class TestStackMatchesSingleCalls:
         spectral = measures._spectral_f_tot4_stack
         rescued = []
 
-        def counted(cm, errors, carry=()):
+        def counted(cm, errors):
             rescued.append(len(cm))
-            return spectral(cm, errors, carry)
+            return spectral(cm, errors)
 
         failed = 0
         for n, count in ((8, 64), (16, 16)):

@@ -18,6 +18,10 @@ from gaussimag.states import (
 
 
 class TestValidation:
+    def test_coherent_state_needs_a_mode(self):
+        with pytest.raises(ValueError, match="^need at least one mode$"):
+            coherent_state([])
+
     def test_vacuum_is_valid(self):
         state = GaussianState(np.zeros(2), np.eye(2))
         assert state.n == 1
