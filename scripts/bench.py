@@ -5,14 +5,22 @@ Runs ``states.validate`` and the five stacked stages (covariance ratio,
 fidelity, spectral fidelity, Williamson normal form, Tsallis) on the first B
 states of the benchmark's seeded n-mode pool (squeezing up to 2), for n in
 {1, 2, 4, 8, 16, 32, 64} and B in {1, 64, 256}; the n = 16, B = 256 rows run
-the stack of ``tests/test_working_set.py``.  Each row holds the median and
-minimum wall time over the repeats, the traced peak of one further call
-(``tracemalloc``: the arrays a stage allocates, not LAPACK's own workspace)
-in bytes and in complex ``(B, 2n, 2n)`` stacks, and how many items failed.
-The file also records the environment fields ``perfbench/run.py`` records
-(BLAS threads, library versions, usable cores) and the machine.  The pool and
-those fields come from the benchmark's own modules, imported without writing
-anything under ``perfbench/``.
+the stack of ``tests/test_working_set.py``.  At n = 2 it also runs the two
+stages of the dynamics-family sweeps: ``dynamics.bath_stack`` over B baths and
+``dynamics._evolved`` of the B states under them, with the bath parameters
+and times spread over the ranges of the dynamics figure specs.
+
+Each row holds the median and minimum wall time over the repeats, the traced
+peak of one further call (``tracemalloc``: the arrays a stage allocates, not
+LAPACK's own workspace) in bytes and in complex ``(B, 2n, 2n)`` stacks, and
+how many items failed.  A B = 1 row whose minimum or median lies within 1 ms
+of a multiple of 16 ms, the step in which single small LAPACK calls stall at
+two OpenBLAS threads, is measured again, up to ``ATTEMPTS`` times in all; if
+it is still on a step, it is kept with ``"stalled": true``.  ``attempts``
+counts the measurements a row took.  The file also records the environment
+fields ``perfbench/run.py`` records (BLAS threads, library versions, usable
+cores) and the machine.  The pool and those fields come from the benchmark's
+own modules, imported without writing anything under ``perfbench/``.
 
 Usage, from the root of a checkout, with the BLAS settings ``perfbench/run.py``
 gives its workers:
@@ -29,11 +37,11 @@ import statistics
 import sys
 import time
 import tracemalloc
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
-from gaussimag import linalg, measures, states
+from gaussimag import dynamics, linalg, measures, states
 from gaussimag.linalg import ItemErrors
 from gaussimag.states import ZERO_TOL
 
@@ -46,6 +54,9 @@ MODES = (1, 2, 4, 8, 16, 32, 64)
 SIZES = (1, 64, 256)
 REPEATS = 5  # timed calls per row
 MU = 0.5
+STALL_STEP_S = 0.016  # a stalled LAPACK call returns on a multiple of this
+STALL_NEAR_S = 0.001
+ATTEMPTS = 4  # measurements of a B = 1 row at most
 
 
 def per_item(run):
@@ -68,6 +79,22 @@ STAGES = {
     "spectral_f_tot4": per_item(lambda d, cm, e: measures._spectral_f_tot4_stack(cm, e)),
     "williamson": per_item(lambda d, cm, e: linalg.williamson_stack(cm, e)),
     "tsallis": per_item(lambda d, cm, e: measures._tsallis_stack(d, cm, MU, e)),
+}
+
+
+@cache
+def bath_inputs(count: int):
+    # ((lam, n_th, R, phi), baths, times) of `count` points over the dynamics figure specs' ranges
+    stops = (20.0, 4.0, 4 * np.pi, 60.0)
+    n_th, big_r, phi, times = (np.linspace(0.0, stop, count) for stop in stops)
+    params = (np.full(count, 0.1), n_th, big_r, phi)
+    return params, dynamics.bath_stack(*params)[0], times
+
+
+# the two stages of a dynamics-family sweep, on two-mode states
+BATH_STAGES = {
+    "bath_stack": lambda d, cm: dynamics.bath_stack(*bath_inputs(len(cm))[0])[1],
+    "evolved": lambda d, cm: [None] * len(dynamics._evolved(d, cm, *bath_inputs(len(cm))[1:])[1]),
 }
 
 
@@ -103,6 +130,22 @@ def measure(stage, d, cm) -> dict:
     }
 
 
+def on_stall_step(seconds: float) -> bool:
+    steps = round(seconds / STALL_STEP_S)
+    return steps >= 1 and abs(seconds - steps * STALL_STEP_S) <= STALL_NEAR_S
+
+
+def measured_row(stage, d, cm) -> dict:
+    # a B = 1 row is measured again while its minimum or median sits on a stall step
+    for attempt in range(1, ATTEMPTS + 1):
+        row = measure(stage, d, cm)
+        times = row["wall_s_min"], row["wall_s_median"]
+        stalled = len(cm) == 1 and any(map(on_stall_step, times))
+        if not stalled:
+            break
+    return {**row, "attempts": attempt, "stalled": stalled}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
@@ -111,12 +154,14 @@ def main() -> int:
     for n in MODES:
         for count in SIZES:
             d, cm = pool_stack(n, count)
-            for name, stage in STAGES.items():
-                row = {"stage": name, "n": n, "B": count, **measure(stage, d, cm)}
+            stages = {**STAGES, **BATH_STAGES} if n == 2 else STAGES
+            for name, stage in stages.items():
+                row = {"stage": name, "n": n, "B": count, **measured_row(stage, d, cm)}
                 rows.append(row)
                 print(
                     f"{name:16s} n={n:2d} B={count:3d} {row['wall_s_median'] * 1e3:9.3f} ms "
-                    f"peak {row['peak_complex_stacks']:6.2f} stacks, {row['failed']} failed",
+                    f"peak {row['peak_complex_stacks']:6.2f} stacks, {row['failed']} failed"
+                    + (" (stalled)" if row["stalled"] else ""),
                     file=sys.stderr,
                 )
     environment = {**perfbench_environment(), "machine": platform.machine()}

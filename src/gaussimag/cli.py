@@ -26,7 +26,7 @@ from .dynamics import BathParams, BathStack, _evolved, bath_stack, trajectory
 from .errors import DimensionMismatch
 from .measures import _check_mu, _describe, _libm, measure_all, measure_stack
 from .states import ZERO_TOL, GaussianState, check_zero_tol, coherent_stack
-from .states import squeezed_thermal_stack, two_mode_squeezed_stack, validate
+from .states import squeezed_thermal_stack, two_mode_squeezed_stack
 
 FAMILY_PARAMS = {
     "coherent": {"re_alpha", "im_alpha"},
@@ -159,9 +159,8 @@ def _grid_baths(spec: SweepSpec, p: dict, given: set, errors: list) -> BathStack
 def _grid_inputs(spec: SweepSpec, grid: np.ndarray):
     """``(build, inputs, dynamics, errors)`` of the grid points, checked as one-point specs are.
 
-    ``build(*inputs)`` stacks the states (the initial states of a dynamics
-    family, whose ``(baths, times)`` are ``dynamics``); ``errors[k]`` is the
-    SpecError of point k's first failed check, and its inputs are then unused.
+    ``build(*inputs)`` stacks the states, or the initial states that ``dynamics = (baths,
+    times)`` evolve; ``errors[k]`` is the SpecError of point k's first failed check.
     """
     given = {*spec.fixed, spec.axis}
     fixed = {k: np.full_like(grid, v) for k, v in spec.fixed.items()}
@@ -196,14 +195,15 @@ def _grid_inputs(spec: SweepSpec, grid: np.ndarray):
 
 
 def _grid_states(spec: SweepSpec, grid: np.ndarray):
-    """Validated ``(d, cm)`` stacks of the longest valid grid prefix and the SpecError ending it."""
+    """Physical ``(d, cm)`` stacks of the longest valid grid prefix and the SpecError ending it."""
     build, inputs, dynamics, errors = _grid_inputs(spec, grid)
-    keep = next((k for k, exc in enumerate(errors) if exc), len(grid))
-    d, cm = build(*(a[:keep] for a in inputs))
-    cm, _, failed = validate(cm)
-    _flag(errors, list(map(bool, failed)), lambda k: _at_point(spec, grid[k], failed[k]))
-    bad_d = ValueError("displacement entries must be finite")  # as GaussianState rejects it
-    _flag(errors, ~np.isfinite(d).all(axis=-1), lambda k: _at_point(spec, grid[k], bad_d))
+    d, cm = build(*inputs)
+    finite = {  # built from checked parameters, a state is physical wherever cm + cm^T is finite
+        "covariance matrix is not finite": np.isfinite(cm + cm.swapaxes(-1, -2)).all(axis=(-2, -1)),
+        "displacement entries must be finite": np.isfinite(d).all(axis=-1),  # as GaussianState says
+    }
+    for fault, ok in finite.items():
+        _flag(errors, ~ok, lambda k: _at_point(spec, grid[k], ValueError(fault)))
     keep = next((k for k, exc in enumerate(errors) if exc), len(grid))
     d, cm = d[:keep], cm[:keep]
     if dynamics is not None:  # evolution keeps a state physical

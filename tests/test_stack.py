@@ -132,15 +132,23 @@ class TestStackMatchesSingleCalls:
         assert reports.report(2).tsallis_imaginarity == pytest.approx(0.0, abs=1e-12)
 
     def test_validate_is_per_item(self):
-        cm = np.stack(
-            [np.eye(2), 0.5 * np.eye(2), np.array([[1.0, 0.3], [-0.3, 1.0]]), 3.0 * np.eye(2)]
+        # items 4-10: the squeezed vacua at |zeta| = 9.30..9.36, theta = 1, pure
+        # states whose fidelity or Tsallis path fails; no sweep validates them
+        zeta = np.linspace(9.3, 9.36, 7) * (np.cos(1.0) + 1j * np.sin(1.0))
+        squeezed = squeezed_thermal_stack(np.zeros(7), zeta, np.zeros(7))[1]
+        cm = np.concatenate(
+            [
+                [np.eye(2), 0.5 * np.eye(2), [[1.0, 0.3], [-0.3, 1.0]], 3.0 * np.eye(2)],
+                squeezed,
+            ]
         )
         sym, margin, errors = validate(cm)
         assert errors[0] is None and errors[3] is None
         assert isinstance(errors[1], UncertaintyViolation)
         assert isinstance(errors[2], AsymmetricCM)
+        assert errors[4:] == [None] * 7
         delta = symplectic_form(1)
-        for k in range(4):
+        for k in range(len(cm)):
             assert margin[k] == np.linalg.eigvalsh(sym[k] + 1j * delta).min()
 
     def test_checked_constructor_returns_the_margin(self, rng):

@@ -1,13 +1,18 @@
 """Stacked sweep grids against the one-state-per-point arithmetic they replace."""
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from gaussimag.cli import FAMILY_PARAMS, SweepSpec, _grid_states
+from gaussimag.cli import FAMILY_PARAMS, SweepSpec, _grid_inputs, _grid_states
 from gaussimag.dynamics import BathParams, evolve
 from gaussimag.states import coherent_state, displaced_squeezed_thermal, two_mode_squeezed_vacuum
+from gaussimag.states import validate
+
+FIGURES = sorted((pathlib.Path(__file__).resolve().parent.parent / "figures").glob("*.json"))
 
 POLAR = {"abs_zeta": 0.4, "theta": 1.1}
 CARTESIAN = {"re_zeta": 0.2, "im_zeta": -0.5}
@@ -148,7 +153,7 @@ def test_unphysical_point_before_a_failed_check_is_reported():
     spec = spec_for("squeezed_thermal", "n_th", 0.0, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         kept, message = first_error(spec, [0.5, 1e308, 0.5, -1.0])
-    assert kept == 1 and message.startswith("n_th=1e+308: UncertaintyViolation")
+    assert (kept, message) == (1, "n_th=1e+308: ValueError: covariance matrix is not finite")
 
 
 def test_checks_of_one_point_run_in_order():
@@ -158,3 +163,43 @@ def test_checks_of_one_point_run_in_order():
     assert first_error(spec, [0.1, -1.0]) == (0, "time must be >= 0, got -1.0")
     spec = spec_for("sv_dynamics", "lam", 0.1, 1.0)
     assert first_error(spec, [0.1, -1.0]) == (1, "damping rate must be > 0, got -1.0")
+
+
+@pytest.mark.parametrize("path", FIGURES, ids=lambda path: path.stem)
+def test_figure_grids_pass_the_full_check(path):
+    # a sweep checks only finiteness; every state of every figure passes validate,
+    # whose symmetrization leaves it byte for byte as built
+    spec = SweepSpec.from_dict(json.loads(path.read_text()))
+    d, cm, error = _grid_states(spec, spec.grid())
+    assert error is None and len(cm) == spec.count
+    sym, _, errors = validate(cm)
+    assert errors == [None] * spec.count
+    assert sym.tobytes() == cm.tobytes()
+
+
+def overflow_scans():
+    zeta = np.linspace(0.0, 360.0, 3601)
+    for theta in (0.0, 1.0):
+        for n_th in (0.0, 1e150):
+            spec = spec_for("squeezed_thermal", "abs_zeta", 0.0, 1.0, theta=theta, n_th=n_th)
+            yield pytest.param(spec, zeta, id=f"abs_zeta-theta={theta:g}-n_th={n_th:g}")
+    n_th = np.logspace(-3.0, 308.0, 3111)
+    yield pytest.param(spec_for("squeezed_thermal", "n_th", 0.0, 1.0), n_th, id="n_th")
+    yield pytest.param(spec_for("sv_dynamics", "r", 0.0, 1.0), zeta, id="two_mode_r")
+
+
+@pytest.mark.parametrize("spec, grid", overflow_scans())
+def test_finiteness_check_rejects_exactly_what_validate_rejects(spec, grid):
+    # scans into overflow: the one check a sweep keeps flags the points validate rejects
+    with np.errstate(all="ignore"):
+        build, inputs, _, _ = _grid_inputs(spec, grid)
+        cm = build(*inputs)[1]
+        rejected = np.array([exc is not None for exc in validate(cm)[2]])
+        # some rejected states have finite entries: only cm + cm^T overflows
+        assert (rejected & np.isfinite(cm).all(axis=(-2, -1))).any()
+        d, _, error = _grid_states(spec, grid[~rejected])
+        assert error is None and len(d) == np.count_nonzero(~rejected)
+        for value in grid[rejected]:
+            d, _, error = _grid_states(spec, np.array([value]))
+            want = f"{spec.axis}={value:.12g}: ValueError: covariance matrix is not finite"
+            assert (len(d), str(error)) == (0, want)
