@@ -49,6 +49,8 @@ class ItemErrors:
 
     ``errors[k]`` is None or the exception item k failed with.  ``live`` holds
     the indices of the items not failed yet; every stage works on those only.
+    A failed item stays failed: ``live`` only shrinks, and a second attempt at
+    failed items (the spectral rescue) runs on an ``ItemErrors`` of its own.
     The one alignment rule: a stage returns only its own results, over ``live``
     as it leaves it.  A caller that holds an array across a stage reads
     ``live = errors.live`` before the call and indexes the array with
@@ -92,7 +94,7 @@ class ItemErrors:
 
     def kept(self, live: np.ndarray):
         """Index of the items still live into an array over ``live``, an earlier ``self.live``."""
-        # live only loses items or regains its own: equal lengths mean none failed
+        # live only loses items: equal lengths mean none failed
         if len(self.live) == len(live):
             return slice(None)
         return np.isin(live, self.live)
@@ -104,21 +106,6 @@ class ItemErrors:
         out = np.full((len(self.errors), *values.shape[1:]), np.nan)
         out[self.live] = values
         return out
-
-    def revive(self, items: np.ndarray, ours: np.ndarray, theirs: np.ndarray) -> np.ndarray:
-        """Make the failed ``items`` live again, merging ``theirs`` (rows of ``items``) into
-        ``ours`` (rows of ``live``); the merged array follows the new live set."""
-        for k in items:
-            self.errors[k] = None
-        live = np.concatenate([self.live, items])
-        order = np.argsort(live)
-        self.live = live[order]
-        return np.concatenate([ours, theirs])[order]
-
-    def copy(self) -> "ItemErrors":
-        other = ItemErrors(0)
-        other.errors, other.live = list(self.errors), self.live
-        return other
 
     def raise_first(self) -> None:
         for exc in self.errors:

@@ -203,25 +203,23 @@ def _spectral_f_tot4_stack(cm: np.ndarray, errors: ItemErrors) -> np.ndarray:
 
 
 def _fidelity_stack(d: np.ndarray, cm: np.ndarray, errors: ItemErrors):
-    # (f0, value) between each state and its conjugate, for the items still live:
-    # f_tot4 comes from the chain, or from the spectral stage on the items the
-    # chain failed; an item both fail keeps the chain's exception
+    # (f0, value) between each state and its conjugate, for the items still live.
+    # f_tot4 comes from the chain, or from the spectral stage on the items the chain
+    # failed, each on its own ItemErrors; an item both fail keeps the chain's exception
     o = momentum_signs(cm.shape[-1] // 2)
     # conjugation by diag(o) only flips signs, so it is applied elementwise
     flip = np.outer(o, o)
-    live = errors.live
-    f_tot4 = _w_chain_stack(0.5 * cm, 0.5 * (flip * cm), errors)[1]
-    if len(errors.live) < len(live):
-        missed = ~errors.kept(live)
-        retry = errors.copy()
-        retry.live = live[missed]
-        rescued = _spectral_f_tot4_stack(cm[missed], retry)
-        f_tot4 = errors.revive(retry.live, f_tot4, rescued)
-    kept = errors.kept(live)
-    d, cm = d[kept], cm[kept]
+    chain = ItemErrors(len(cm))
+    f_tot4 = chain.spread(_w_chain_stack(0.5 * cm, 0.5 * (flip * cm), chain)[1].real)
+    lost = np.isin(np.arange(len(cm)), chain.live, invert=True)
+    if lost.any():
+        rescue = ItemErrors(np.count_nonzero(lost))
+        f_tot4[lost] = rescue.spread(_spectral_f_tot4_stack(cm[lost], rescue))
+        lost[np.flatnonzero(lost)[rescue.live]] = False
+    d, cm, f_tot4 = errors.fail(lost, chain.errors.__getitem__, d, cm, f_tot4)
     cm_sum, dd = cm + flip * cm, d - o * d
     log_det, f_tot4, cm_sum, dd = errors.call(logdet_spd, 0.5 * cm_sum, carry=(f_tot4, cm_sum, dd))
-    f0 = _libm(pow, f_tot4.real, 0.25) / _libm(pow, np.exp(log_det), 0.25)
+    f0 = _libm(pow, f_tot4, 0.25) / _libm(pow, np.exp(log_det), 0.25)
     x, f0, dd = errors.call(_solve_vectors, cm_sum, dd, carry=(f0, dd))
     return f0, 1.0 - f0 * _libm(math.exp, -0.25 * _dot(dd, x))
 
@@ -370,11 +368,14 @@ class StackReport:
 
     @cached_property
     def _fragile(self):
-        fid, ts = self._base.copy(), self._base.copy()
+        # each stage on its own ItemErrors over the rows of d and cm
+        fid, ts = ItemErrors(len(self._d)), ItemErrors(len(self._d))
         _, fidelity = _fidelity_stack(self._d, self._cm, fid)
         tsallis = _tsallis_stack(self._d, self._cm, self.mu, ts)
-        failures = list(zip(self._base.errors, fid.errors, ts.errors))
-        return fid.spread(fidelity), ts.spread(tsallis), failures
+        rows = zip(fid.errors, ts.errors)
+        failures = [(None, *next(rows)) if exc is None else (exc,) * 3 for exc in self._base.errors]
+        spread = self._base.spread
+        return spread(fid.spread(fidelity)), spread(ts.spread(tsallis)), failures
 
     @property
     def fidelity_imaginarity(self) -> np.ndarray:  # (B,)

@@ -232,9 +232,6 @@ def test_kept_realigns_an_array_over_a_snapshot():
     errors.fail(np.array([False, True, False, True, False]), ValueError)
     rows = np.arange(5) * 10
     assert rows[errors.kept(live)].tolist() == [0, 20, 40]
-    # a revived item is one of the snapshot's own
-    errors.revive(np.array([3]), np.zeros(3), np.ones(1))
-    assert rows[errors.kept(live)].tolist() == [0, 20, 30, 40]
 
 
 class TestModeReordering:

@@ -120,6 +120,48 @@ class TestStackMatchesSingleCalls:
         assert failed == 0
         assert sum(rescued) == 12
 
+    def test_partial_rescue_in_one_stack(self, monkeypatch):
+        # the 8-mode pool stack, where the chain fails 6 items, with the spectral
+        # stage made to fail every other item it is handed: a rescued item equals
+        # its one-item call, an unrescued one keeps the chain's exception, and no
+        # other item moves
+        spectral = measures._spectral_f_tot4_stack
+
+        def failing_every(step):
+            def stage(cm, errors):
+                bad = np.arange(len(cm)) % step == step - 1
+                (cm,) = errors.fail(bad, lambda j: NonRealResult("planted"), cm)
+                return spectral(cm, errors)
+
+            return stage
+
+        states = [random_state(8, np.random.default_rng([8, k]), max_squeeze=2.0) for k in range(64)]
+        d, cm = stack(states)
+        clean = measure_stack(d, cm)
+        monkeypatch.setattr(measures, "_spectral_f_tot4_stack", failing_every(1))
+        chain = measure_stack(d, cm).failures
+        monkeypatch.setattr(measures, "_spectral_f_tot4_stack", failing_every(2))
+        partial = measure_stack(d, cm)
+        partial.failures  # the fragile stages run now, under the planted rescue
+        monkeypatch.setattr(measures, "_spectral_f_tot4_stack", spectral)
+        lost = [k for k, row in enumerate(chain) if row[1] is not None]
+        assert len(lost) == 6
+        rescued, unrescued = lost[::2], lost[1::2]
+        for k in rescued:
+            assert partial.report(k).to_dict() == measure_all(states[k]).to_dict()
+        for k in unrescued:
+            exc, want = partial.failures[k][1], chain[k][1]
+            assert type(exc) is type(want) and str(exc) == str(want) != "planted"
+        failed = [k for k, row in enumerate(partial.failures) if row != (None, None, None)]
+        assert failed == unrescued
+        keep = np.setdiff1d(np.arange(len(states)), unrescued)
+        assert np.isnan(partial.fidelity_imaginarity[unrescued]).all()
+        np.testing.assert_array_equal(
+            partial.fidelity_imaginarity[keep], clean.fidelity_imaginarity[keep]
+        )
+        for field in ("imaginarity", "tsallis_imaginarity", "log_dets"):
+            np.testing.assert_array_equal(getattr(partial, field), getattr(clean, field))
+
     def test_linalg_error_is_kept_per_item(self):
         # an indefinite matrix makes the stacked Cholesky fail; only its item fails
         d = np.zeros((3, 2))
