@@ -157,9 +157,9 @@ def _grid_baths(spec: SweepSpec, p: dict, given: set, errors: list) -> BathStack
 
 
 def _grid_inputs(spec: SweepSpec, grid: np.ndarray):
-    """``(build, inputs, dynamics, errors)`` of the grid points, checked as one-point specs are.
+    """``(d, cm, dynamics, errors)`` of the grid points, checked as one-point specs are.
 
-    ``build(*inputs)`` stacks the states, or the initial states that ``dynamics = (baths,
+    ``d`` and ``cm`` stack the states, or the initial states that ``dynamics = (baths,
     times)`` evolve; ``errors[k]`` is the SpecError of point k's first failed check.
     """
     given = {*spec.fixed, spec.axis}
@@ -168,16 +168,16 @@ def _grid_inputs(spec: SweepSpec, grid: np.ndarray):
     errors = [None] * len(grid)
     alpha = _complex(p["re_alpha"], p["im_alpha"])
     if spec.family == "coherent":
-        return coherent_stack, (alpha[:, None],), None, errors
+        return *coherent_stack(alpha[:, None]), None, errors
     if spec.family.endswith("_dynamics"):
         baths = _grid_baths(spec, p, given, errors)
         _flag(errors, ~(p["t"] >= 0), lambda k: f"time must be >= 0, got {p['t'][k]}")
         if spec.family == "sv_dynamics":
             missing = np.full(len(grid), "r" not in given)
             _flag(errors, missing, lambda _: "sv_dynamics needs parameter 'r'")
-            return two_mode_squeezed_stack, (p["r"],), (baths, p["t"]), errors
+            return *two_mode_squeezed_stack(p["r"]), (baths, p["t"]), errors
         alphas = np.stack([_complex(p[f"re_alpha{j}"], p[f"im_alpha{j}"]) for j in (1, 2)], axis=-1)
-        return coherent_stack, (alphas,), (baths, p["t"]), errors
+        return *coherent_stack(alphas), (baths, p["t"]), errors
     if "s" in given:
         if given & {"theta", "abs_zeta", "re_zeta", "im_zeta"}:
             raise SpecError("parameter 's' fixes theta=pi/2 and cannot be combined")
@@ -191,13 +191,12 @@ def _grid_inputs(spec: SweepSpec, grid: np.ndarray):
         zeta = p["abs_zeta"] * _complex(np.cos(p["theta"]), np.sin(p["theta"]))
     n_th = p["n_th"]
     _flag(errors, n_th < 0, lambda k: f"thermal photon number must be >= 0, got {n_th[k]}")
-    return squeezed_thermal_stack, (n_th, zeta, alpha), None, errors
+    return *squeezed_thermal_stack(n_th, zeta, alpha), None, errors
 
 
 def _grid_states(spec: SweepSpec, grid: np.ndarray):
     """Physical ``(d, cm)`` stacks of the longest valid grid prefix and the SpecError ending it."""
-    build, inputs, dynamics, errors = _grid_inputs(spec, grid)
-    d, cm = build(*inputs)
+    d, cm, dynamics, errors = _grid_inputs(spec, grid)
     finite = {  # built from checked parameters, a state is physical wherever cm + cm^T is finite
         "covariance matrix is not finite": np.isfinite(cm + cm.swapaxes(-1, -2)).all(axis=(-2, -1)),
         "displacement entries must be finite": np.isfinite(d).all(axis=-1),  # as GaussianState says
@@ -329,13 +328,13 @@ def cmd_dynamics(args) -> int:
     if spec.axis != "t":
         raise SpecError(f"dynamics sweeps the axis 't', got {spec.axis!r}")
     grid = spec.grid()
-    build, inputs, _, errors = _grid_inputs(spec, grid)
+    d, cm, _, errors = _grid_inputs(spec, grid)
     if any(errors):
         raise next(filter(None, errors))
     # the initial state and the bath do not depend on t, and both passed their checks
     bath = BathParams(*(spec.fixed.get(k, 0.0) for k in BATH_KEYS))
     try:
-        state0 = GaussianState(*(a[0] for a in build(*(a[:1] for a in inputs))))
+        state0 = GaussianState(d[0], cm[0])
         result = trajectory(state0, bath, grid, mu=spec.mu, zero_tol=spec.zero_tol)
     except ValueError as exc:
         raise SpecError(_describe(exc)) from exc

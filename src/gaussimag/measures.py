@@ -102,21 +102,19 @@ def imaginarity_single_mode(
     return 1.0 - 1.0 / (1.0 + s2) + h
 
 
-def _w_chain_stack(half_cm1: np.ndarray, half_cm2: np.ndarray, errors: ItemErrors):
-    """``(w_aux, f_tot4)`` of the fidelity chain on half-normalized cms (vacuum = I/2).
+def _w_chain_stack(cm: np.ndarray, errors: ItemErrors):
+    """``(w_aux, f_tot4)`` of the fidelity chain between each state and its conjugate.
 
     ``f_tot4`` is the fourth power of the un-normalized total fidelity; an
     imaginary residue in it means the square root left the principal branch.
     """
-    n = half_cm1.shape[-1] // 2
+    n = cm.shape[-1] // 2
     eye = np.eye(2 * n)
     i_delta = 1j * symplectic_form(n)
-    # these dels free a caller's temporary arguments only because CPython >= 3.11
-    # moves call arguments into the callee's frame (pyproject's requires-python)
-    w1 = -2.0 * half_cm1 @ i_delta
-    del half_cm1
-    w2 = -2.0 * half_cm2 @ i_delta
-    del half_cm2
+    o = momentum_signs(n)
+    w1 = -cm @ i_delta
+    # the conjugate's cm is diag(o) cm diag(o), a sign flip applied elementwise
+    w2 = (-np.outer(o, o) * cm) @ i_delta
     rhs = w2 @ w1
     rhs += eye
     w1 += w2
@@ -124,9 +122,7 @@ def _w_chain_stack(half_cm1: np.ndarray, half_cm2: np.ndarray, errors: ItemError
     (w_aux,) = errors.call(np.linalg.solve, w1, rhs)
     del w1, rhs
     np.negative(w_aux, out=w_aux)
-    inv_sq, w_aux = errors.call(
-        np.linalg.solve, w_aux @ w_aux, np.broadcast_to(eye, w_aux.shape), carry=(w_aux,)
-    )
+    inv_sq, w_aux = errors.call(np.linalg.inv, w_aux @ w_aux, carry=(w_aux,))
     np.subtract(eye, inv_sq, out=inv_sq)
     live = errors.live
     (root,) = sqrt_principal_stack(inv_sq, errors)
@@ -210,7 +206,7 @@ def _fidelity_stack(d: np.ndarray, cm: np.ndarray, errors: ItemErrors):
     # conjugation by diag(o) only flips signs, so it is applied elementwise
     flip = np.outer(o, o)
     chain = ItemErrors(len(cm))
-    f_tot4 = chain.spread(_w_chain_stack(0.5 * cm, 0.5 * (flip * cm), chain)[1].real)
+    f_tot4 = chain.spread(_w_chain_stack(cm, chain)[1].real)
     lost = np.isin(np.arange(len(cm)), chain.live, invert=True)
     if lost.any():
         rescue = ItemErrors(np.count_nonzero(lost))

@@ -220,7 +220,7 @@ def test_c10_normal_form_and_determinant_oracles():
 
 def test_c11_vacuum_fidelity_regression():
     # the hand-derived auxiliary-chain trace that pins the square-root branch
-    w_aux, f_tot4 = _w_chain_stack(np.eye(2)[None], np.eye(2)[None], ItemErrors(1))
+    w_aux, f_tot4 = _w_chain_stack(2.0 * np.eye(2)[None], ItemErrors(1))
     assert np.abs(w_aux[0] - 1.25j * symplectic_form(1)).max() <= 1e-12
     assert abs(complex(f_tot4[0]) - 4.0) <= 1e-12
 

@@ -101,7 +101,7 @@ class TestFidelityMeasure:
     def test_vacuum_chain_intermediates(self):
         from gaussimag.linalg import symplectic_form
 
-        w_aux, f_tot4 = _w_chain_stack(np.eye(2)[None], np.eye(2)[None], ItemErrors(1))
+        w_aux, f_tot4 = _w_chain_stack(2.0 * np.eye(2)[None], ItemErrors(1))
         np.testing.assert_allclose(w_aux[0], 1.25j * symplectic_form(1), atol=1e-14)
         assert complex(f_tot4[0]) == pytest.approx(4.0, abs=1e-14)
 
@@ -164,6 +164,36 @@ class TestFidelityMeasure:
         assert failed == 0
         assert digest.hexdigest() == (
             "5db43960b47b4dd0d729cdef935f5fb626e9649b0c24137f91280848b66e624b"
+        )
+
+    def test_wide_pool_outcomes_are_pinned_past_the_multishift_size(self):
+        # 32- and 64-mode wide states, whose chain runs eig on 64 and 128 square
+        # matrices; LAPACK's eig takes its multishift path from order 75 on.
+        # The chain fails 7 of the 12 32-mode states and 64-mode states 0-3
+        # (13 and 15 as well under 1 BLAS thread); the spectral stage rescues
+        # them.  At 64 modes det_cm moves by ~1e-13 relative between 1 and 2
+        # BLAS threads, so only the values (all 1.0 in double precision) and
+        # error strings are hashed there.  Same build as above, the same
+        # under 1 and 2 BLAS threads.
+        states = {
+            n: [random_state(n, np.random.default_rng([n, k]), max_squeeze=2.0) for k in ks]
+            for n, ks in ((32, range(12)), (64, (0, 1, 2, 3, 13, 15)))
+        }
+        chain = ItemErrors(12)
+        _w_chain_stack(np.stack([state.cm for state in states[32]]), chain)
+        lost = [k for k, exc in enumerate(chain.errors) if exc is not None]
+        assert lost == [0, 3, 4, 7, 8, 10, 11]
+        keys = ("imaginarity", "fidelity_imaginarity", "tsallis_imaginarity")
+        keys += ("fidelity_error", "tsallis_error")
+        digest, failed = hashlib.sha256(), 0
+        for n, pool in states.items():
+            for state in pool:
+                report = measure_all(state).to_dict()
+                failed += report["fidelity_error"] is not None
+                digest.update(repr(report if n == 32 else [report[key] for key in keys]).encode())
+        assert failed == 0
+        assert digest.hexdigest() == (
+            "2aedd20672cd4bbe32a374006a655d51a8e37f447f29d15becbdd9f12483be56"
         )
 
 

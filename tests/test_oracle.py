@@ -13,14 +13,12 @@ from gaussimag.cli import SweepSpec, _grid_states
 from gaussimag.linalg import ItemErrors
 from gaussimag.measures import measure_all, measure_stack
 from gaussimag.sampling import random_state
-from gaussimag.states import momentum_signs
 
 
 def chain_failures(cm: np.ndarray) -> list[int]:
     # stack positions on which the fidelity chain fails
-    o = momentum_signs(cm.shape[-1] // 2)
     errors = ItemErrors(len(cm))
-    measures._w_chain_stack(0.5 * cm, 0.5 * (np.outer(o, o) * cm), errors)
+    measures._w_chain_stack(cm, errors)
     return [k for k, exc in enumerate(errors.errors) if exc is not None]
 
 

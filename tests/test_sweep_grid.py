@@ -192,8 +192,7 @@ def overflow_scans():
 def test_finiteness_check_rejects_exactly_what_validate_rejects(spec, grid):
     # scans into overflow: the one check a sweep keeps flags the points validate rejects
     with np.errstate(all="ignore"):
-        build, inputs, _, _ = _grid_inputs(spec, grid)
-        cm = build(*inputs)[1]
+        _, cm, _, _ = _grid_inputs(spec, grid)
         rejected = np.array([exc is not None for exc in validate(cm)[2]])
         # some rejected states have finite entries: only cm + cm^T overflows
         assert (rejected & np.isfinite(cm).all(axis=(-2, -1))).any()
