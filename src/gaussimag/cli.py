@@ -24,6 +24,7 @@ from . import fuzz
 from .channels import GaussianChannel, classify_real
 from .dynamics import BathParams, BathStack, _evolved, bath_stack, trajectory
 from .errors import DimensionMismatch
+from .linalg import flag
 from .measures import _check_mu, _describe, _libm, measure_all, measure_stack
 from .states import ZERO_TOL, GaussianState, check_zero_tol, coherent_stack
 from .states import squeezed_thermal_stack, two_mode_squeezed_stack
@@ -127,12 +128,6 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.count)
 
 
-def _flag(errors: list, bad: np.ndarray, message) -> None:
-    # a grid point keeps the error of its first failed check
-    for k in np.flatnonzero(bad):
-        errors[k] = errors[k] or SpecError(message(k))
-
-
 def _at_point(spec: SweepSpec, value: float, exc: Exception) -> str:
     return f"{spec.axis}={_fmt_csv(value)}: {_describe(exc)}"
 
@@ -144,23 +139,21 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_baths(spec: SweepSpec, p: dict, given: set, errors: list) -> BathStack:
-    # the baths of the grid, one bath when the axis is not a bath parameter
+def _grid_baths(spec: SweepSpec, p: dict, given: set, points: int) -> tuple[BathStack, list]:
+    # the baths of the points and their messages, one bath when the axis is not a bath parameter
     for key in ("lam", "n_th"):
         if key not in given:
             raise SpecError(f"dynamics family needs parameter {key!r}")
-    count = len(errors) if spec.axis in BATH_KEYS else 1
+    count = points if spec.axis in BATH_KEYS else 1
     baths, failed = bath_stack(*(p[k][:count] for k in BATH_KEYS))
-    failed *= len(errors) // count  # a single bath's check holds at every point
-    _flag(errors, [message is not None for message in failed], failed.__getitem__)
-    return baths
+    return baths, failed * (points // count)  # a single bath's check holds at every point
 
 
 def _grid_inputs(spec: SweepSpec, grid: np.ndarray):
     """``(d, cm, dynamics, errors)`` of the grid points, checked as one-point specs are.
 
     ``d`` and ``cm`` stack the states, or the initial states that ``dynamics = (baths,
-    times)`` evolve; ``errors[k]`` is the SpecError of point k's first failed check.
+    times)`` evolve; ``errors[k]`` is the message of point k's first failed check.
     """
     given = {*spec.fixed, spec.axis}
     fixed = {k: np.full_like(grid, v) for k, v in spec.fixed.items()}
@@ -170,18 +163,18 @@ def _grid_inputs(spec: SweepSpec, grid: np.ndarray):
     if spec.family == "coherent":
         return *coherent_stack(alpha[:, None]), None, errors
     if spec.family.endswith("_dynamics"):
-        baths = _grid_baths(spec, p, given, errors)
-        _flag(errors, ~(p["t"] >= 0), lambda k: f"time must be >= 0, got {p['t'][k]}")
+        baths, errors = _grid_baths(spec, p, given, len(grid))
+        flag(errors, ~(p["t"] >= 0), lambda k: f"time must be >= 0, got {p['t'][k]}")
         if spec.family == "sv_dynamics":
             missing = np.full(len(grid), "r" not in given)
-            _flag(errors, missing, lambda _: "sv_dynamics needs parameter 'r'")
+            flag(errors, missing, lambda _: "sv_dynamics needs parameter 'r'")
             return *two_mode_squeezed_stack(p["r"]), (baths, p["t"]), errors
         alphas = np.stack([_complex(p[f"re_alpha{j}"], p[f"im_alpha{j}"]) for j in (1, 2)], axis=-1)
         return *coherent_stack(alphas), (baths, p["t"]), errors
     if "s" in given:
         if given & {"theta", "abs_zeta", "re_zeta", "im_zeta"}:
             raise SpecError("parameter 's' fixes theta=pi/2 and cannot be combined")
-        _flag(errors, p["s"] < 0, lambda k: f"s must be >= 0, got {p['s'][k]}")
+        flag(errors, p["s"] < 0, lambda k: f"s must be >= 0, got {p['s'][k]}")
         zeta = 1j * 0.5 * _libm(math.asinh, np.sqrt(np.maximum(p["s"], 0.0)))
     elif given & {"re_zeta", "im_zeta"}:
         if given & {"theta", "abs_zeta"}:
@@ -190,7 +183,7 @@ def _grid_inputs(spec: SweepSpec, grid: np.ndarray):
     else:
         zeta = p["abs_zeta"] * _complex(np.cos(p["theta"]), np.sin(p["theta"]))
     n_th = p["n_th"]
-    _flag(errors, n_th < 0, lambda k: f"thermal photon number must be >= 0, got {n_th[k]}")
+    flag(errors, n_th < 0, lambda k: f"thermal photon number must be >= 0, got {n_th[k]}")
     return *squeezed_thermal_stack(n_th, zeta, alpha), None, errors
 
 
@@ -202,13 +195,13 @@ def _grid_states(spec: SweepSpec, grid: np.ndarray):
         "displacement entries must be finite": np.isfinite(d).all(axis=-1),  # as GaussianState says
     }
     for fault, ok in finite.items():
-        _flag(errors, ~ok, lambda k: _at_point(spec, grid[k], ValueError(fault)))
+        flag(errors, ~ok, lambda k: _at_point(spec, grid[k], ValueError(fault)))
     keep = next((k for k, exc in enumerate(errors) if exc), len(grid))
     d, cm = d[:keep], cm[:keep]
     if dynamics is not None:  # evolution keeps a state physical
         baths, times = dynamics
         d, cm = _evolved(d, cm, BathStack._make(a[:keep] for a in baths), times[:keep])
-    return d, cm, errors[keep] if keep < len(grid) else None
+    return d, cm, SpecError(errors[keep]) if keep < len(grid) else None
 
 
 def _load_json(path: str):
@@ -330,7 +323,7 @@ def cmd_dynamics(args) -> int:
     grid = spec.grid()
     d, cm, _, errors = _grid_inputs(spec, grid)
     if any(errors):
-        raise next(filter(None, errors))
+        raise SpecError(next(filter(None, errors)))
     # the initial state and the bath do not depend on t, and both passed their checks
     bath = BathParams(*(spec.fixed.get(k, 0.0) for k in BATH_KEYS))
     try:

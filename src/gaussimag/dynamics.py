@@ -16,6 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import WrongModeCount
+from .linalg import flag
 from .measures import StackReport, _libm, measure_stack
 from .states import ZERO_TOL, GaussianState, check_zero_tol, two_mode_squeezed_layout
 
@@ -94,10 +95,7 @@ def bath_stack(lam, n_th, big_r, phi) -> tuple[BathStack, list[str | None]]:
     )
     errors = [None] * len(n)
     for bad, message, values in checks:
-        if np.count_nonzero(bad):
-            values = values.tolist()
-            for k in np.flatnonzero(bad):
-                errors[k] = errors[k] or message.format(values[k])
+        flag(errors, bad, lambda k: message.format(values[k].item()))
     return baths, errors
 
 

@@ -55,7 +55,8 @@ class ItemErrors:
     as it leaves it.  A caller that holds an array across a stage reads
     ``live = errors.live`` before the call and indexes the array with
     ``kept(live)`` after it; ``carry`` of ``call`` and ``fail`` is for a
-    stage's own arrays.
+    stage's own arrays.  A check over a plain list of per-item failures goes
+    through ``flag``, so an item keeps the failure of its first failed check.
     """
 
     def __init__(self, count: int):
@@ -111,6 +112,12 @@ class ItemErrors:
         for exc in self.errors:
             if exc is not None:
                 raise exc
+
+
+def flag(errors: list, bad, error) -> None:
+    """Fail item k where ``bad[k]`` with ``error(k)``, unless an earlier check failed it."""
+    for k in np.flatnonzero(bad) if np.count_nonzero(bad) else ():
+        errors[k] = errors[k] or error(k)
 
 
 # eigenvalues of magnitude up to this times max(1, spectral radius) count as

@@ -132,17 +132,12 @@ def _w_chain_stack(cm: np.ndarray, errors: ItemErrors):
     f_tot4 = root @ w_aux
     del root
     f_tot4 = np.linalg.det(f_tot4 @ i_delta)
-    w_aux, f_tot4 = errors.fail(
-        np.abs(f_tot4.imag) > 1e-9 * (1.0 + np.abs(f_tot4.real)),
+    imag = np.abs(f_tot4.imag) > 1e-9 * (1.0 + np.abs(f_tot4.real))
+    return errors.fail(
+        imag | (f_tot4.real <= 0.0),
         lambda j: NonRealResult(
             f"total-fidelity determinant has imaginary part {f_tot4[j].imag:.3e}"
-        ),
-        w_aux, f_tot4,
-    )
-    return errors.fail(
-        f_tot4.real <= 0.0,
-        lambda j: NonRealResult(
-            f"total-fidelity determinant is not positive: {f_tot4[j].real:.3e}"
+            if imag[j] else f"total-fidelity determinant is not positive: {f_tot4[j].real:.3e}"
         ),
         w_aux, f_tot4,
     )

@@ -12,7 +12,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import AsymmetricCM, DimensionMismatch, UncertaintyViolation
-from .linalg import ItemErrors, _scaled_tol, symplectic_form
+from .linalg import ItemErrors, _scaled_tol, flag, symplectic_form
 
 #: absolute threshold below which displacement/CM entries count as zero
 ZERO_TOL = 1e-12
@@ -55,25 +55,23 @@ def validate(cm: np.ndarray):
     that eigenproblem failed) and a list holding None or the
     ``AsymmetricCM``/``UncertaintyViolation``/``LinAlgError`` of each item.
     """
-    errors = ItemErrors(len(cm))
+    eig = ItemErrors(len(cm))
     t = _scaled_tol(cm)
     cm_t = cm.swapaxes(-1, -2)
     asymmetric = np.abs(cm - cm_t).max(axis=(-2, -1)) > t
     cm = 0.5 * (cm + cm_t)
-    (eigs,) = errors.call(np.linalg.eigvalsh, cm + 1j * symplectic_form(cm.shape[-1] // 2))
-    margin = errors.spread(eigs.min(axis=-1))
+    (eigs,) = eig.call(np.linalg.eigvalsh, cm + 1j * symplectic_form(cm.shape[-1] // 2))
+    margin = eig.spread(eigs.min(axis=-1))
+    errors = [None] * len(cm)
+    flag(errors, asymmetric, lambda _: AsymmetricCM(
+        "covariance matrix is not symmetric within tolerance"
+    ))
+    flag(errors, [exc is not None for exc in eig.errors], eig.errors.__getitem__)
     # a NaN margin (a non-finite cm) proves nothing, so it fails too
-    bad = asymmetric | ~(margin >= -t)
-    for k in np.flatnonzero(bad) if np.count_nonzero(bad) else ():
-        errors.errors[k] = (
-            AsymmetricCM("covariance matrix is not symmetric within tolerance")
-            if asymmetric[k]
-            else errors.errors[k]
-            or UncertaintyViolation(
-                f"uncertainty principle violated: min eig of cm + i*Delta is {margin[k]:.3e}"
-            )
-        )
-    return cm, margin, errors.errors
+    flag(errors, ~(margin >= -t), lambda k: UncertaintyViolation(
+        f"uncertainty principle violated: min eig of cm + i*Delta is {margin[k]:.3e}"
+    ))
+    return cm, margin, errors
 
 
 def _checked(d, cm) -> tuple[np.ndarray, np.ndarray, float]:

@@ -139,6 +139,8 @@ class TestBathStack:
             "thermal photon number n_th=inf overflows the bath photon number",
             "damping rate must be > 0, got 0.0",
         ]
+        # a message prints the value as given: an integer stays an integer
+        assert bath_stack([-1], [0], [0], [0])[1] == ["damping rate must be > 0, got -1"]
 
 
 class TestClosedFormStacks:

@@ -16,7 +16,7 @@ from gaussimag.errors import (
     UncertaintyViolation,
     WilliamsonResidualError,
 )
-from gaussimag.linalg import symplectic_form
+from gaussimag.linalg import ItemErrors, symplectic_form
 from gaussimag.measures import fidelity_imaginarity, imaginarity, measure_all, measure_stack
 from gaussimag.sampling import draw_symplectic, random_state, symplectic_stack
 from gaussimag.states import (
@@ -25,6 +25,7 @@ from gaussimag.states import (
     displaced_squeezed_thermal,
     real_pattern,
     squeezed_thermal_stack,
+    two_mode_squeezed_stack,
     two_mode_squeezed_vacuum,
     validate,
 )
@@ -193,6 +194,27 @@ class TestStackMatchesSingleCalls:
         for k in range(len(cm)):
             assert margin[k] == np.linalg.eigvalsh(sym[k] + 1j * delta).min()
 
+    def test_failed_eigenproblem_is_not_an_uncertainty_violation(self, monkeypatch):
+        # the non-finite items have a NaN margin and keep the eigenproblem's
+        # LinAlgError; a LAPACK build that returns NaN instead is made to raise
+        eigvalsh = np.linalg.eigvalsh
+
+        def raising(a):
+            if not np.isfinite(a).all():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", raising)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, cm = two_mode_squeezed_stack(np.array([0.3, np.nan, 400.0]))
+            _, margin, errors = validate(cm)
+        assert not np.isfinite(cm[1:]).all(axis=(-2, -1)).any()
+        assert errors[0] is None and margin[0] > 0.0
+        assert np.isnan(margin[1:]).all()
+        for exc in errors[1:]:
+            assert type(exc) is np.linalg.LinAlgError
+            assert str(exc) == "Eigenvalues did not converge"
+
     def test_checked_constructor_returns_the_margin(self, rng):
         state = random_state(3, rng)
         again, margin = GaussianState.checked(state.d, state.cm)
@@ -321,6 +343,24 @@ class TestNamedFailures:
             with pytest.raises(type(imag_exc)) as raised:
                 reports.report(k)
             assert raised.value is imag_exc
+
+
+class TestChainDeterminantCheck:
+    def test_an_item_fails_with_its_first_failed_check(self, monkeypatch):
+        # planted determinants: an imaginary residue on a non-positive real part
+        # reports the residue; a real non-positive one its sign; a good item stays live
+        det = np.linalg.det
+        planted = np.array([-1.0 + 1.0j, -2.0 + 0.0j])
+        monkeypatch.setattr(np.linalg, "det", lambda a: np.append(planted, det(a)[2:]))
+        errors = ItemErrors(3)
+        w_aux, f_tot4 = measures._w_chain_stack(np.stack([2.0 * np.eye(2)] * 3), errors)
+        assert all(isinstance(exc, NonRealResult) for exc in errors.errors[:2])
+        assert [str(exc) for exc in errors.errors[:2]] == [
+            "total-fidelity determinant has imaginary part 1.000e+00",
+            "total-fidelity determinant is not positive: -2.000e+00",
+        ]
+        assert errors.errors[2] is None and errors.live.tolist() == [2]
+        assert len(w_aux) == 1 and f_tot4.tolist() == pytest.approx([4.0])
 
 
 class TestRealnessPredicate:
