@@ -93,6 +93,12 @@ class ItemErrors:
             kept = self.fail(bad, caught.__getitem__, *args, *carry)
             return (fn(*kept[: len(args)]), *kept[len(args) :])
 
+    def failed(self) -> np.ndarray:
+        """Mask of the failed items."""
+        mask = np.ones(len(self.errors), dtype=bool)
+        mask[self.live] = False
+        return mask
+
     def kept(self, live: np.ndarray):
         """Index of the items still live into an array over ``live``, an earlier ``self.live``."""
         # live only loses items: equal lengths mean none failed

@@ -6,8 +6,11 @@ Three quantifiers of how far a state is from having a real density operator:
   position/momentum blocks plus a 0/1 indicator of momentum displacement.
   Cheap for any mode count; this is the measure the package is built around.
 * ``fidelity_imaginarity`` -- one minus the fidelity between the state and its
-  conjugate, evaluated through the closed-form Gaussian fidelity chain; the
-  states the chain fails on go through a real spectral stage instead.
+  conjugate.  Its ``f_tot4`` has three sources: the closed-form Gaussian
+  fidelity chain; a real spectral stage on the states the chain fails; and that
+  spectral stage alone on the states it settles, whose value is 1.0 in double
+  (see ``SETTLED``: the chain would print the same unless its ``f0`` were more
+  than 16x the spectral one).
 * ``tsallis_imaginarity`` -- one minus a Tsallis-type overlap of order mu,
   evaluated through the symplectic normal form.
 
@@ -193,30 +196,85 @@ def _spectral_f_tot4_stack(cm: np.ndarray, errors: ItemErrors) -> np.ndarray:
     return np.prod(np.sqrt(1.0 + mu) + np.sqrt(mu), axis=-1)
 
 
+# An item whose bound r^{1/4} E on f0 E, r = det cm / det(Sigma/2), is at most
+# PREDICTED takes the spectral stage first (f0 <= r^{1/4} held on every random
+# state measured).  One whose spectral f0 E is then at most SETTLED keeps it and
+# skips the chain: its 1 - f0 E is 1.0 in double, and the chain's would be too
+# unless its f0 were more than 16x the spectral one (on the benchmark's wide
+# pool their f_tot4 differ by at most 2.2e-5 relative wherever the chain
+# passes).  Neither bound fails an item; they only decide which paths run.
+PREDICTED, SETTLED = 2.0**-54, 2.0**-58
+
+
+def _f0(f_tot4: np.ndarray, log_det: np.ndarray) -> np.ndarray:
+    # f0 from f_tot4 and log det(Sigma/2)
+    return _libm(pow, f_tot4, 0.25) / _libm(pow, np.exp(log_det), 0.25)
+
+
+def _spectral_at(cm: np.ndarray, at: np.ndarray, f_tot4: np.ndarray) -> np.ndarray:
+    # the spectral stage on the items where ``at``, written into f_tot4 there;
+    # returns where it failed
+    stage = ItemErrors(np.count_nonzero(at))
+    if stage.errors:
+        f_tot4[at] = stage.spread(_spectral_f_tot4_stack(cm[at], stage))
+    failed = np.zeros(len(at), dtype=bool)
+    failed[at] = stage.failed()
+    return failed
+
+
 def _fidelity_stack(d: np.ndarray, cm: np.ndarray, errors: ItemErrors):
     # (f0, value) between each state and its conjugate, for the items still live.
-    # f_tot4 comes from the chain, or from the spectral stage on the items the chain
-    # failed, each on its own ItemErrors; an item both fail keeps the chain's exception
+    # The tail, log det(Sigma/2) and E = exp(-dd Sigma^{-1} dd / 4), comes first.
+    # f_tot4 comes from the spectral stage on the items it settles, from the chain
+    # on the rest, and from the spectral stage on the items the chain failed, each
+    # on its own ItemErrors; an item both f_tot4 paths fail keeps the chain's
+    # exception, and a tail failure counts after those
+    count = len(cm)
     o = momentum_signs(cm.shape[-1] // 2)
+    tail = ItemErrors(count)
     # conjugation by diag(o) only flips signs, so it is applied elementwise
-    flip = np.outer(o, o)
-    chain = ItemErrors(len(cm))
-    f_tot4 = chain.spread(_w_chain_stack(cm, chain)[1].real)
-    lost = np.isin(np.arange(len(cm)), chain.live, invert=True)
-    if lost.any():
-        rescue = ItemErrors(np.count_nonzero(lost))
-        f_tot4[lost] = rescue.spread(_spectral_f_tot4_stack(cm[lost], rescue))
-        lost[np.flatnonzero(lost)[rescue.live]] = False
-    d, cm, f_tot4 = errors.fail(lost, chain.errors.__getitem__, d, cm, f_tot4)
-    cm_sum, dd = cm + flip * cm, d - o * d
-    log_det, f_tot4, cm_sum, dd = errors.call(logdet_spd, 0.5 * cm_sum, carry=(f_tot4, cm_sum, dd))
-    f0 = _libm(pow, f_tot4, 0.25) / _libm(pow, np.exp(log_det), 0.25)
-    x, f0, dd = errors.call(_solve_vectors, cm_sum, dd, carry=(f0, dd))
-    return f0, 1.0 - f0 * _libm(math.exp, -0.25 * _dot(dd, x))
+    cm_sum, dd = cm + np.outer(o, o) * cm, d - o * d
+    log_det, cm_sum, dd = tail.call(logdet_spd, 0.5 * cm_sum, carry=(cm_sum, dd))
+    x, log_det, dd = tail.call(_solve_vectors, cm_sum, dd, carry=(log_det, dd))
+    del cm_sum
+    log_det, e = tail.spread(log_det), tail.spread(_libm(math.exp, -0.25 * _dot(dd, x)))
+    del x, dd
+    ratio = ItemErrors(count)
+    (log_det_cm,) = ratio.call(logdet_spd, cm)
+    # a missing log-determinant gives a NaN bound, which picks nothing
+    picked = np.exp(0.25 * (ratio.spread(log_det_cm) - log_det)) * e <= PREDICTED
+    spectral = np.full(count, np.nan)
+    failed = _spectral_at(cm, picked, spectral)
+    rest = np.ones(count, dtype=bool)
+    rest[picked] = ~(_f0(spectral[picked], log_det[picked]) * e[picked] <= SETTLED)
+    rows = np.flatnonzero(rest)
+    chain = ItemErrors(len(rows))
+    f_tot4 = spectral.copy()
+    f_tot4[rows] = chain.spread(_w_chain_stack(cm if rest.all() else cm[rows], chain)[1].real)
+    lost = np.zeros(count, dtype=bool)
+    lost[rows] = chain.failed()
+    failed |= _spectral_at(cm, lost & ~picked, spectral)
+    f_tot4[lost] = spectral[lost]
+    chain_errors = dict(zip(rows.tolist(), chain.errors))
+    both = lost & failed
+    f_tot4, log_det, e = errors.fail(
+        both | tail.failed(),
+        lambda j: chain_errors[j] if both[j] else tail.errors[j],
+        f_tot4, log_det, e,
+    )
+    f0 = _f0(f_tot4, log_det)
+    return f0, 1.0 - f0 * e
 
 
 def fidelity_imaginarity(state: GaussianState) -> float:
-    """One minus the fidelity between the state and its conjugate."""
+    """One minus the fidelity between the state and its conjugate.
+
+    ``f_tot4`` comes from the spectral stage alone where the covariance ratio
+    picks the state and the spectral ``f0 E`` is at most ``SETTLED`` (2^-58):
+    the value is then 1.0, as the chain's would be unless its ``f0`` were more
+    than 16x the spectral one.  Otherwise it comes from the fidelity chain, or
+    from the spectral stage where the chain fails.
+    """
     errors = ItemErrors(1)
     _, value = _fidelity_stack(state.d[None], state.cm[None], errors)
     errors.raise_first()
@@ -453,7 +511,10 @@ def measure_all(state: GaussianState, mu: float = 0.5, zero_tol: float = ZERO_TO
 
     Failures of the fidelity or Tsallis path are captured as messages instead
     of raising; a fidelity failure means the chain and its spectral rescue
-    both failed, and the message is the chain's.  A failure of the
+    both failed, and the message is the chain's.  A state the spectral stage
+    settles never runs the chain: its fidelity value is 1.0 in double, which
+    the chain's would match unless its ``f0`` were more than 16x the spectral
+    one (see ``fidelity_imaginarity``).  A failure of the
     covariance-ratio measure raises: on valid single-mode states its
     log-determinants fail from |zeta| ~ 9.2 on.
     """

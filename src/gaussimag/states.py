@@ -52,8 +52,9 @@ def validate(cm: np.ndarray):
 
     Returns ``(cm, margin, errors)``: the symmetrized matrices, each item's
     physicality margin (the smallest eigenvalue of cm + i*Delta, NaN where
-    that eigenproblem failed) and a list holding None or the
-    ``AsymmetricCM``/``UncertaintyViolation``/``LinAlgError`` of each item.
+    that eigenproblem failed or cm holds a non-finite entry) and a list
+    holding None or the ``AsymmetricCM``/``UncertaintyViolation``/``LinAlgError``
+    of each item.
     """
     eig = ItemErrors(len(cm))
     t = _scaled_tol(cm)
@@ -61,7 +62,8 @@ def validate(cm: np.ndarray):
     asymmetric = np.abs(cm - cm_t).max(axis=(-2, -1)) > t
     cm = 0.5 * (cm + cm_t)
     (eigs,) = eig.call(np.linalg.eigvalsh, cm + 1j * symplectic_form(cm.shape[-1] // 2))
-    margin = eig.spread(eigs.min(axis=-1))
+    # LAPACK may return finite eigenvalues for a non-finite cm; they say nothing of it
+    margin = np.where(np.isfinite(cm).all(axis=(-2, -1)), eig.spread(eigs.min(axis=-1)), np.nan)
     errors = [None] * len(cm)
     flag(errors, asymmetric, lambda _: AsymmetricCM(
         "covariance matrix is not symmetric within tolerance"

@@ -37,6 +37,11 @@ def stack(states):
     return np.stack([s.d for s in states]), np.stack([s.cm for s in states])
 
 
+def wide_state(n, k):
+    # state k of the benchmark's n-mode pool
+    return random_state(n, np.random.default_rng([n, k]), max_squeeze=2.0)
+
+
 def failing_fidelity_state(monkeypatch):
     # a two-mode state on which the fidelity chain's square root leaves the
     # principal branch, with the spectral stage that would rescue it made to fail
@@ -163,6 +168,30 @@ class TestStackMatchesSingleCalls:
         for field in ("imaginarity", "tsallis_imaginarity", "log_dets"):
             np.testing.assert_array_equal(getattr(partial, field), getattr(clean, field))
 
+    def test_settled_item_beside_chain_failures(self, monkeypatch):
+        # 64-mode items: pool state 64:0, which the spectral stage settles; 64:1,
+        # whose spectral stage is made to fail, so the chain runs on it and fails
+        # too; 64:11, which the covariance ratio does not pick, the chain fails
+        # and the spectral stage rescues; and a displaced coherent state, which
+        # the chain passes.  Every value and exception is its one-item call's.
+        spectral = measures._spectral_f_tot4_stack
+        planted = wide_state(64, 1).cm
+
+        def failing_on_planted(cm, errors):
+            bad = (cm == planted).all(axis=(-2, -1))
+            (cm,) = errors.fail(bad, lambda j: NonRealResult("planted"), cm)
+            return spectral(cm, errors)
+
+        monkeypatch.setattr(measures, "_spectral_f_tot4_stack", failing_on_planted)
+        states = [wide_state(64, k) for k in (0, 1, 11)] + [coherent_state([0.5j] * 64)]
+        reports = measure_stack(*stack(states))
+        for k, state in enumerate(states):
+            assert reports.report(k).to_dict() == measure_all(state).to_dict()
+        assert reports.fidelity_imaginarity[[0, 2]].tolist() == [1.0, 1.0]
+        assert 0.0 < reports.fidelity_imaginarity[3] < 1.0
+        assert type(reports.failures[1][1]) is ComplexSqrtBranchFailure
+        assert [row[1] is None for row in reports.failures] == [True, False, True, True]
+
     def test_linalg_error_is_kept_per_item(self):
         # an indefinite matrix makes the stacked Cholesky fail; only its item fails
         d = np.zeros((3, 2))
@@ -193,6 +222,16 @@ class TestStackMatchesSingleCalls:
         delta = symplectic_form(1)
         for k in range(len(cm)):
             assert margin[k] == np.linalg.eigvalsh(sym[k] + 1j * delta).min()
+        # a NaN diagonal entry, at two scales: LAPACK may return finite
+        # eigenvalues for such a matrix, but its margin is NaN
+        nan_diagonal = np.stack([np.eye(2), 1e3 * np.eye(2)])
+        nan_diagonal[:, 0, 0] = np.nan
+        _, margin, errors = validate(nan_diagonal)
+        assert np.isnan(margin).all()
+        for exc in errors:
+            if not isinstance(exc, np.linalg.LinAlgError):
+                assert type(exc) is UncertaintyViolation
+                assert str(exc) == "uncertainty principle violated: min eig of cm + i*Delta is nan"
 
     def test_failed_eigenproblem_is_not_an_uncertainty_violation(self, monkeypatch):
         # the non-finite items have a NaN margin and keep the eigenproblem's
@@ -343,6 +382,30 @@ class TestNamedFailures:
             with pytest.raises(type(imag_exc)) as raised:
                 reports.report(k)
             assert raised.value is imag_exc
+
+
+class TestSettledFidelity:
+    def test_chain_runs_only_on_unsettled_states(self, monkeypatch):
+        # wide states 64:0-15 in one stack: the covariance ratio picks all but
+        # 64:11 (bound 9.2e-16), and the spectral stage settles all it picks, so
+        # the chain runs on 64:11 alone; with nothing picked it runs on all 16,
+        # and every report is the same
+        d, cm = stack([wide_state(64, k) for k in range(16)])
+        chain, seen = measures._w_chain_stack, []
+
+        def spy(rows, errors):
+            same = (rows[:, None] == cm).all(axis=(-2, -1))
+            seen.append(np.flatnonzero(same.any(axis=0)).tolist())
+            return chain(rows, errors)
+
+        monkeypatch.setattr(measures, "_w_chain_stack", spy)
+        reports = measure_stack(d, cm)
+        settled = [reports.report(k).to_dict() for k in range(16)]
+        monkeypatch.setattr(measures, "PREDICTED", -np.inf)
+        reports = measure_stack(d, cm)
+        assert [reports.report(k).to_dict() for k in range(16)] == settled
+        assert seen == [[11], list(range(16))]
+        assert all(report["fidelity_imaginarity"] == 1.0 for report in settled)
 
 
 class TestChainDeterminantCheck:
