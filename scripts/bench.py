@@ -17,10 +17,13 @@ how many items failed.  A B = 1 row whose minimum or median lies within 1 ms
 of a multiple of 16 ms, the step in which single small LAPACK calls stall at
 two OpenBLAS threads, is measured again, up to ``ATTEMPTS`` times in all; if
 it is still on a step, it is kept with ``"stalled": true``.  ``attempts``
-counts the measurements a row took.  The file also records the environment
-fields ``perfbench/run.py`` records (BLAS threads, library versions, usable
-cores) and the machine.  The pool and those fields come from the benchmark's
-own modules, imported without writing anything under ``perfbench/``.
+counts the measurements a row took.  The fidelity row includes the
+log-determinant of each ``cm`` that its predictor reads, which ``measure_stack``
+takes from the covariance-ratio stage.  The file also records the machine and
+the environment fields ``perfbench/run.py`` records (BLAS threads, library
+versions, usable cores) but scipy's version: the package does not use scipy.
+The pool comes from the benchmark's own module, imported without writing
+anything under ``perfbench/``.
 
 Usage, from the root of a checkout, with the BLAS settings ``perfbench/run.py``
 gives its workers:
@@ -31,6 +34,7 @@ gives its workers:
 
 import argparse
 import json
+import os
 import pathlib
 import platform
 import statistics
@@ -47,7 +51,6 @@ from gaussimag.states import ZERO_TOL
 
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
-from worker import environment as perfbench_environment  # noqa: E402
 from workloads import wide_state  # noqa: E402
 
 MODES = (1, 2, 4, 8, 16, 32, 64)
@@ -75,7 +78,7 @@ STAGES = {
     "imaginarity": per_item(
         lambda d, cm, e: e.call(partial(measures._imaginarity_stack, zero_tol=ZERO_TOL), d, cm)
     ),
-    "fidelity": per_item(lambda d, cm, e: measures._fidelity_stack(d, cm, e)),
+    "fidelity": per_item(lambda d, cm, e: measures._fidelity_stack(d, cm, linalg.logdet_spd(cm), e)),
     "spectral_f_tot4": per_item(lambda d, cm, e: measures._spectral_f_tot4_stack(cm, e)),
     "williamson": per_item(lambda d, cm, e: linalg.williamson_stack(cm, e)),
     "tsallis": per_item(lambda d, cm, e: measures._tsallis_stack(d, cm, MU, e)),
@@ -130,6 +133,23 @@ def measure(stage, d, cm) -> dict:
     }
 
 
+def environment() -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):
+        blas_name = "unknown"
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas_name,
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "blas_thread_timeout": os.environ.get("OPENBLAS_THREAD_TIMEOUT"),
+        "nproc": len(os.sched_getaffinity(0)),
+        "machine": platform.machine(),
+    }
+
+
 def on_stall_step(seconds: float) -> bool:
     steps = round(seconds / STALL_STEP_S)
     return steps >= 1 and abs(seconds - steps * STALL_STEP_S) <= STALL_NEAR_S
@@ -164,8 +184,7 @@ def main() -> int:
                     + (" (stalled)" if row["stalled"] else ""),
                     file=sys.stderr,
                 )
-    environment = {**perfbench_environment(), "machine": platform.machine()}
-    out = {"environment": environment, "repeats": REPEATS, "stages": rows}
+    out = {"environment": environment(), "repeats": REPEATS, "stages": rows}
     pathlib.Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

@@ -10,9 +10,11 @@ Three quantifiers of how far a state is from having a real density operator:
   fidelity chain; a real spectral stage on the states the chain fails; and that
   spectral stage alone on the states it settles, whose value is 1.0 in double
   (see ``SETTLED``: the chain would print the same unless its ``f0`` were more
-  than 16x the spectral one).
+  than 16x the spectral one).  The bound that picks those states reads
+  ``log det cm`` from the covariance-ratio stage.
 * ``tsallis_imaginarity`` -- one minus a Tsallis-type overlap of order mu,
-  evaluated through the symplectic normal form.
+  evaluated through the symplectic normal form.  Both overlaps end in the same
+  Gaussian tail, a log-determinant and a displacement quadratic form.
 
 Single-mode closed forms of all three are provided for cross-validation.
 
@@ -43,21 +45,24 @@ from .linalg import (
 from .states import ZERO_TOL, GaussianState, check_zero_tol, momentum_displaced, momentum_signs
 
 
-def _solve_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # stacked solve with one right-hand-side vector per item
-    return np.linalg.solve(a, b[..., None])[..., 0]
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # per-item dot products, summed as ``a[k] @ b[k]`` sums them
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def _libm(fn, x: np.ndarray, *args) -> np.ndarray:
     # fn(v, *args) item by item over a 1-D array, as scalar code computes it:
     # numpy's vectorized exp, expm1, cosh, sinh, arcsinh and power (even its
     # square) may differ from the math-module functions and ``**`` in the last bit
     return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, x.size)
+
+
+def _overlap_tail(half: np.ndarray, d: np.ndarray, errors: ItemErrors, *carry: np.ndarray):
+    # (log det half, dd half^{-1} dd, *carry) over the live items, dd = d - P d:
+    # the Gaussian tail of the fidelity (Banchi, Braunstein and Pirandola, PRL 115,
+    # 260501, 2015; half = Sigma / 2) and of the Tsallis overlap (Pirandola and
+    # Lloyd, PRA 78, 012331, 2008)
+    log_det, half, d, *carry = errors.call(logdet_spd, half, carry=(half, d, *carry))
+    dd = d - momentum_signs(d.shape[-1] // 2) * d
+    x, log_det, dd, *carry = errors.call(
+        lambda a, b: np.linalg.solve(a, b[..., None])[..., 0], half, dd, carry=(log_det, dd, *carry)
+    )
+    return log_det, np.matmul(dd[:, None, :], x[:, :, None])[:, 0, 0], *carry
 
 
 def _imaginarity_stack(d: np.ndarray, cm: np.ndarray, zero_tol: float):
@@ -211,40 +216,36 @@ def _f0(f_tot4: np.ndarray, log_det: np.ndarray) -> np.ndarray:
     return _libm(pow, f_tot4, 0.25) / _libm(pow, np.exp(log_det), 0.25)
 
 
-def _spectral_at(cm: np.ndarray, at: np.ndarray, f_tot4: np.ndarray) -> np.ndarray:
-    # the spectral stage on the items where ``at``, written into f_tot4 there;
-    # returns where it failed
+def _spectral_at(cm: np.ndarray, at: np.ndarray, f_tot4: np.ndarray) -> None:
+    # the spectral stage on the items where ``at``, written into f_tot4 there:
+    # NaN where it fails, and only there, since every factor of its value is >= 1
     stage = ItemErrors(np.count_nonzero(at))
     if stage.errors:
         f_tot4[at] = stage.spread(_spectral_f_tot4_stack(cm[at], stage))
-    failed = np.zeros(len(at), dtype=bool)
-    failed[at] = stage.failed()
-    return failed
 
 
-def _fidelity_stack(d: np.ndarray, cm: np.ndarray, errors: ItemErrors):
+def _fidelity_stack(d: np.ndarray, cm: np.ndarray, log_det_cm: np.ndarray, errors: ItemErrors):
     # (f0, value) between each state and its conjugate, for the items still live.
-    # The tail, log det(Sigma/2) and E = exp(-dd Sigma^{-1} dd / 4), comes first.
-    # f_tot4 comes from the spectral stage on the items it settles, from the chain
-    # on the rest, and from the spectral stage on the items the chain failed, each
-    # on its own ItemErrors; an item both f_tot4 paths fail keeps the chain's
-    # exception, and a tail failure counts after those
+    # The tail, log det(Sigma/2) and E = exp(-dd Sigma^{-1} dd / 4), comes first;
+    # the predictor's log det cm is the covariance-ratio stage's, NaN where that
+    # has none.  f_tot4 comes from the spectral stage on the items it settles,
+    # from the chain on the rest, and from the spectral stage on the items the
+    # chain failed, each on its own ItemErrors; an item both f_tot4 paths fail
+    # keeps the chain's exception, and a tail failure counts after those
     count = len(cm)
     o = momentum_signs(cm.shape[-1] // 2)
     tail = ItemErrors(count)
     # conjugation by diag(o) only flips signs, so it is applied elementwise
-    cm_sum, dd = cm + np.outer(o, o) * cm, d - o * d
-    log_det, cm_sum, dd = tail.call(logdet_spd, 0.5 * cm_sum, carry=(cm_sum, dd))
-    x, log_det, dd = tail.call(_solve_vectors, cm_sum, dd, carry=(log_det, dd))
-    del cm_sum
-    log_det, e = tail.spread(log_det), tail.spread(_libm(math.exp, -0.25 * _dot(dd, x)))
-    del x, dd
-    ratio = ItemErrors(count)
-    (log_det_cm,) = ratio.call(logdet_spd, cm)
+    half = cm + np.outer(o, o) * cm
+    half *= 0.5
+    # halving is exact in the solve and the dot product: quad / 8 is dd Sigma^{-1} dd / 4
+    log_det, quad = _overlap_tail(half, d, tail)
+    del half
+    log_det, e = tail.spread(log_det), tail.spread(_libm(math.exp, -0.125 * quad))
     # a missing log-determinant gives a NaN bound, which picks nothing
-    picked = np.exp(0.25 * (ratio.spread(log_det_cm) - log_det)) * e <= PREDICTED
+    picked = np.exp(0.25 * (log_det_cm - log_det)) * e <= PREDICTED
     spectral = np.full(count, np.nan)
-    failed = _spectral_at(cm, picked, spectral)
+    _spectral_at(cm, picked, spectral)
     rest = np.ones(count, dtype=bool)
     rest[picked] = ~(_f0(spectral[picked], log_det[picked]) * e[picked] <= SETTLED)
     rows = np.flatnonzero(rest)
@@ -253,10 +254,10 @@ def _fidelity_stack(d: np.ndarray, cm: np.ndarray, errors: ItemErrors):
     f_tot4[rows] = chain.spread(_w_chain_stack(cm if rest.all() else cm[rows], chain)[1].real)
     lost = np.zeros(count, dtype=bool)
     lost[rows] = chain.failed()
-    failed |= _spectral_at(cm, lost & ~picked, spectral)
+    _spectral_at(cm, lost & ~picked, spectral)
     f_tot4[lost] = spectral[lost]
     chain_errors = dict(zip(rows.tolist(), chain.errors))
-    both = lost & failed
+    both = lost & np.isnan(spectral)
     f_tot4, log_det, e = errors.fail(
         both | tail.failed(),
         lambda j: chain_errors[j] if both[j] else tail.errors[j],
@@ -275,8 +276,9 @@ def fidelity_imaginarity(state: GaussianState) -> float:
     than 16x the spectral one.  Otherwise it comes from the fidelity chain, or
     from the spectral stage where the chain fails.
     """
-    errors = ItemErrors(1)
-    _, value = _fidelity_stack(state.d[None], state.cm[None], errors)
+    errors, cm_errors = ItemErrors(1), ItemErrors(1)
+    (log_det_cm,) = cm_errors.call(logdet_spd, state.cm[None])
+    _, value = _fidelity_stack(state.d[None], state.cm[None], cm_errors.spread(log_det_cm), errors)
     errors.raise_first()
     return value[0].item()
 
@@ -328,12 +330,9 @@ def _tsallis_stack(d: np.ndarray, cm: np.ndarray, mu: float, errors: ItemErrors)
     cm_sum = cm_mu + cm_mu.swapaxes(-1, -2)
     del cm_mu
     cm_sum *= 0.5
-    log_det, factors, cm_sum, d = errors.call(logdet_spd, cm_sum, carry=(factors, cm_sum, d))
+    log_det, quad, factors = _overlap_tail(cm_sum, d, errors, factors)
     prefactor = 2.0**n * np.prod(factors, axis=-1) / np.sqrt(np.exp(log_det))
-    dd = d - o * d
-    x, prefactor, dd = errors.call(_solve_vectors, cm_sum, dd, carry=(prefactor, dd))
-    exponent = -0.5 * _dot(dd, x)
-    return 1.0 - prefactor * _libm(math.exp, exponent)
+    return 1.0 - prefactor * _libm(math.exp, -0.5 * quad)
 
 
 def tsallis_imaginarity(state: GaussianState, mu: float) -> float:
@@ -419,7 +418,7 @@ class StackReport:
     def _fragile(self):
         # each stage on its own ItemErrors over the rows of d and cm
         fid, ts = ItemErrors(len(self._d)), ItemErrors(len(self._d))
-        _, fidelity = _fidelity_stack(self._d, self._cm, fid)
+        _, fidelity = _fidelity_stack(self._d, self._cm, self.log_dets[self._base.live, 0], fid)
         tsallis = _tsallis_stack(self._d, self._cm, self.mu, ts)
         rows = zip(fid.errors, ts.errors)
         failures = [(None, *next(rows)) if exc is None else (exc,) * 3 for exc in self._base.errors]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gaussimag.errors import InvalidMu, NonRealResult
-from gaussimag.linalg import ItemErrors
+from gaussimag.linalg import ItemErrors, logdet_spd
 from gaussimag.measures import (
     _fidelity_stack,
     _w_chain_stack,
@@ -107,7 +107,8 @@ class TestFidelityMeasure:
 
     def test_vacuum_value(self):
         vacuum = coherent_state([0])
-        f0, value = _fidelity_stack(vacuum.d[None], vacuum.cm[None], ItemErrors(1))
+        cm = vacuum.cm[None]
+        f0, value = _fidelity_stack(vacuum.d[None], cm, logdet_spd(cm), ItemErrors(1))
         assert f0[0] == pytest.approx(1.0, abs=1e-14)
         assert value[0] == pytest.approx(0.0, abs=1e-14)
 
@@ -284,7 +285,7 @@ class TestMeasureAll:
     def test_fragile_path_failure_is_flagged(self, monkeypatch, rng):
         import gaussimag.measures as measures
 
-        def boom(d, cm, errors):
+        def boom(d, cm, log_det_cm, errors):
             errors.fail(np.ones(len(errors.live), dtype=bool), lambda j: NonRealResult("synthetic failure"))
             return np.empty(0), np.empty(0)
 

@@ -407,6 +407,76 @@ class TestSettledFidelity:
         assert seen == [[11], list(range(16))]
         assert all(report["fidelity_imaginarity"] == 1.0 for report in settled)
 
+    def test_cm_is_factored_once_per_stack(self, monkeypatch):
+        # wide states 8:0-11, where 8:9 fails the chain: reading every array
+        # factors cm itself once, in the covariance-ratio stage, and the
+        # predictor reads that stage's log det cm
+        d, cm = stack([wide_state(8, k) for k in range(12)])
+        logdet, factored = measures.logdet_spd, []
+
+        def spy(a):
+            factored.append(a.shape == cm.shape and np.array_equal(a, cm))
+            return logdet(a)
+
+        monkeypatch.setattr(measures, "logdet_spd", spy)
+        reports = measure_stack(d, cm)
+        assert factored == [True, False, False]  # cm, A11 and A22
+        reports.fidelity_imaginarity
+        reports.tsallis_imaginarity
+        for k in range(12):
+            reports.report(k)
+        assert factored == [True, False, False, False, False]  # and one per overlap tail
+
+    def test_predictor_gets_the_covariance_ratio_log_dets(self, monkeypatch):
+        # an indefinite item fails the covariance ratio; the fidelity stage gets
+        # the other items' log det cm, the bits a factorization of their own gives
+        d, cm = stack([wide_state(8, k) for k in range(6)])
+        d, cm = np.insert(d, 2, d[0], axis=0), np.insert(cm, 2, -cm[0], axis=0)
+        fidelity_stack, received = measures._fidelity_stack, []
+
+        def spy(d, cm, log_det_cm, errors):
+            received.append(log_det_cm.copy())
+            return fidelity_stack(d, cm, log_det_cm, errors)
+
+        monkeypatch.setattr(measures, "_fidelity_stack", spy)
+        reports = measure_stack(d, cm)
+        live = [k for k, failed in enumerate(reports.failures) if failed[0] is None]
+        assert live == [0, 1, 3, 4, 5, 6]
+        (got,) = received
+        assert got.tobytes() == reports.log_dets[live, 0].tobytes()
+        assert got.tobytes() == measures.logdet_spd(cm[live]).tobytes()
+
+    def test_direct_calls_without_a_log_det_cm(self, monkeypatch):
+        # squeezed vacua at |zeta| 8.5-12: the Cholesky of cm fails on 26 of the
+        # 64, where the predictor has no log det cm and its bound is NaN.  Each
+        # direct call gives the same value, or the same named failure, as with
+        # nothing picked; 18 of them fail, with three kinds of exception
+        states = [
+            displaced_squeezed_thermal(0.0, r * np.exp(1j * phase), alpha)
+            for r in np.linspace(8.5, 12.0, 8)
+            for phase in (0.3, 1.0, np.pi / 2, 2.0)
+            for alpha in (0.0, 0.5j)
+        ]
+        no_cholesky = ItemErrors(len(states))
+        no_cholesky.call(measures.logdet_spd, np.stack([s.cm for s in states]))
+        assert np.count_nonzero(no_cholesky.failed()) == 26
+
+        def outcomes():
+            got = []
+            for state in states:
+                try:
+                    got.append(fidelity_imaginarity(state))
+                except (ArithmeticError, np.linalg.LinAlgError) as exc:
+                    got.append((type(exc), str(exc)))
+            return got
+
+        default = outcomes()
+        monkeypatch.setattr(measures, "PREDICTED", -np.inf)
+        assert outcomes() == default
+        failed = [got[0] for got in default if isinstance(got, tuple)]
+        assert len(failed) == 18
+        assert set(failed) == {NonRealResult, ComplexSqrtBranchFailure, np.linalg.LinAlgError}
+
 
 class TestChainDeterminantCheck:
     def test_an_item_fails_with_its_first_failed_check(self, monkeypatch):
