@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Wall time and traced memory peak of each stacked stage of the measure core.
 
-Runs ``states.validate`` and the five stacked stages (covariance ratio,
-fidelity, spectral fidelity, Williamson normal form, Tsallis) on the first B
-states of the benchmark's seeded n-mode pool (squeezing up to 2), for n in
-{1, 2, 4, 8, 16, 32, 64} and B in {1, 64, 256}; the n = 16, B = 256 rows run
+Runs ``states.validate``, the five stacked stages (covariance ratio,
+fidelity, spectral fidelity, Williamson normal form, Tsallis) and
+``fragile``, the fidelity and Tsallis stages as ``measure_stack`` runs them
+(after the covariance ratio, with the Tsallis settle between them), on the
+first B states of the benchmark's seeded n-mode pool (squeezing up to 2), for
+n in {1, 2, 4, 8, 16, 32, 64} and B in {1, 64, 256}; the n = 16, B = 256 rows run
 the stack of ``tests/test_working_set.py``.  At n = 2 it also runs the two
 stages of the dynamics-family sweeps: ``dynamics.bath_stack`` over B baths and
 ``dynamics._evolved`` of the B states under them, with the bath parameters
@@ -82,6 +84,10 @@ STAGES = {
     "spectral_f_tot4": per_item(lambda d, cm, e: measures._spectral_f_tot4_stack(cm, e)),
     "williamson": per_item(lambda d, cm, e: linalg.williamson_stack(cm, e)),
     "tsallis": per_item(lambda d, cm, e: measures._tsallis_stack(d, cm, MU, e)),
+    # an item's first failure, if any
+    "fragile": lambda d, cm: [
+        next(filter(None, row), None) for row in measures.measure_stack(d, cm, MU).failures
+    ],
 }
 
 

@@ -14,7 +14,10 @@ Three quantifiers of how far a state is from having a real density operator:
   ``log det cm`` from the covariance-ratio stage.
 * ``tsallis_imaginarity`` -- one minus a Tsallis-type overlap of order mu,
   evaluated through the symplectic normal form.  Both overlaps end in the same
-  Gaussian tail, a log-determinant and a displacement quadratic form.
+  Gaussian tail, a log-determinant and a displacement quadratic form.  The
+  overlap is at most ``(f0 E)^(2 min(mu, 1 - mu))``, so ``measure_stack`` gives
+  the value 1.0 without the normal form where that bound is at most
+  ``SETTLED``, the same 16x margin below 1.0 in double as the fidelity's.
 
 Single-mode closed forms of all three are provided for cross-validation.
 
@@ -202,12 +205,16 @@ def _spectral_f_tot4_stack(cm: np.ndarray, errors: ItemErrors) -> np.ndarray:
 
 
 # An item whose bound r^{1/4} E on f0 E, r = det cm / det(Sigma/2), is at most
-# PREDICTED takes the spectral stage first (f0 <= r^{1/4} held on every random
-# state measured).  One whose spectral f0 E is then at most SETTLED keeps it and
+# PREDICTED, times 2^(n/4 - 4) above n = 16, takes the spectral stage first
+# (f0 <= r^{1/4} held on every random state measured; on the benchmark's wide
+# pool the bound's log2 excess over f0 E has median 3.1 at n = 16, 6.1 at 32
+# and 12.5 at 64).  One whose spectral f0 E is then at most SETTLED keeps it and
 # skips the chain: its 1 - f0 E is 1.0 in double, and the chain's would be too
 # unless its f0 were more than 16x the spectral one (on the benchmark's wide
 # pool their f_tot4 differ by at most 2.2e-5 relative wherever the chain
-# passes).  Neither bound fails an item; they only decide which paths run.
+# passes).  The Tsallis overlap is at most (f0 E)^(2 min(mu, 1 - mu)) (see
+# ``StackReport._fragile``), so where that is at most SETTLED its value is 1.0
+# too.  Neither bound fails an item; they only decide which paths run.
 PREDICTED, SETTLED = 2.0**-54, 2.0**-58
 
 
@@ -221,19 +228,19 @@ def _spectral_at(cm: np.ndarray, at: np.ndarray, f_tot4: np.ndarray) -> None:
     # NaN where it fails, and only there, since every factor of its value is >= 1
     stage = ItemErrors(np.count_nonzero(at))
     if stage.errors:
-        f_tot4[at] = stage.spread(_spectral_f_tot4_stack(cm[at], stage))
+        f_tot4[at] = stage.spread(_spectral_f_tot4_stack(cm if at.all() else cm[at], stage))
 
 
 def _fidelity_stack(d: np.ndarray, cm: np.ndarray, log_det_cm: np.ndarray, errors: ItemErrors):
-    # (f0, value) between each state and its conjugate, for the items still live.
+    # (f0 E, value) between each state and its conjugate, for the items still live.
     # The tail, log det(Sigma/2) and E = exp(-dd Sigma^{-1} dd / 4), comes first;
     # the predictor's log det cm is the covariance-ratio stage's, NaN where that
     # has none.  f_tot4 comes from the spectral stage on the items it settles,
     # from the chain on the rest, and from the spectral stage on the items the
     # chain failed, each on its own ItemErrors; an item both f_tot4 paths fail
     # keeps the chain's exception, and a tail failure counts after those
-    count = len(cm)
-    o = momentum_signs(cm.shape[-1] // 2)
+    count, n = len(cm), cm.shape[-1] // 2
+    o = momentum_signs(n)
     tail = ItemErrors(count)
     # conjugation by diag(o) only flips signs, so it is applied elementwise
     half = cm + np.outer(o, o) * cm
@@ -243,7 +250,7 @@ def _fidelity_stack(d: np.ndarray, cm: np.ndarray, log_det_cm: np.ndarray, error
     del half
     log_det, e = tail.spread(log_det), tail.spread(_libm(math.exp, -0.125 * quad))
     # a missing log-determinant gives a NaN bound, which picks nothing
-    picked = np.exp(0.25 * (log_det_cm - log_det)) * e <= PREDICTED
+    picked = np.exp(0.25 * (log_det_cm - log_det)) * e <= PREDICTED * 2.0 ** max(0, n / 4 - 4)
     spectral = np.full(count, np.nan)
     _spectral_at(cm, picked, spectral)
     rest = np.ones(count, dtype=bool)
@@ -251,7 +258,8 @@ def _fidelity_stack(d: np.ndarray, cm: np.ndarray, log_det_cm: np.ndarray, error
     rows = np.flatnonzero(rest)
     chain = ItemErrors(len(rows))
     f_tot4 = spectral.copy()
-    f_tot4[rows] = chain.spread(_w_chain_stack(cm if rest.all() else cm[rows], chain)[1].real)
+    if chain.errors:
+        f_tot4[rows] = chain.spread(_w_chain_stack(cm if rest.all() else cm[rows], chain)[1].real)
     lost = np.zeros(count, dtype=bool)
     lost[rows] = chain.failed()
     _spectral_at(cm, lost & ~picked, spectral)
@@ -263,8 +271,8 @@ def _fidelity_stack(d: np.ndarray, cm: np.ndarray, log_det_cm: np.ndarray, error
         lambda j: chain_errors[j] if both[j] else tail.errors[j],
         f_tot4, log_det, e,
     )
-    f0 = _f0(f_tot4, log_det)
-    return f0, 1.0 - f0 * e
+    f0_e = _f0(f_tot4, log_det) * e
+    return f0_e, 1.0 - f0_e
 
 
 def fidelity_imaginarity(state: GaussianState) -> float:
@@ -339,7 +347,10 @@ def tsallis_imaginarity(state: GaussianState, mu: float) -> float:
     """One minus the Tsallis-type overlap of order mu between state and conjugate.
 
     Needs the full symplectic normal form of the covariance matrix, so this is
-    the most expensive of the three measures.
+    the most expensive of the three measures.  This one-state call always runs
+    it; ``measure_all`` and ``measure_stack`` skip it where the fidelity bound
+    ``(f0 E)^(2 min(mu, 1 - mu))`` on the overlap is at most ``SETTLED``
+    (2^-58), 16x below where ``1 - overlap`` stops printing as 1.0.
     """
     _check_mu(mu)
     errors = ItemErrors(1)
@@ -418,12 +429,18 @@ class StackReport:
     def _fragile(self):
         # each stage on its own ItemErrors over the rows of d and cm
         fid, ts = ItemErrors(len(self._d)), ItemErrors(len(self._d))
-        _, fidelity = _fidelity_stack(self._d, self._cm, self.log_dets[self._base.live, 0], fid)
-        tsallis = _tsallis_stack(self._d, self._cm, self.mu, ts)
+        f0_e, fidelity = _fidelity_stack(self._d, self._cm, self.log_dets[self._base.live, 0], fid)
+        # Q_mu <= Q_1/2^(2 min(mu, 1 - mu)) by the convexity of log Q_s (Audenaert et
+        # al., PRL 98, 160501, 2007) and Q_1/2 <= f0 E; an item settled by that bound
+        # (see SETTLED) leaves the Tsallis stage without an error and takes 1.0
+        settled = fid.spread(f0_e) ** (2.0 * min(self.mu, 1.0 - self.mu)) <= SETTLED
+        d, cm = ts.fail(settled, lambda j: None, self._d, self._cm)
+        tsallis = _tsallis_stack(d, cm, self.mu, ts) if len(cm) else np.empty(0)
+        tsallis = np.where(settled, 1.0, ts.spread(tsallis))
         rows = zip(fid.errors, ts.errors)
         failures = [(None, *next(rows)) if exc is None else (exc,) * 3 for exc in self._base.errors]
         spread = self._base.spread
-        return spread(fid.spread(fidelity)), spread(ts.spread(tsallis)), failures
+        return spread(fid.spread(fidelity)), spread(tsallis), failures
 
     @property
     def fidelity_imaginarity(self) -> np.ndarray:  # (B,)
@@ -513,7 +530,10 @@ def measure_all(state: GaussianState, mu: float = 0.5, zero_tol: float = ZERO_TO
     both failed, and the message is the chain's.  A state the spectral stage
     settles never runs the chain: its fidelity value is 1.0 in double, which
     the chain's would match unless its ``f0`` were more than 16x the spectral
-    one (see ``fidelity_imaginarity``).  A failure of the
+    one (see ``fidelity_imaginarity``).  Where the Tsallis overlap's bound
+    ``(f0 E)^(2 min(mu, 1 - mu))`` is at most ``SETTLED``, 16x below where the
+    value stops printing as 1.0, the Tsallis value is 1.0 without the normal
+    form, which ``tsallis_imaginarity`` always runs.  A failure of the
     covariance-ratio measure raises: on valid single-mode states its
     log-determinants fail from |zeta| ~ 9.2 on.
     """

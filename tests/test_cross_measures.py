@@ -18,6 +18,13 @@ The values are compared as the measures print them, so each side of an
 inequality carries a relative error from the stages and an absolute one from
 ``1 - M``.  Every item must succeed: a failure fails the test instead of
 leaving the sample.
+
+At 16 to 64 modes both overlaps are far below the rounding of ``1 - M``, so
+the last test compares their logarithms, taken from the stages' own factors:
+``sqrt(F) = f0 E`` as ``_fidelity_stack`` returns it, and ``log Q_mu`` from the
+normal form without the settle of ``measure_stack``.  Together the sandwich
+and the Chernoff bound give ``log Q_mu <= 2 min(mu, 1 - mu) log(f0 E)``, the
+bound that settles the Tsallis value of those states.
 """
 
 from functools import cache
@@ -25,8 +32,11 @@ from functools import cache
 import numpy as np
 import pytest
 
+from gaussimag import measures
+from gaussimag.linalg import ItemErrors, logdet_spd, williamson_stack
 from gaussimag.measures import measure_stack
-from gaussimag.sampling import draw_state, state_stack
+from gaussimag.sampling import draw_state, random_state, state_stack
+from gaussimag.states import momentum_signs
 
 MUS = (0.1, 0.25, 0.75, 0.9)
 N = [1, 2, 3, 4, 6, 8]
@@ -87,3 +97,43 @@ def test_chernoff_bounds(n):
     for mu in MUS:
         assert at_most(q[0.5], q[mu]).all()
         assert at_most(q[mu], (q[0.5] + ABS) ** (2.0 * min(mu, 1.0 - mu))).all()
+
+
+# log(f0 E) may be off by a quarter of the chain's drift from the spectral
+# f_tot4, at most 2.2e-5 relative on the wide pool, so each side of a log-space
+# inequality may exceed the other by LOG_TOL.  Measured on this sample: every
+# inequality held with at least 0.17 |log(f0 E)| to spare, and |log(f0 E)| was
+# at least 5.7
+LOG_TOL = 1e-5
+
+
+def log_overlap(d, cm, mu):
+    # log Q_mu through the normal form, as _tsallis_stack assembles it but with
+    # its prefactor and exponential kept in log space
+    n = cm.shape[-1] // 2
+    errors = ItemErrors(len(cm))
+    s, nus, _ = williamson_stack(cm, errors)
+    factors, scale_mu, scale_1mu = measures._mu_weights(nus, mu)
+    s_t = s.swapaxes(-1, -2)
+    o = momentum_signs(n)
+    cm_sum = (s * scale_mu.repeat(2, axis=-1)[:, None, :]) @ s_t
+    cm_sum += np.outer(o, o) * ((s * scale_1mu.repeat(2, axis=-1)[:, None, :]) @ s_t)
+    log_det, quad = measures._overlap_tail(0.5 * (cm_sum + cm_sum.swapaxes(-1, -2)), d, errors)
+    assert errors.errors == [None] * len(cm)
+    return n * np.log(2.0) + np.log(factors).sum(axis=-1) - 0.5 * log_det - 0.5 * quad
+
+
+@pytest.mark.parametrize("n, count", [(16, 64), (32, 64), (64, 32)])
+def test_log_overlaps_obey_the_settle_bound(n, count):
+    # the first states of the benchmark's wide pool (squeezing up to 2)
+    draws = [random_state(n, np.random.default_rng([n, k]), max_squeeze=2.0) for k in range(count)]
+    d, cm = np.stack([s.d for s in draws]), np.stack([s.cm for s in draws])
+    errors = ItemErrors(count)
+    f0_e, _ = measures._fidelity_stack(d, cm, logdet_spd(cm), errors)
+    assert errors.errors == [None] * count
+    log_f0_e = np.log(f0_e)
+    q_half = log_overlap(d, cm, 0.5)
+    assert (2.0 * log_f0_e <= q_half + LOG_TOL).all()
+    assert (q_half <= log_f0_e + LOG_TOL).all()
+    for mu in (0.1, 0.5, 0.9):
+        assert (log_overlap(d, cm, mu) <= 2.0 * min(mu, 1.0 - mu) * log_f0_e + LOG_TOL).all()

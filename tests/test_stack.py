@@ -17,7 +17,13 @@ from gaussimag.errors import (
     WilliamsonResidualError,
 )
 from gaussimag.linalg import ItemErrors, symplectic_form
-from gaussimag.measures import fidelity_imaginarity, imaginarity, measure_all, measure_stack
+from gaussimag.measures import (
+    fidelity_imaginarity,
+    imaginarity,
+    measure_all,
+    measure_stack,
+    tsallis_imaginarity,
+)
 from gaussimag.sampling import draw_symplectic, random_state, symplectic_stack
 from gaussimag.states import (
     GaussianState,
@@ -171,9 +177,9 @@ class TestStackMatchesSingleCalls:
     def test_settled_item_beside_chain_failures(self, monkeypatch):
         # 64-mode items: pool state 64:0, which the spectral stage settles; 64:1,
         # whose spectral stage is made to fail, so the chain runs on it and fails
-        # too; 64:11, which the covariance ratio does not pick, the chain fails
-        # and the spectral stage rescues; and a displaced coherent state, which
-        # the chain passes.  Every value and exception is its one-item call's.
+        # too; 64:11, which the spectral stage settles as well; and a displaced
+        # coherent state, which the chain passes.  Every value and exception is
+        # its one-item call's.
         spectral = measures._spectral_f_tot4_stack
         planted = wide_state(64, 1).cm
 
@@ -386,11 +392,10 @@ class TestNamedFailures:
 
 class TestSettledFidelity:
     def test_chain_runs_only_on_unsettled_states(self, monkeypatch):
-        # wide states 64:0-15 in one stack: the covariance ratio picks all but
-        # 64:11 (bound 9.2e-16), and the spectral stage settles all it picks, so
-        # the chain runs on 64:11 alone; with nothing picked it runs on all 16,
-        # and every report is the same
-        d, cm = stack([wide_state(64, k) for k in range(16)])
+        # wide states 64:16-31 in one stack: the spectral stage settles all but
+        # 64:20, so the chain runs on 64:20 alone; with nothing picked it runs
+        # on all 16, and every report is the same
+        d, cm = stack([wide_state(64, k) for k in range(16, 32)])
         chain, seen = measures._w_chain_stack, []
 
         def spy(rows, errors):
@@ -404,7 +409,7 @@ class TestSettledFidelity:
         monkeypatch.setattr(measures, "PREDICTED", -np.inf)
         reports = measure_stack(d, cm)
         assert [reports.report(k).to_dict() for k in range(16)] == settled
-        assert seen == [[11], list(range(16))]
+        assert seen == [[20 - 16], list(range(16))]
         assert all(report["fidelity_imaginarity"] == 1.0 for report in settled)
 
     def test_cm_is_factored_once_per_stack(self, monkeypatch):
@@ -476,6 +481,111 @@ class TestSettledFidelity:
         failed = [got[0] for got in default if isinstance(got, tuple)]
         assert len(failed) == 18
         assert set(failed) == {NonRealResult, ComplexSqrtBranchFailure, np.linalg.LinAlgError}
+
+
+def spied(monkeypatch, cm, *names):
+    # per named stage of ``measures``, the items it is handed on each call, as
+    # lists of their positions in the stack ``cm``
+    seen = {name: [] for name in names}
+    for name in names:
+        def spy(rows, errors, name=name, stage=getattr(measures, name)):
+            same = (rows[:, None] == cm).all(axis=(-2, -1))
+            seen[name].append(np.flatnonzero(same.any(axis=0)).tolist())
+            return stage(rows, errors)
+
+        monkeypatch.setattr(measures, name, spy)
+    return seen
+
+
+class TestSettledTsallis:
+    def test_williamson_runs_only_on_unsettled_states(self, monkeypatch):
+        # wide states 64:16-31 in one stack: the fidelity bound settles the
+        # Tsallis value of all but 64:20, so the normal form runs on 64:20
+        # alone; with nothing picked or settled it runs on all 16, and every
+        # report is the same
+        d, cm = stack([wide_state(64, k) for k in range(16, 32)])
+        seen = spied(monkeypatch, cm, "williamson_stack")["williamson_stack"]
+        reports = measure_stack(d, cm)
+        settled = [reports.report(k).to_dict() for k in range(16)]
+        monkeypatch.setattr(measures, "PREDICTED", -np.inf)
+        monkeypatch.setattr(measures, "SETTLED", -np.inf)
+        reports = measure_stack(d, cm)
+        assert [reports.report(k).to_dict() for k in range(16)] == settled
+        assert seen == [[20 - 16], list(range(16))]
+        assert all(report["tsallis_imaginarity"] == 1.0 for report in settled)
+
+    def test_mixed_stack_equals_one_item_calls(self, monkeypatch):
+        # 64:16, settled; 64:38, which the covariance ratio does not pick, the
+        # chain fails and the spectral stage rescues, and whose Tsallis value the
+        # normal form gives; 64:20, not settled, and 64:17, settled, both with
+        # their normal form made to fail: 64:20 keeps that named failure, and
+        # 64:17 never runs it and takes 1.0.  Every value and exception is its
+        # one-item call's
+        states = [wide_state(64, k) for k in (16, 38, 20, 17)]
+        williamson = measures.williamson_stack
+        planted = np.stack([states[2].cm, states[3].cm])
+
+        def failing_on_planted(cm, errors):
+            bad = (cm[:, None] == planted).all(axis=(-2, -1)).any(axis=-1)
+            (cm,) = errors.fail(bad, lambda j: WilliamsonResidualError("planted"), cm)
+            return williamson(cm, errors)
+
+        monkeypatch.setattr(measures, "williamson_stack", failing_on_planted)
+        d, cm = stack(states)
+        spectral = spied(monkeypatch, cm, "_spectral_f_tot4_stack")["_spectral_f_tot4_stack"]
+        reports = measure_stack(d, cm)
+        reports.failures
+        assert spectral == [[0, 2, 3], [1]]  # picked, then the rescue
+        for k, state in enumerate(states):
+            assert reports.report(k).to_dict() == measure_all(state).to_dict()
+        assert [row[1:] for row in reports.failures[:2]] == [(None, None)] * 2
+        assert reports.failures[3] == (None, None, None)
+        assert str(reports.failures[2][2]) == "planted"
+        assert reports.tsallis_imaginarity[[0, 3]].tolist() == [1.0, 1.0]
+
+    def test_one_state_call_never_settles(self, monkeypatch):
+        # wide states 64:0-31 one at a time: measure_all runs the normal form on
+        # 64:20 alone, tsallis_imaginarity on every state, and on each of the 31
+        # settled ones it prints measure_all's value
+        states = [wide_state(64, k) for k in range(32)]
+        williamson, calls = measures.williamson_stack, []
+
+        def counted(cm, errors):
+            calls.append(len(cm))
+            return williamson(cm, errors)
+
+        monkeypatch.setattr(measures, "williamson_stack", counted)
+        settled = []
+        for state in states:
+            before = len(calls)
+            value = measure_all(state).tsallis_imaginarity
+            if len(calls) == before:
+                settled.append((state, value))
+        assert len(settled) == 31 and calls == [1]
+        for state, value in settled:
+            assert tsallis_imaginarity(state, 0.5) == value
+        assert calls == [1] * 32
+
+    @pytest.mark.parametrize(
+        "d, cm",
+        [
+            (np.zeros((0, 4)), np.zeros((0, 4, 4))),
+            # both items are indefinite and fail the covariance ratio
+            (np.zeros((2, 2)), np.stack([np.diag([1.0, -1.0]), -np.eye(2)])),
+            # every item settles both fragile stages
+            stack([wide_state(64, k) for k in range(16)]),
+            # no item settles
+            stack([wide_state(8, k) for k in range(4)]),
+        ],
+        ids=["empty", "all-failed", "all-settled", "none-settled"],
+    )
+    def test_no_stage_is_handed_an_empty_stack(self, monkeypatch, d, cm):
+        names = "_w_chain_stack", "_spectral_f_tot4_stack", "williamson_stack"
+        seen = spied(monkeypatch, cm, *names)
+        measure_stack(d, cm).failures
+        assert [] not in [rows for calls in seen.values() for rows in calls]
+        if len(cm) == 4:
+            assert seen["_w_chain_stack"] == seen["williamson_stack"] == [[0, 1, 2, 3]]
 
 
 class TestChainDeterminantCheck:
