@@ -2,7 +2,9 @@
 """Wall time and traced memory peak of each stacked stage of the measure core.
 
 Runs ``states.validate``, the five stacked stages (covariance ratio,
-fidelity, spectral fidelity, Williamson normal form, Tsallis) and
+fidelity, spectral fidelity, Williamson normal form, Tsallis), the two settle
+certificates (``fidelity_bound``, the determinant bound on ``f_tot4``, and
+``spectral_overlap``, the Tsallis overlap through the spectral form) and
 ``fragile``, the fidelity and Tsallis stages as ``measure_stack`` runs them
 (after the covariance ratio, with the Tsallis settle between them), on the
 first B states of the benchmark's seeded n-mode pool (squeezing up to 2), for
@@ -82,6 +84,8 @@ STAGES = {
     ),
     "fidelity": per_item(lambda d, cm, e: measures._fidelity_stack(d, cm, linalg.logdet_spd(cm), e)),
     "spectral_f_tot4": per_item(lambda d, cm, e: measures._spectral_f_tot4_stack(cm, e)),
+    "fidelity_bound": per_item(lambda d, cm, e: measures._log_f_tot4_bound(cm, e)),
+    "spectral_overlap": per_item(lambda d, cm, e: measures._log_overlap_stack(d, cm, MU, e)),
     "williamson": per_item(lambda d, cm, e: linalg.williamson_stack(cm, e)),
     "tsallis": per_item(lambda d, cm, e: measures._tsallis_stack(d, cm, MU, e)),
     # an item's first failure, if any

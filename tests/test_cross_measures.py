@@ -136,4 +136,7 @@ def test_log_overlaps_obey_the_settle_bound(n, count):
     assert (2.0 * log_f0_e <= q_half + LOG_TOL).all()
     assert (q_half <= log_f0_e + LOG_TOL).all()
     for mu in (0.1, 0.5, 0.9):
-        assert (log_overlap(d, cm, mu) <= 2.0 * min(mu, 1.0 - mu) * log_f0_e + LOG_TOL).all()
+        q_mu = log_overlap(d, cm, mu)
+        # the spectral overlap's gate: F = (f0 E)^2 <= Q_1/2 <= Q_mu
+        assert (2.0 * log_f0_e <= q_mu + LOG_TOL).all()
+        assert (q_mu <= 2.0 * min(mu, 1.0 - mu) * log_f0_e + LOG_TOL).all()

@@ -175,11 +175,10 @@ class TestStackMatchesSingleCalls:
             np.testing.assert_array_equal(getattr(partial, field), getattr(clean, field))
 
     def test_settled_item_beside_chain_failures(self, monkeypatch):
-        # 64-mode items: pool state 64:0, which the spectral stage settles; 64:1,
-        # whose spectral stage is made to fail, so the chain runs on it and fails
-        # too; 64:11, which the spectral stage settles as well; and a displaced
-        # coherent state, which the chain passes.  Every value and exception is
-        # its one-item call's.
+        # 64-mode items: pool states 64:0, 64:1 and 64:11, which the determinant
+        # bound settles, so 64:1 never reaches the spectral stage made to fail on
+        # it; and a displaced coherent state, which the chain passes.  Every
+        # value and exception is its one-item call's.
         spectral = measures._spectral_f_tot4_stack
         planted = wide_state(64, 1).cm
 
@@ -193,10 +192,9 @@ class TestStackMatchesSingleCalls:
         reports = measure_stack(*stack(states))
         for k, state in enumerate(states):
             assert reports.report(k).to_dict() == measure_all(state).to_dict()
-        assert reports.fidelity_imaginarity[[0, 2]].tolist() == [1.0, 1.0]
+        assert reports.fidelity_imaginarity[[0, 1, 2]].tolist() == [1.0, 1.0, 1.0]
         assert 0.0 < reports.fidelity_imaginarity[3] < 1.0
-        assert type(reports.failures[1][1]) is ComplexSqrtBranchFailure
-        assert [row[1] is None for row in reports.failures] == [True, False, True, True]
+        assert [row[1] is None for row in reports.failures] == [True, True, True, True]
 
     def test_linalg_error_is_kept_per_item(self):
         # an indefinite matrix makes the stacked Cholesky fail; only its item fails
@@ -500,9 +498,9 @@ def spied(monkeypatch, cm, *names):
 class TestSettledTsallis:
     def test_williamson_runs_only_on_unsettled_states(self, monkeypatch):
         # wide states 64:16-31 in one stack: the fidelity bound settles the
-        # Tsallis value of all but 64:20, so the normal form runs on 64:20
-        # alone; with nothing picked or settled it runs on all 16, and every
-        # report is the same
+        # Tsallis value of all but 64:20, and its spectral overlap settles 64:20,
+        # so the normal form never runs; with nothing picked or settled it runs
+        # on all 16, and every report is the same
         d, cm = stack([wide_state(64, k) for k in range(16, 32)])
         seen = spied(monkeypatch, cm, "williamson_stack")["williamson_stack"]
         reports = measure_stack(d, cm)
@@ -511,16 +509,17 @@ class TestSettledTsallis:
         monkeypatch.setattr(measures, "SETTLED", -np.inf)
         reports = measure_stack(d, cm)
         assert [reports.report(k).to_dict() for k in range(16)] == settled
-        assert seen == [[20 - 16], list(range(16))]
+        assert seen == [list(range(16))]
         assert all(report["tsallis_imaginarity"] == 1.0 for report in settled)
 
     def test_mixed_stack_equals_one_item_calls(self, monkeypatch):
-        # 64:16, settled; 64:38, which the covariance ratio does not pick, the
-        # chain fails and the spectral stage rescues, and whose Tsallis value the
-        # normal form gives; 64:20, not settled, and 64:17, settled, both with
-        # their normal form made to fail: 64:20 keeps that named failure, and
-        # 64:17 never runs it and takes 1.0.  Every value and exception is its
-        # one-item call's
+        # 64:16, settled by the determinant bound; 64:38, which the covariance
+        # ratio does not pick, the chain fails and the spectral stage rescues;
+        # 64:20, which the spectral stage does not settle; and 64:17, settled by
+        # the determinant bound.  64:20 and 64:17 have their normal form made to
+        # fail, but the Tsallis value of every item is settled (64:38 and 64:20 by
+        # their spectral overlap), so none runs it and each takes 1.0.  Every
+        # value and exception is its one-item call's
         states = [wide_state(64, k) for k in (16, 38, 20, 17)]
         williamson = measures.williamson_stack
         planted = np.stack([states[2].cm, states[3].cm])
@@ -535,18 +534,18 @@ class TestSettledTsallis:
         spectral = spied(monkeypatch, cm, "_spectral_f_tot4_stack")["_spectral_f_tot4_stack"]
         reports = measure_stack(d, cm)
         reports.failures
-        assert spectral == [[0, 2, 3], [1]]  # picked, then the rescue
+        assert spectral == [[2], [1]]  # picked and not bound-settled, then the rescue
         for k, state in enumerate(states):
             assert reports.report(k).to_dict() == measure_all(state).to_dict()
         assert [row[1:] for row in reports.failures[:2]] == [(None, None)] * 2
         assert reports.failures[3] == (None, None, None)
-        assert str(reports.failures[2][2]) == "planted"
-        assert reports.tsallis_imaginarity[[0, 3]].tolist() == [1.0, 1.0]
+        assert reports.failures[2][2] is None
+        assert reports.tsallis_imaginarity.tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_one_state_call_never_settles(self, monkeypatch):
-        # wide states 64:0-31 one at a time: measure_all runs the normal form on
-        # 64:20 alone, tsallis_imaginarity on every state, and on each of the 31
-        # settled ones it prints measure_all's value
+        # wide states 64:0-31 one at a time: measure_all settles every one of
+        # them without the normal form, tsallis_imaginarity runs it on every
+        # state, and on each it prints measure_all's value
         states = [wide_state(64, k) for k in range(32)]
         williamson, calls = measures.williamson_stack, []
 
@@ -561,10 +560,59 @@ class TestSettledTsallis:
             value = measure_all(state).tsallis_imaginarity
             if len(calls) == before:
                 settled.append((state, value))
-        assert len(settled) == 31 and calls == [1]
+        assert len(settled) == 32 and calls == []
         for state, value in settled:
             assert tsallis_imaginarity(state, 0.5) == value
         assert calls == [1] * 32
+
+    def test_every_route_in_one_stack_equals_one_item_calls(self, monkeypatch):
+        # 64:0, settled by the determinant bound; 64:19, by the spectral stage;
+        # 64:20, whose Tsallis value its spectral overlap settles; a displaced
+        # coherent state, which nothing settles; and 64:38, whose spectral
+        # overlap is made to fail, which records no error and sends it to the
+        # normal form.  Every value and exception is its one-item call's
+        states = [wide_state(64, k) for k in (0, 19, 20)] + [coherent_state([0.05j] * 64), wide_state(64, 38)]
+        overlap, planted = measures._log_overlap_stack, states[4].cm
+
+        def failing_on_planted(d, cm, mu, errors):
+            bad = (cm == planted).all(axis=(-2, -1))
+            d, cm = errors.fail(bad, lambda j: NonRealResult("planted"), d, cm)
+            return overlap(d, cm, mu, errors)
+
+        d, cm = stack(states)
+        names = "_log_f_tot4_bound", "_spectral_f_tot4_stack", "williamson_stack"
+        seen = spied(monkeypatch, cm, *names)
+        monkeypatch.setattr(measures, "_log_overlap_stack", failing_on_planted)
+        reports = measure_stack(d, cm)
+        assert reports.failures == [(None, None, None)] * 5
+        assert seen == {
+            "_log_f_tot4_bound": [[0, 1]],
+            "_spectral_f_tot4_stack": [[1, 2], [4]],  # picked and not bound-settled, then the rescue
+            "williamson_stack": [[3, 4]],
+        }
+        for k, state in enumerate(states):
+            assert reports.report(k).to_dict() == measure_all(state).to_dict()
+        assert reports.fidelity_imaginarity[:2].tolist() == [1.0, 1.0]
+        assert reports.tsallis_imaginarity[:3].tolist() == [1.0, 1.0, 1.0]
+        assert 0.0 < reports.tsallis_imaginarity[3] < 1.0
+
+    def test_no_certificate_runs_when_nothing_can_settle(self, monkeypatch):
+        # wide states 64:16-31: with SETTLED at -inf neither the determinant
+        # bound nor the spectral overlap runs, and every report is the same
+        d, cm = stack([wide_state(64, k) for k in range(16, 32)])
+        settled = [measure_stack(d, cm).report(k).to_dict() for k in range(16)]
+        calls = []
+
+        def forbidden(*args):
+            calls.append(len(args[0]))
+            raise AssertionError("certificate ran")
+
+        monkeypatch.setattr(measures, "_log_f_tot4_bound", forbidden)
+        monkeypatch.setattr(measures, "_log_overlap_stack", forbidden)
+        monkeypatch.setattr(measures, "SETTLED", -np.inf)
+        reports = measure_stack(d, cm)
+        assert [reports.report(k).to_dict() for k in range(16)] == settled
+        assert calls == []
 
     @pytest.mark.parametrize(
         "d, cm",

@@ -85,8 +85,11 @@ def test_traced_peak_is_bounded(stages, stage, bound):
 # stacks where the spectral stage settles items: of the pool's first 64
 # 32-mode states 10 settle, and the chain gets a copy of the other rows; all
 # of its first 16 64-mode states settle, and the spectral stage gets cm itself.
-# Measured 4.15 and 2.51 complex stacks of their own size with numpy 2.4
-@pytest.mark.parametrize("n, count, bound", [(32, 64, 4.45), (64, 16, 2.95)])
+# Measured 4.15 and 2.51 complex stacks of their own size with numpy 2.4.  At
+# n = 64, B = 64 the determinant bound settles 56 of the 63 picked items and
+# the spectral stage gets a copy of the other 7: measured 1.938 (2.961 while
+# the spectral stage got a copy of all 63), bounded at that plus 5%
+@pytest.mark.parametrize("n, count, bound", [(32, 64, 4.45), (64, 16, 2.95), (64, 64, 2.035)])
 def test_settled_fidelity_peak_is_bounded(n, count, bound):
     d, cm = wide_stack(n, count)
     log_det_cm = linalg.logdet_spd(cm)
@@ -96,8 +99,9 @@ def test_settled_fidelity_peak_is_bounded(n, count, bound):
 
 # both fragile stages as a report runs them, on the same stacks: the Tsallis
 # stage skips the items the fidelity bound settles, and gets a copy of the
-# other rows.  Measured 4.145 and 2.510 stacks with numpy 2.4
-@pytest.mark.parametrize("n, count, bound", [(32, 64, 4.3), (64, 16, 2.62)])
+# other rows.  Measured 4.145 and 2.510 stacks with numpy 2.4; 1.938 at n = 64,
+# B = 64, bounded at that plus 5%
+@pytest.mark.parametrize("n, count, bound", [(32, 64, 4.3), (64, 16, 2.62), (64, 64, 2.035)])
 def test_settled_fragile_peak_is_bounded(n, count, bound):
     reports = measure_stack(*wide_stack(n, count))
     unit = count * (2 * n) ** 2 * 16
