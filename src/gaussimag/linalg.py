@@ -228,11 +228,10 @@ def block_split(cm: np.ndarray) -> ModeBlocks:
 
 
 def spectral_core(cm: np.ndarray, errors: ItemErrors, *carry: np.ndarray) -> tuple:
-    """``(chol, k, nu2, u, *carry)`` over ``errors.live``: ``cm = chol chol^T``, ``k = chol^T Delta chol``.
+    """``(chol, k, nu2, u, *carry)`` over ``errors.live``, the real spectral form of ``cm``.
 
-    ``k^T k = u diag(nu2) u^T`` holds the squared symplectic eigenvalues, each
-    twice, and ``T = chol u`` gives ``S g(D) S^T = T diag(g(nu) / nu) T^T`` for the
-    normal form ``cm = S D S^T`` with no symplectic factor and no pairing.
+    ``cm = chol chol^T``, ``k = chol^T Delta chol``, ``k^T k = u diag(nu2) u^T`` with each
+    squared symplectic eigenvalue twice, and ``S g(D) S^T = T diag(g(nu) / nu) T^T``, T = chol u.
     """
     chol, *carry = errors.call(np.linalg.cholesky, cm, carry=carry)
     k = _mT(chol) @ symplectic_form(cm.shape[-1] // 2) @ chol

@@ -6,18 +6,15 @@ Three quantifiers of how far a state is from having a real density operator:
   position/momentum blocks plus a 0/1 indicator of momentum displacement.
   Cheap for any mode count; this is the measure the package is built around.
 * ``fidelity_imaginarity`` -- one minus the fidelity between the state and its
-  conjugate, through the closed-form Gaussian fidelity chain, or a real
-  spectral stage where the chain fails.  Where ``f0 E`` is at most ``SETTLED``
-  (16x below where ``1 - f0 E`` stops printing as 1.0) the value is 1.0 without
-  the chain: a determinant bound on ``f_tot4 = prod(sqrt(1 + mu) + sqrt(mu))``,
-  from ``(sqrt(1 + mu) + sqrt(mu))^2 <= (1 + 1/t)(1 + (1 + t) mu)``, or else the
-  spectral stage settles it, on the states the covariance ratio picks.
+  conjugate, through the closed-form Gaussian fidelity chain, or a real spectral
+  stage where the chain fails.  It is 1.0 without the chain where ``f0 E <= SETTLED``
+  by the bound from ``(sqrt(1 + mu) + sqrt(mu))^2 <= (1 + 1/t)(1 + (1 + t) mu)`` on
+  ``f_tot4 = prod(sqrt(1 + mu) + sqrt(mu))``, or else by the spectral stage.
 * ``tsallis_imaginarity`` -- one minus a Tsallis-type overlap Q_mu of order mu,
   through the symplectic normal form.  Both overlaps end in the same Gaussian
-  tail, a log-determinant and a displacement quadratic form.  As
-  ``(f0 E)^2 <= Q_mu <= (f0 E)^(2 min(mu, 1 - mu))``, ``measure_stack`` gives the
-  value 1.0 without the normal form where the upper bound is at most
-  ``SETTLED``, or the lower one is and so is Q_mu through the spectral form.
+  tail, a log-determinant and a displacement quadratic form.  By ``(f0 E)^2 <=
+  Q_mu <= (f0 E)^(2 min(mu, 1 - mu))`` it is 1.0 without the normal form where
+  the upper bound, or else Q_mu through the spectral form, is at most ``SETTLED``.
 
 Single-mode closed forms of all three are provided for cross-validation.
 
@@ -145,14 +142,13 @@ def _w_chain_stack(cm: np.ndarray, errors: ItemErrors):
     del root
     with np.errstate(over="ignore", invalid="ignore"):
         f_tot4 = np.linalg.det(f_tot4 @ i_delta)
-    big = ~np.isfinite(f_tot4)
     imag = np.abs(f_tot4.imag) > 1e-9 * (1.0 + np.abs(f_tot4.real))
     return errors.fail(
-        big | imag | (f_tot4.real <= 0.0),
-        lambda j: OverflowError("total-fidelity determinant overflows") if big[j] else NonRealResult(
+        ~np.isfinite(f_tot4) | imag | (f_tot4.real <= 0.0),
+        lambda j: NonRealResult(
             f"total-fidelity determinant has imaginary part {f_tot4[j].imag:.3e}"
             if imag[j] else f"total-fidelity determinant is not positive: {f_tot4[j].real:.3e}"
-        ),
+        ) if np.isfinite(f_tot4[j]) else OverflowError("total-fidelity determinant overflows"),
         w_aux, f_tot4,
     )
 
@@ -206,54 +202,44 @@ def _spectral_f_tot4_stack(cm: np.ndarray, errors: ItemErrors) -> np.ndarray:
         return np.prod(np.sqrt(1.0 + mu) + np.sqrt(mu), axis=-1)
 
 
-# An item whose bound r^{1/4} E on f0 E, r = det cm / det(Sigma/2), is at most
-# PREDICTED, times 2^(n/4 - 4) above n = 16, is picked (f0 <= r^{1/4} held on
-# every random state measured; on the benchmark's wide pool the bound's log2
-# excess over f0 E has median 3.1 at n = 16, 6.1 at 32 and 12.5 at 64).  One
-# whose determinant bound (with t = BOUND_T; 1, 4 and 16 settle 97, 112 and 105
-# of the pool's 128 64-mode states), or else spectral f0 E, is at most SETTLED
-# keeps it and skips the chain: its 1 - f0 E is 1.0 in double, and the chain's
-# would be too unless its f0 were more than 16x the spectral one (on the wide
-# pool their f_tot4 differ by at most 2.2e-5 relative wherever the chain
-# passes).  The Tsallis value is 1.0 too where an overlap bound is at most
-# SETTLED (see ``StackReport._fragile``).  No test fails an item.
-PREDICTED, SETTLED, BOUND_T = 2.0**-54, 2.0**-58, 4.0
+# An item whose bound r^{1/4} E on f0 E, r = det cm / det(Sigma/2), is at most PREDICTED,
+# times 2^(n/4 - 4) above n = 16, is picked (f0 <= r^{1/4} held on every random state
+# measured; on the benchmark's wide pool the bound's log2 excess over f0 E has median 3.1
+# at n = 16, 6.1 at 32 and 12.5 at 64).  One whose determinant bound (t = BOUND_T; t = 1,
+# 4 and 16 settle 97, 112 and 105 of the pool's 128 64-mode states) or else spectral f0 E
+# is at most SETTLED skips the chain: its 1 - f0 E is 1.0 in double, and the chain's would
+# be too unless its f0 were more than 16x the spectral one (on the wide pool their f_tot4
+# differ by at most 2.2e-5 relative wherever the chain passes).  No bound fails an item.
+PREDICTED, SETTLED, BOUND_T, OVERLAP_GATE = 2.0**-54, 2.0**-58, 4.0, 1.85
+_LOG_MAX = float(np.log(np.finfo(float).max))  # np.exp overflows past this
 
 
 def _log_f_tot4_bound(cm: np.ndarray, errors: ItemErrors) -> np.ndarray:
-    # log of a bound on the spectral f_tot4, NaN where its determinant is not
-    # positive: the 1 + mu are the eigenvalues of -R^2, R = Delta Sigma^{-1} M with
-    # M = I - cm2 Delta cm Delta (the chain's W_aux over i), and AM-GM gives
-    # (sqrt(1 + mu) + sqrt(mu))^2 <= (1 + 1/t)(1 + (1 + t) mu), so f_tot4 <= (1 + 1/t)^n
-    # det((1 + t)(-Y^2) - t I)^(1/2) with Y = Sigma^{-1} M Delta, similar to R:
-    # Y = Sigma^{-1} (Delta + P cm Pi cm), Pi the q-p swap
+    # log of f_tot4 <= (1 + 1/t)^n det((1 + t)(-Y^2) - t I)^(1/2), NaN where the det is not
+    # positive: the 1 + mu are the eigenvalues of -Y^2, Y = Sigma^{-1} (Delta + P cm Pi cm) with
+    # Pi the q-p swap, and (sqrt(1 + mu) + sqrt(mu))^2 <= (1 + 1/t)(1 + (1 + t) mu) by AM-GM
     n = cm.shape[-1] // 2
     o = momentum_signs(n)
-    m = cm @ cm[:, np.arange(2 * n) ^ 1]
-    m *= o[:, None]
+    m = (o[:, None] * cm) @ cm[:, np.arange(2 * n) ^ 1]
     m += symplectic_form(n)
     (y,) = errors.call(np.linalg.solve, cm + np.outer(o, o) * cm, m)
     del m
-    y2 = y @ y
-    del y
-    y2 *= -(1.0 + BOUND_T)
-    y2 -= BOUND_T * np.eye(2 * n)
-    sign, log_det = np.linalg.slogdet(y2)
+    y = y @ y
+    y *= -(1.0 + BOUND_T)
+    y -= BOUND_T * np.eye(2 * n)
+    sign, log_det = np.linalg.slogdet(y)
     return np.where(sign > 0.0, n * math.log1p(1.0 / BOUND_T) + 0.5 * log_det, np.nan)
 
 
 def _f0(f_tot4: np.ndarray, log_det: np.ndarray) -> np.ndarray:
-    # f0 from f_tot4 and log det(Sigma/2), in log form where det(Sigma/2) overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = np.exp(log_det)
-        f0 = _libm(pow, f_tot4, 0.25) / _libm(pow, det, 0.25)
-        return np.where(np.isinf(det), np.exp(0.25 * (np.log(f_tot4) - log_det)), f0)
+    # f0 from f_tot4 and log det(Sigma/2), in log form where det(Sigma/2) is past exp's range
+    big = log_det > _LOG_MAX
+    f0 = _libm(pow, f_tot4, 0.25) / _libm(pow, np.exp(np.minimum(log_det, _LOG_MAX)), 0.25)
+    return np.where(big, np.exp((np.log(f_tot4) - log_det) / 4), f0) if np.count_nonzero(big) else f0
 
 
-def _run_at(stage, at: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
-    # stage(*rows, errors) on the rows of ``arrays`` where ``at``, on its own
-    # ItemErrors: its values there, NaN where it fails or does not run
-    out = np.full(len(at), np.nan)
+def _run_at(stage, at: np.ndarray, out: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
+    # ``out`` with stage(*rows of arrays, errors) where ``at``, on its own ItemErrors
     errors = ItemErrors(np.count_nonzero(at))
     if errors.errors:
         out[at] = errors.spread(stage(*(a if at.all() else a[at] for a in arrays), errors))
@@ -261,13 +247,12 @@ def _run_at(stage, at: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
 
 
 def _fidelity_stack(d: np.ndarray, cm: np.ndarray, log_det_cm: np.ndarray, errors: ItemErrors):
-    # (f0 E, value) between each state and its conjugate, for the items still live.
-    # The tail, log det(Sigma/2) and E = exp(-dd Sigma^{-1} dd / 4), comes first;
-    # the predictor's log det cm is the covariance-ratio stage's, NaN where that
-    # has none.  Then the determinant bound and the spectral stage on the picked
-    # items, the chain on the rest, and the spectral stage on the items the chain
-    # failed, each on its own ItemErrors; an item both f_tot4 paths fail (or
-    # overflow) keeps the chain's exception, and a tail failure counts after those
+    # (f0 E, value) between each state and its conjugate, for the items still live.  The
+    # tail, log det(Sigma/2) and E = exp(-dd Sigma^{-1} dd / 4), comes first; the predictor's
+    # log det cm is the covariance-ratio stage's, NaN where that has none.  Then the
+    # determinant bound and the spectral stage on the picked items, the chain on the rest and
+    # the spectral stage on the items it failed, each on its own ItemErrors (an item both
+    # f_tot4 paths fail keeps the chain's exception)
     count, n = len(cm), cm.shape[-1] // 2
     o = momentum_signs(n)
     tail = ItemErrors(count)
@@ -280,45 +265,43 @@ def _fidelity_stack(d: np.ndarray, cm: np.ndarray, log_det_cm: np.ndarray, error
     log_det, e = tail.spread(log_det), tail.spread(_libm(math.exp, -0.125 * quad))
     # a missing log-determinant gives a NaN bound, which picks nothing
     picked = np.exp(0.25 * (log_det_cm - log_det)) * e <= PREDICTED * 2.0 ** max(0, n / 4 - 4)
-    bound, spectral, rest = np.full(count, np.nan), np.full(count, np.nan), np.ones(count, dtype=bool)
+    f_tot4, rest, bound = np.full(count, np.nan), np.ones(count, dtype=bool), None
     if picked.any():
         # the determinant bound is at least its value at det = 1 (every 1 + mu >= 1)
         floor = np.exp(0.25 * (n * math.log1p(1.0 / BOUND_T) - log_det)) * e
-        bound = np.exp(0.25 * (_run_at(_log_f_tot4_bound, picked & (floor <= SETTLED), cm) - log_det)) * e
+        bound = _run_at(_log_f_tot4_bound, picked & (floor <= SETTLED), np.full(count, np.nan), cm)
+        bound = np.exp(0.25 * (bound - log_det)) * e
         rest = ~(bound <= SETTLED)
-        spectral = _run_at(_spectral_f_tot4_stack, picked & rest, cm)
-        rest[picked] &= ~(_f0(spectral[picked], log_det[picked]) * e[picked] <= SETTLED)
-    at = np.flatnonzero(rest)
-    chain = ItemErrors(len(at))
-    f_tot4 = spectral.copy()
+        _run_at(_spectral_f_tot4_stack, picked & rest, f_tot4, cm)
+        rest[picked] &= ~(_f0(f_tot4[picked], log_det[picked]) * e[picked] <= SETTLED)
+    spectral = f_tot4.copy()
+    rows = np.flatnonzero(rest)
+    chain = ItemErrors(len(rows))
     if chain.errors:
-        f_tot4[at] = chain.spread(_w_chain_stack(cm if rest.all() else cm[at], chain)[1].real)
+        f_tot4[rows] = chain.spread(_w_chain_stack(cm if rest.all() else cm[rows], chain)[1].real)
     lost = np.zeros(count, dtype=bool)
-    lost[at] = chain.failed()
-    if lost.any():
-        spectral[lost & ~picked] = _run_at(_spectral_f_tot4_stack, lost & ~picked, cm)[lost & ~picked]
+    lost[rows] = chain.failed()
+    _run_at(_spectral_f_tot4_stack, lost & ~picked, spectral, cm)
     f_tot4[lost] = spectral[lost]
-    chain_errors = dict(zip(at.tolist(), chain.errors))
+    chain_errors = dict(zip(rows.tolist(), chain.errors))
     both = lost & ~np.isfinite(spectral)
-    f_tot4, log_det, e, bound = errors.fail(
-        both | tail.failed(),
-        lambda j: chain_errors[j] if both[j] else tail.errors[j],
-        f_tot4, log_det, e, bound,
+    f0_e = _f0(f_tot4, log_det) * e
+    if bound is not None:
+        f0_e = np.where(bound <= SETTLED, bound, f0_e)
+    (f0_e,) = errors.fail(
+        both | tail.failed(), lambda j: chain_errors[j] if both[j] else tail.errors[j], f0_e
     )
-    f0_e = np.where(bound <= SETTLED, bound, _f0(f_tot4, log_det) * e)
     return f0_e, 1.0 - f0_e
 
 
 def fidelity_imaginarity(state: GaussianState) -> float:
     """One minus the fidelity between the state and its conjugate.
 
-    Where the covariance ratio picks the state and ``f0 E`` is at most
-    ``SETTLED`` (2^-58) the value is 1.0 without the fidelity chain, as the
-    chain's would be unless its ``f0`` were more than 16x the spectral one:
-    ``f0 E`` is the bound ``(1 + 1/t)^n det((1 + t)(-R^2) - t I)^(1/2)`` on
-    ``f_tot4`` (t = 4, ``_log_f_tot4_bound``), or else the spectral one.
-    Otherwise ``f_tot4`` comes from the chain, or from the spectral stage where
-    the chain fails.
+    Where the covariance ratio picks the state and ``f0 E <= SETTLED`` (2^-58)
+    through the bound ``f_tot4 <= (1 + 1/t)^n det((1 + t)(-R^2) - t I)^(1/2)`` (t = 4),
+    or else the spectral ``f_tot4``, the value is 1.0 without the chain, as the
+    chain's would be unless its ``f0`` were more than 16x the spectral one.
+    Otherwise ``f_tot4`` comes from the chain, or the spectral stage where it fails.
     """
     errors, cm_errors = ItemErrors(1), ItemErrors(1)
     (log_det_cm,) = cm_errors.call(logdet_spd, state.cm[None])
@@ -355,52 +338,40 @@ def _check_mu(mu: float) -> None:
         raise InvalidMu(f"mu must be in (0, 1), got {mu}")
 
 
-def _overlap(d: np.ndarray, cm: np.ndarray, mu: float, errors: ItemErrors, spectral: bool = False):
-    # (log det cm_sum, quad, factors, log Q_mu) of the Tsallis overlap, for the items
-    # still live: cm_sum = (cm_mu + P cm_1mu P) symmetrized, cm_mu = F diag(w_mu) F^T,
-    # with F the normal form's S (w = scale, each nu repeated) or, where
-    # ``spectral``, ``spectral_core``'s T (w = scale / nu, each nu twice)
-    n = cm.shape[-1] // 2
-    if spectral:
-        chol, k, nu2, u, d = spectral_core(cm, errors, d)
-        f, nus = chol @ u, np.sqrt(nu2)
-        del chol, k, u
-    else:
-        live = errors.live
-        f, nus, _ = williamson_stack(cm, errors)
-        d, nus = d[errors.kept(live)], nus.repeat(2, axis=-1)
-    factors, scale_mu, scale_1mu = _mu_weights(nus, mu)
-    w = 1.0 / nus if spectral else 1.0
-    f_t = f.swapaxes(-1, -2)
-    cm_mu = (f * (scale_mu * w)[:, None, :]) @ f_t
-    cm_1mu = (f * (scale_1mu * w)[:, None, :]) @ f_t
-    del f, f_t
-    o = momentum_signs(n)
+def _overlap_sum(f: np.ndarray, w_mu: np.ndarray, w_1mu: np.ndarray, d: np.ndarray, errors, *carry):
+    # _overlap_tail of the Tsallis cm_sum, (cm_mu + P cm_1mu P) symmetrized, cm_mu = F diag(w_mu) F^T
+    o = momentum_signs(f.shape[-1] // 2)
+    cm_mu = (f * w_mu[:, None, :]) @ f.swapaxes(-1, -2)
     # conjugation by diag(o) only flips signs, so it is applied elementwise
-    cm_1mu *= np.outer(o, o)
-    cm_mu += cm_1mu
-    del cm_1mu
-    cm_sum = cm_mu + cm_mu.swapaxes(-1, -2)
-    del cm_mu
-    cm_sum *= 0.5
-    log_det, quad, factors = _overlap_tail(cm_sum, d, errors, factors)
-    log_q = n * math.log(2.0) + 0.5 * np.log(factors).sum(axis=-1) - 0.5 * (log_det + quad)
-    return log_det, quad, factors, log_q
+    cm_mu += np.outer(o, o) * ((f * w_1mu[:, None, :]) @ f.swapaxes(-1, -2))
+    return _overlap_tail(0.5 * (cm_mu + cm_mu.swapaxes(-1, -2)), d, errors, *carry)
 
 
 def _tsallis_stack(d: np.ndarray, cm: np.ndarray, mu: float, errors: ItemErrors) -> np.ndarray:
-    # Tsallis-type measure of each state, for the items still live; in log form
-    # where det cm_sum overflows
-    log_det, quad, factors, log_q = _overlap(d, cm, mu, errors)
-    with np.errstate(over="ignore", invalid="ignore"):
-        root = np.sqrt(np.exp(log_det))
-        prefactor = 2.0 ** (cm.shape[-1] // 2) * np.prod(factors[:, ::2], axis=-1) / root
-    return np.where(np.isinf(root), -np.expm1(log_q), 1.0 - prefactor * _libm(math.exp, -0.5 * quad))
+    # Tsallis-type measure of each state, for the items still live, via the normal form
+    n, live = cm.shape[-1] // 2, errors.live
+    s, nus, _ = williamson_stack(cm, errors)
+    factors, scale_mu, scale_1mu = _mu_weights(nus, mu)
+    w_mu, w_1mu = scale_mu.repeat(2, axis=-1), scale_1mu.repeat(2, axis=-1)
+    log_det, quad, factors = _overlap_sum(s, w_mu, w_1mu, d[errors.kept(live)], errors, factors)
+    big = log_det > _LOG_MAX
+    prefactor = 2.0**n * np.prod(factors, axis=-1) / np.sqrt(np.exp(np.minimum(log_det, _LOG_MAX)))
+    value = 1.0 - prefactor * _libm(math.exp, -0.5 * quad)
+    if np.count_nonzero(big):  # the log form where det cm_sum is past exp's range
+        log_q = n * math.log(2.0) + np.log(factors[big]).sum(axis=-1)
+        value[big] = -np.expm1(log_q - 0.5 * (log_det[big] + quad[big]))
+    return value
 
 
 def _log_overlap_stack(d: np.ndarray, cm: np.ndarray, mu: float, errors: ItemErrors) -> np.ndarray:
-    # log Q_mu through the spectral form, for the items still live
-    return _overlap(d, cm, mu, errors, spectral=True)[3]
+    # log Q_mu for the items still live, through the spectral form T = chol U:
+    # S diag(g(nu)) S^T = T diag(g(nu) / nu) T^T, each nu twice (``spectral_core``)
+    chol, k, nu2, u, d = spectral_core(cm, errors, d)
+    t, nus = chol @ u, np.sqrt(nu2)
+    del chol, k, u
+    factors, scale_mu, scale_1mu = _mu_weights(nus, mu)
+    log_det, quad, factors = _overlap_sum(t, scale_mu / nus, scale_1mu / nus, d, errors, factors)
+    return cm.shape[-1] // 2 * math.log(2.0) + 0.5 * (np.log(factors).sum(axis=-1) - log_det - quad)
 
 
 def tsallis_imaginarity(state: GaussianState, mu: float) -> float:
@@ -408,10 +379,9 @@ def tsallis_imaginarity(state: GaussianState, mu: float) -> float:
 
     Needs the full symplectic normal form of the covariance matrix, so this is
     the most expensive of the three measures.  This one-state call always runs
-    it; ``measure_all`` and ``measure_stack`` skip it where the overlap is at
-    most ``SETTLED`` (2^-58), 16x below where ``1 - overlap`` stops printing as
-    1.0: by the fidelity bound ``(f0 E)^(2 min(mu, 1 - mu))``, or else, where
-    ``(f0 E)^2`` is at most ``SETTLED``, by the overlap through the spectral form.
+    it; ``measure_all`` and ``measure_stack`` skip it where the overlap is at most
+    ``SETTLED`` (2^-58), 16x below where ``1 - overlap`` stops printing as 1.0, by
+    ``F <= Q_mu <= (f0 E)^(2 min(mu, 1 - mu))`` or else the spectral form's overlap.
     """
     _check_mu(mu)
     errors = ItemErrors(1)
@@ -493,14 +463,15 @@ class StackReport:
         f0_e, fidelity = _fidelity_stack(self._d, self._cm, self.log_dets[self._base.live, 0], fid)
         f0_e = fid.spread(f0_e)
         # F = (f0 E)^2 <= Q_1/2 <= Q_mu <= Q_1/2^(2 min(mu, 1 - mu)) <= (f0 E)^(2 min(mu, 1 - mu))
-        # (log Q_s is convex: Audenaert et al., PRL 98, 160501, 2007); an item whose
-        # upper bound, or else (where F <= SETTLED) spectral overlap, is at most
-        # SETTLED leaves the Tsallis stage without an error and takes 1.0
+        # (log Q_s is convex: Audenaert et al., PRL 98, 160501, 2007).  An item whose upper bound, or
+        # else spectral overlap, is at most SETTLED takes 1.0 with no error; the overlap runs where
+        # (f0 E)^OVERLAP_GATE <= SETTLED (log Q_1/2 >= 1.8 log(f0 E) on the wide pool's F <= SETTLED)
         settled = f0_e ** (2.0 * min(self.mu, 1.0 - self.mu)) <= SETTLED
-        tried = ~settled & (f0_e * f0_e <= SETTLED)
-        if tried.any():
-            log_q = _run_at(lambda d, cm, e: _log_overlap_stack(d, cm, self.mu, e), tried, self._d, self._cm)
-            settled |= np.exp(log_q) <= SETTLED
+        tried = ~settled & (f0_e**OVERLAP_GATE <= SETTLED)
+        if np.count_nonzero(tried):
+            log_q, mu = np.full(len(tried), np.nan), self.mu
+            _run_at(lambda d, cm, e: _log_overlap_stack(d, cm, mu, e), tried, log_q, self._d, self._cm)
+            settled |= log_q <= math.log(SETTLED)
         d, cm = ts.fail(settled, lambda j: None, self._d, self._cm)
         tsallis = _tsallis_stack(d, cm, self.mu, ts) if len(cm) else np.empty(0)
         tsallis = np.where(settled, 1.0, ts.spread(tsallis))
@@ -598,11 +569,9 @@ def measure_all(state: GaussianState, mu: float = 0.5, zero_tol: float = ZERO_TO
     both failed, and the message is the chain's.  A state the determinant
     bound or the spectral stage settles never runs the chain: its fidelity
     value is 1.0 in double (see ``fidelity_imaginarity``).  Where the Tsallis
-    overlap is at most ``SETTLED``, 16x below where the value stops printing as
-    1.0, by the bound ``(f0 E)^(2 min(mu, 1 - mu))`` or by the spectral form
-    where ``(f0 E)^2`` leaves room, the Tsallis value is 1.0 without the normal
-    form, which ``tsallis_imaginarity`` always runs.  A failure of the
-    covariance-ratio measure raises: on valid single-mode states its
-    log-determinants fail from |zeta| ~ 9.2 on.
+    overlap is at most ``SETTLED`` (see ``tsallis_imaginarity``) the Tsallis
+    value is 1.0 without the normal form, which ``tsallis_imaginarity`` always
+    runs.  A failure of the covariance-ratio measure raises: on valid
+    single-mode states its log-determinants fail from |zeta| ~ 9.2 on.
     """
     return measure_stack(state.d[None], state.cm[None], mu, zero_tol).report(0)

@@ -78,6 +78,21 @@ def test_spectral_overlap_settles_only_what_the_normal_form_prints_as_one(n, cou
     assert np.abs(log_q - log_overlap(d, cm, 0.5)).max() <= 1e-6
 
 
+@pytest.mark.parametrize("n, count", [(16, 128), (32, 96), (64, 32)])
+def test_overlap_gate_misses_no_settle(n, count):
+    # on the wide pool's items with F <= SETTLED, log Q_1/2 >= OVERLAP_GATE log(f0 E), so
+    # every item the spectral overlap settles passes the gate (f0 E)^OVERLAP_GATE <= SETTLED
+    d, cm = pool(n, range(count))
+    errors = ItemErrors(count)
+    f0_e, _ = measures._fidelity_stack(d, cm, logdet_spd(cm), errors)
+    tried = ~(f0_e <= SETTLED) & (f0_e * f0_e <= SETTLED)
+    assert tried.any()
+    log_q = measures._log_overlap_stack(d[tried], cm[tried], 0.5, ItemErrors(np.count_nonzero(tried)))
+    assert (log_q >= measures.OVERLAP_GATE * np.log(f0_e[tried])).all()
+    settled = log_q <= math.log(SETTLED)
+    assert (f0_e[tried][settled] ** measures.OVERLAP_GATE <= SETTLED).all()
+
+
 def product_report(n_th, n):
     mode = (n_th, 0.3j, 0.0)
     d, cm = product_state([mode] * n)

@@ -175,26 +175,31 @@ class TestStackMatchesSingleCalls:
             np.testing.assert_array_equal(getattr(partial, field), getattr(clean, field))
 
     def test_settled_item_beside_chain_failures(self, monkeypatch):
-        # 64-mode items: pool states 64:0, 64:1 and 64:11, which the determinant
-        # bound settles, so 64:1 never reaches the spectral stage made to fail on
-        # it; and a displaced coherent state, which the chain passes.  Every
-        # value and exception is its one-item call's.
-        spectral = measures._spectral_f_tot4_stack
+        # 64-mode items: pool states 64:0 and 64:11, which the determinant bound
+        # settles; 64:1, whose determinant bound and spectral stage are both made
+        # to fail, so the chain runs on it and fails too; and a displaced coherent
+        # state, which the chain passes.  Every value and exception is its
+        # one-item call's.
         planted = wide_state(64, 1).cm
 
-        def failing_on_planted(cm, errors):
-            bad = (cm == planted).all(axis=(-2, -1))
-            (cm,) = errors.fail(bad, lambda j: NonRealResult("planted"), cm)
-            return spectral(cm, errors)
+        def failing_on_planted(stage):
+            def planted_stage(cm, errors):
+                bad = (cm == planted).all(axis=(-2, -1))
+                (cm,) = errors.fail(bad, lambda j: NonRealResult("planted"), cm)
+                return stage(cm, errors)
 
-        monkeypatch.setattr(measures, "_spectral_f_tot4_stack", failing_on_planted)
+            return planted_stage
+
+        for name in ("_log_f_tot4_bound", "_spectral_f_tot4_stack"):
+            monkeypatch.setattr(measures, name, failing_on_planted(getattr(measures, name)))
         states = [wide_state(64, k) for k in (0, 1, 11)] + [coherent_state([0.5j] * 64)]
         reports = measure_stack(*stack(states))
         for k, state in enumerate(states):
             assert reports.report(k).to_dict() == measure_all(state).to_dict()
-        assert reports.fidelity_imaginarity[[0, 1, 2]].tolist() == [1.0, 1.0, 1.0]
+        assert reports.fidelity_imaginarity[[0, 2]].tolist() == [1.0, 1.0]
         assert 0.0 < reports.fidelity_imaginarity[3] < 1.0
-        assert [row[1] is None for row in reports.failures] == [True, True, True, True]
+        assert type(reports.failures[1][1]) is ComplexSqrtBranchFailure
+        assert [row[1] is None for row in reports.failures] == [True, False, True, True]
 
     def test_linalg_error_is_kept_per_item(self):
         # an indefinite matrix makes the stacked Cholesky fail; only its item fails
