@@ -21,9 +21,7 @@ how many items failed.  A B = 1 row whose minimum or median lies within 1 ms
 of a multiple of 16 ms, the step in which single small LAPACK calls stall at
 two OpenBLAS threads, is measured again, up to ``ATTEMPTS`` times in all; if
 it is still on a step, it is kept with ``"stalled": true``.  ``attempts``
-counts the measurements a row took.  The fidelity row includes the
-log-determinant of each ``cm`` that its predictor reads, which ``measure_stack``
-takes from the covariance-ratio stage.  The file also records the machine and
+counts the measurements a row took.  The file also records the machine and
 the environment fields ``perfbench/run.py`` records (BLAS threads, library
 versions, usable cores) but scipy's version: the package does not use scipy.
 The pool comes from the benchmark's own module, imported without writing
@@ -82,7 +80,7 @@ STAGES = {
     "imaginarity": per_item(
         lambda d, cm, e: e.call(partial(measures._imaginarity_stack, zero_tol=ZERO_TOL), d, cm)
     ),
-    "fidelity": per_item(lambda d, cm, e: measures._fidelity_stack(d, cm, linalg.logdet_spd(cm), e)),
+    "fidelity": per_item(measures._fidelity_stack),
     "spectral_f_tot4": per_item(lambda d, cm, e: measures._spectral_f_tot4_stack(cm, e)),
     "fidelity_bound": per_item(lambda d, cm, e: measures._log_f_tot4_bound(cm, e)),
     "spectral_overlap": per_item(lambda d, cm, e: measures._log_overlap_stack(d, cm, MU, e)),

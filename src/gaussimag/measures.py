@@ -9,7 +9,8 @@ Three quantifiers of how far a state is from having a real density operator:
   conjugate, through the closed-form Gaussian fidelity chain, or a real spectral
   stage where the chain fails.  It is 1.0 without the chain where ``f0 E <= SETTLED``
   by the bound from ``(sqrt(1 + mu) + sqrt(mu))^2 <= (1 + 1/t)(1 + (1 + t) mu)`` on
-  ``f_tot4 = prod(sqrt(1 + mu) + sqrt(mu))``, or else by the spectral stage.
+  ``f_tot4 = prod(sqrt(1 + mu) + sqrt(mu))``, or else by the spectral stage; both need
+  the floor ``det(Sigma/2)^(-1/4) E <= f0 E`` (each factor is >= 1) to be at most ``SETTLED``.
 * ``tsallis_imaginarity`` -- one minus a Tsallis-type overlap Q_mu of order mu,
   through the symplectic normal form.  Both overlaps end in the same Gaussian
   tail, a log-determinant and a displacement quadratic form.  By ``(f0 E)^2 <=
@@ -202,15 +203,14 @@ def _spectral_f_tot4_stack(cm: np.ndarray, errors: ItemErrors) -> np.ndarray:
         return np.prod(np.sqrt(1.0 + mu) + np.sqrt(mu), axis=-1)
 
 
-# An item whose bound r^{1/4} E on f0 E, r = det cm / det(Sigma/2), is at most PREDICTED,
-# times 2^(n/4 - 4) above n = 16, is picked (f0 <= r^{1/4} held on every random state
-# measured; on the benchmark's wide pool the bound's log2 excess over f0 E has median 3.1
-# at n = 16, 6.1 at 32 and 12.5 at 64).  One whose determinant bound (t = BOUND_T; t = 1,
-# 4 and 16 settle 97, 112 and 105 of the pool's 128 64-mode states) or else spectral f0 E
-# is at most SETTLED skips the chain: its 1 - f0 E is 1.0 in double, and the chain's would
-# be too unless its f0 were more than 16x the spectral one (on the wide pool their f_tot4
-# differ by at most 2.2e-5 relative wherever the chain passes).  No bound fails an item.
-PREDICTED, SETTLED, BOUND_T, OVERLAP_GATE = 2.0**-54, 2.0**-58, 4.0, 1.85
+# Every 1 + mu >= 1, so f_tot4 >= 1 and f0 E >= det(Sigma/2)^(-1/4) E: only an item whose
+# floor det(Sigma/2)^(-1/4) E is at most SETTLED tries the certificates.  One whose determinant
+# bound (t = BOUND_T; t = 1, 4 and 16 settle 97, 112 and 105 of the benchmark's 128 64-mode
+# states) or else spectral f0 E is at most SETTLED skips the chain: its 1 - f0 E is 1.0 in
+# double, and the chain's would be too unless its f0 were more than 16x the spectral one (on
+# the wide pool their f_tot4 differ by at most 2.2e-5 relative wherever the chain passes).
+# No bound fails an item.
+SETTLED, BOUND_T, OVERLAP_GATE = 2.0**-58, 4.0, 1.85
 _LOG_MAX = float(np.log(np.finfo(float).max))  # np.exp overflows past this
 
 
@@ -246,10 +246,9 @@ def _run_at(stage, at: np.ndarray, out: np.ndarray, *arrays: np.ndarray) -> np.n
     return out
 
 
-def _fidelity_stack(d: np.ndarray, cm: np.ndarray, log_det_cm: np.ndarray, errors: ItemErrors):
+def _fidelity_stack(d: np.ndarray, cm: np.ndarray, errors: ItemErrors):
     # (f0 E, value) between each state and its conjugate, for the items still live.  The
-    # tail, log det(Sigma/2) and E = exp(-dd Sigma^{-1} dd / 4), comes first; the predictor's
-    # log det cm is the covariance-ratio stage's, NaN where that has none.  Then the
+    # tail, log det(Sigma/2) and E = exp(-dd Sigma^{-1} dd / 4), comes first.  Then the
     # determinant bound and the spectral stage on the picked items, the chain on the rest and
     # the spectral stage on the items it failed, each on its own ItemErrors (an item both
     # f_tot4 paths fail keeps the chain's exception)
@@ -263,11 +262,11 @@ def _fidelity_stack(d: np.ndarray, cm: np.ndarray, log_det_cm: np.ndarray, error
     log_det, quad = _overlap_tail(half, d, tail)
     del half
     log_det, e = tail.spread(log_det), tail.spread(_libm(math.exp, -0.125 * quad))
-    # a missing log-determinant gives a NaN bound, which picks nothing
-    picked = np.exp(0.25 * (log_det_cm - log_det)) * e <= PREDICTED * 2.0 ** max(0, n / 4 - 4)
+    # the floor below every f0 E; a failed tail gives a NaN floor, which picks nothing
+    picked = np.exp(-0.25 * log_det) * e <= SETTLED
     f_tot4, rest, bound = np.full(count, np.nan), np.ones(count, dtype=bool), None
     if picked.any():
-        # the determinant bound is at least its value at det = 1 (every 1 + mu >= 1)
+        # the determinant bound is at least its value at det = 1, (1 + 1/t)^(n/4) times the floor
         floor = np.exp(0.25 * (n * math.log1p(1.0 / BOUND_T) - log_det)) * e
         bound = _run_at(_log_f_tot4_bound, picked & (floor <= SETTLED), np.full(count, np.nan), cm)
         bound = np.exp(0.25 * (bound - log_det)) * e
@@ -297,15 +296,14 @@ def _fidelity_stack(d: np.ndarray, cm: np.ndarray, log_det_cm: np.ndarray, error
 def fidelity_imaginarity(state: GaussianState) -> float:
     """One minus the fidelity between the state and its conjugate.
 
-    Where the covariance ratio picks the state and ``f0 E <= SETTLED`` (2^-58)
-    through the bound ``f_tot4 <= (1 + 1/t)^n det((1 + t)(-R^2) - t I)^(1/2)`` (t = 4),
-    or else the spectral ``f_tot4``, the value is 1.0 without the chain, as the
-    chain's would be unless its ``f0`` were more than 16x the spectral one.
+    Where ``f0 E <= SETTLED`` (2^-58) by the bound ``f_tot4 <= (1 + 1/t)^n det((1 + t)
+    (-R^2) - t I)^(1/2)`` (t = 4) or else the spectral ``f_tot4``, the value is 1.0 without
+    the chain (as the chain's would be unless its ``f0`` were more than 16x the spectral one);
+    both are tried where the floor ``det(Sigma/2)^(-1/4) E`` of ``f0 E`` is at most ``SETTLED``.
     Otherwise ``f_tot4`` comes from the chain, or the spectral stage where it fails.
     """
-    errors, cm_errors = ItemErrors(1), ItemErrors(1)
-    (log_det_cm,) = cm_errors.call(logdet_spd, state.cm[None])
-    _, value = _fidelity_stack(state.d[None], state.cm[None], cm_errors.spread(log_det_cm), errors)
+    errors = ItemErrors(1)
+    _, value = _fidelity_stack(state.d[None], state.cm[None], errors)
     errors.raise_first()
     return value[0].item()
 
@@ -460,7 +458,7 @@ class StackReport:
     def _fragile(self):
         # each stage on its own ItemErrors over the rows of d and cm
         fid, ts = ItemErrors(len(self._d)), ItemErrors(len(self._d))
-        f0_e, fidelity = _fidelity_stack(self._d, self._cm, self.log_dets[self._base.live, 0], fid)
+        f0_e, fidelity = _fidelity_stack(self._d, self._cm, fid)
         f0_e = fid.spread(f0_e)
         # F = (f0 E)^2 <= Q_1/2 <= Q_mu <= Q_1/2^(2 min(mu, 1 - mu)) <= (f0 E)^(2 min(mu, 1 - mu))
         # (log Q_s is convex: Audenaert et al., PRL 98, 160501, 2007).  An item whose upper bound, or
@@ -567,8 +565,9 @@ def measure_all(state: GaussianState, mu: float = 0.5, zero_tol: float = ZERO_TO
     Failures of the fidelity or Tsallis path are captured as messages instead
     of raising; a fidelity failure means the chain and its spectral rescue
     both failed, and the message is the chain's.  A state the determinant
-    bound or the spectral stage settles never runs the chain: its fidelity
-    value is 1.0 in double (see ``fidelity_imaginarity``).  Where the Tsallis
+    bound or the spectral stage settles, tried where the floor of ``f0 E`` is
+    at most ``SETTLED``, never runs the chain: its fidelity value is 1.0 in
+    double (see ``fidelity_imaginarity``).  Where the Tsallis
     overlap is at most ``SETTLED`` (see ``tsallis_imaginarity``) the Tsallis
     value is 1.0 without the normal form, which ``tsallis_imaginarity`` always
     runs.  A failure of the covariance-ratio measure raises: on valid

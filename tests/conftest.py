@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from gaussimag.sampling import cm_stack, cross_entry_stack, draw_cm, draw_cross_entry
+from gaussimag.sampling import cm_stack, cross_entry_stack, draw_cm, draw_cross_entry, random_state
 from gaussimag.states import GaussianState
 
 settings.register_profile("ci", max_examples=50, deadline=None, derandomize=True)
@@ -28,3 +28,14 @@ def inject_cross_entry(state: GaussianState, rng: np.random.Generator, eps: floa
     # the state with a q-p covariance entry of magnitude eps planted, from one draw
     cm = cross_entry_stack(state.cm[None], [draw_cross_entry(state.n, rng, eps)])
     return GaussianState._trusted(state.d, cm[0])
+
+
+def wide_state(n: int, k: int) -> GaussianState:
+    # state k of the benchmark's n-mode wide pool (test_sampling pins its bytes)
+    return random_state(n, np.random.default_rng([n, k]), max_squeeze=2.0)
+
+
+def wide_stack(n: int, ks) -> tuple[np.ndarray, np.ndarray]:
+    # (d, cm) of the wide pool's n-mode states ks, in one stack
+    states = [wide_state(n, k) for k in ks]
+    return np.stack([s.d for s in states]), np.stack([s.cm for s in states])

@@ -852,7 +852,7 @@ class TestFragilePathFailures:
     """Failures of the fidelity or Tsallis path, planted in the stacked measure core."""
 
     def test_numeric_failure_is_a_measure_warning(self, coherent_file, capsys, monkeypatch):
-        def boom(d, cm, log_det_cm, errors):
+        def boom(d, cm, errors):
             errors.fail(np.ones(len(errors.live), dtype=bool), lambda j: NonRealResult("synthetic failure"))
             return np.empty(0), np.empty(0)
 
@@ -868,11 +868,9 @@ class TestFragilePathFailures:
         clean = capsys.readouterr().out.splitlines()
         fidelity_stack = measures._fidelity_stack
 
-        def fail_odd(d, cm, log_det_cm, errors):
-            d, cm, log_det_cm = errors.fail(
-                errors.live % 2 == 1, lambda j: NonRealResult("synthetic"), d, cm, log_det_cm
-            )
-            return fidelity_stack(d, cm, log_det_cm, errors)
+        def fail_odd(d, cm, errors):
+            d, cm = errors.fail(errors.live % 2 == 1, lambda j: NonRealResult("synthetic"), d, cm)
+            return fidelity_stack(d, cm, errors)
 
         monkeypatch.setattr(measures, "_fidelity_stack", fail_odd)
         assert main(["sweep", sweep_spec]) == 0

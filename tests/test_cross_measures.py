@@ -33,10 +33,12 @@ import numpy as np
 import pytest
 
 from gaussimag import measures
-from gaussimag.linalg import ItemErrors, logdet_spd, williamson_stack
+from gaussimag.linalg import ItemErrors, williamson_stack
 from gaussimag.measures import measure_stack
-from gaussimag.sampling import draw_state, random_state, state_stack
+from gaussimag.sampling import draw_state, state_stack
 from gaussimag.states import momentum_signs
+
+from conftest import wide_stack
 
 MUS = (0.1, 0.25, 0.75, 0.9)
 N = [1, 2, 3, 4, 6, 8]
@@ -126,10 +128,9 @@ def log_overlap(d, cm, mu):
 @pytest.mark.parametrize("n, count", [(16, 64), (32, 64), (64, 32)])
 def test_log_overlaps_obey_the_settle_bound(n, count):
     # the first states of the benchmark's wide pool (squeezing up to 2)
-    draws = [random_state(n, np.random.default_rng([n, k]), max_squeeze=2.0) for k in range(count)]
-    d, cm = np.stack([s.d for s in draws]), np.stack([s.cm for s in draws])
+    d, cm = wide_stack(n, range(count))
     errors = ItemErrors(count)
-    f0_e, _ = measures._fidelity_stack(d, cm, logdet_spd(cm), errors)
+    f0_e, _ = measures._fidelity_stack(d, cm, errors)
     assert errors.errors == [None] * count
     log_f0_e = np.log(f0_e)
     q_half = log_overlap(d, cm, 0.5)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gaussimag.errors import InvalidMu, NonRealResult
-from gaussimag.linalg import ItemErrors, logdet_spd
+from gaussimag.linalg import ItemErrors
 from gaussimag.measures import (
     _fidelity_stack,
     _w_chain_stack,
@@ -20,7 +20,7 @@ from gaussimag.measures import (
 from gaussimag.sampling import random_real_state, random_state
 from gaussimag.states import GaussianState, coherent_state, displaced_squeezed_thermal, momentum_displaced
 
-from conftest import inject_cross_entry
+from conftest import inject_cross_entry, wide_state
 
 
 def product_state(a, b):
@@ -108,7 +108,7 @@ class TestFidelityMeasure:
     def test_vacuum_value(self):
         vacuum = coherent_state([0])
         cm = vacuum.cm[None]
-        f0, value = _fidelity_stack(vacuum.d[None], cm, logdet_spd(cm), ItemErrors(1))
+        f0, value = _fidelity_stack(vacuum.d[None], cm, ItemErrors(1))
         assert f0[0] == pytest.approx(1.0, abs=1e-14)
         assert value[0] == pytest.approx(0.0, abs=1e-14)
 
@@ -158,8 +158,7 @@ class TestFidelityMeasure:
         digest, failed = hashlib.sha256(), 0
         for n, count in ((8, 64), (16, 16)):
             for k in range(count):
-                state = random_state(n, np.random.default_rng([n, k]), max_squeeze=2.0)
-                report = measure_all(state).to_dict()
+                report = measure_all(wide_state(n, k)).to_dict()
                 failed += report["fidelity_error"] is not None
                 digest.update(repr(report).encode())
         assert failed == 0
@@ -177,7 +176,7 @@ class TestFidelityMeasure:
         # error strings are hashed there.  Same build as above, the same
         # under 1 and 2 BLAS threads.
         states = {
-            n: [random_state(n, np.random.default_rng([n, k]), max_squeeze=2.0) for k in ks]
+            n: [wide_state(n, k) for k in ks]
             for n, ks in ((32, range(12)), (64, (0, 1, 2, 3, 13, 15)))
         }
         chain = ItemErrors(12)
@@ -285,7 +284,7 @@ class TestMeasureAll:
     def test_fragile_path_failure_is_flagged(self, monkeypatch, rng):
         import gaussimag.measures as measures
 
-        def boom(d, cm, log_det_cm, errors):
+        def boom(d, cm, errors):
             errors.fail(np.ones(len(errors.live), dtype=bool), lambda j: NonRealResult("synthetic failure"))
             return np.empty(0), np.empty(0)
 

@@ -14,6 +14,8 @@ from gaussimag.linalg import ItemErrors
 from gaussimag.measures import measure_all, measure_stack
 from gaussimag.sampling import random_state
 
+from conftest import wide_state
+
 
 def chain_failures(cm: np.ndarray) -> list[int]:
     # stack positions on which the fidelity chain fails
@@ -37,7 +39,7 @@ class TestRescuedFidelity:
         # the 8-mode states the benchmark's wide pool starts with; the chain
         # fails 6 of the first 64 (the pool's 16- to 64-mode states fail more
         # often, but take seconds each at this precision)
-        states = [random_state(8, np.random.default_rng([8, k]), max_squeeze=2.0) for k in range(64)]
+        states = [wide_state(8, k) for k in range(64)]
         self.check_rescued(states, [9, 29, 30, 38, 39, 47])
 
     def test_two_mode_rescue_matches_the_oracle(self):

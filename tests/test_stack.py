@@ -36,16 +36,13 @@ from gaussimag.states import (
     validate,
 )
 
+from conftest import wide_stack, wide_state
+
 BATH = BathParams(lam=0.1, n_th=1.5, big_r=1.0, phi=np.pi / 2)
 
 
 def stack(states):
     return np.stack([s.d for s in states]), np.stack([s.cm for s in states])
-
-
-def wide_state(n, k):
-    # state k of the benchmark's n-mode pool
-    return random_state(n, np.random.default_rng([n, k]), max_squeeze=2.0)
 
 
 def failing_fidelity_state(monkeypatch):
@@ -396,9 +393,9 @@ class TestNamedFailures:
 class TestSettledFidelity:
     def test_chain_runs_only_on_unsettled_states(self, monkeypatch):
         # wide states 64:16-31 in one stack: the spectral stage settles all but
-        # 64:20, so the chain runs on 64:20 alone; with nothing picked it runs
+        # 64:20, so the chain runs on 64:20 alone; with nothing settled it runs
         # on all 16, and every report is the same
-        d, cm = stack([wide_state(64, k) for k in range(16, 32)])
+        d, cm = wide_stack(64, range(16, 32))
         chain, seen = measures._w_chain_stack, []
 
         def spy(rows, errors):
@@ -409,7 +406,7 @@ class TestSettledFidelity:
         monkeypatch.setattr(measures, "_w_chain_stack", spy)
         reports = measure_stack(d, cm)
         settled = [reports.report(k).to_dict() for k in range(16)]
-        monkeypatch.setattr(measures, "PREDICTED", -np.inf)
+        monkeypatch.setattr(measures, "SETTLED", -np.inf)
         reports = measure_stack(d, cm)
         assert [reports.report(k).to_dict() for k in range(16)] == settled
         assert seen == [[20 - 16], list(range(16))]
@@ -417,9 +414,8 @@ class TestSettledFidelity:
 
     def test_cm_is_factored_once_per_stack(self, monkeypatch):
         # wide states 8:0-11, where 8:9 fails the chain: reading every array
-        # factors cm itself once, in the covariance-ratio stage, and the
-        # predictor reads that stage's log det cm
-        d, cm = stack([wide_state(8, k) for k in range(12)])
+        # factors cm itself once, in the covariance-ratio stage
+        d, cm = wide_stack(8, range(12))
         logdet, factored = measures.logdet_spd, []
 
         def spy(a):
@@ -435,30 +431,11 @@ class TestSettledFidelity:
             reports.report(k)
         assert factored == [True, False, False, False, False]  # and one per overlap tail
 
-    def test_predictor_gets_the_covariance_ratio_log_dets(self, monkeypatch):
-        # an indefinite item fails the covariance ratio; the fidelity stage gets
-        # the other items' log det cm, the bits a factorization of their own gives
-        d, cm = stack([wide_state(8, k) for k in range(6)])
-        d, cm = np.insert(d, 2, d[0], axis=0), np.insert(cm, 2, -cm[0], axis=0)
-        fidelity_stack, received = measures._fidelity_stack, []
-
-        def spy(d, cm, log_det_cm, errors):
-            received.append(log_det_cm.copy())
-            return fidelity_stack(d, cm, log_det_cm, errors)
-
-        monkeypatch.setattr(measures, "_fidelity_stack", spy)
-        reports = measure_stack(d, cm)
-        live = [k for k, failed in enumerate(reports.failures) if failed[0] is None]
-        assert live == [0, 1, 3, 4, 5, 6]
-        (got,) = received
-        assert got.tobytes() == reports.log_dets[live, 0].tobytes()
-        assert got.tobytes() == measures.logdet_spd(cm[live]).tobytes()
-
     def test_direct_calls_without_a_log_det_cm(self, monkeypatch):
         # squeezed vacua at |zeta| 8.5-12: the Cholesky of cm fails on 26 of the
-        # 64, where the predictor has no log det cm and its bound is NaN.  Each
-        # direct call gives the same value, or the same named failure, as with
-        # nothing picked; 18 of them fail, with three kinds of exception
+        # 64, and the one-state call never factors cm.  Each direct call gives
+        # the same value, or the same named failure, as with nothing settled;
+        # 18 of them fail, with three kinds of exception
         states = [
             displaced_squeezed_thermal(0.0, r * np.exp(1j * phase), alpha)
             for r in np.linspace(8.5, 12.0, 8)
@@ -479,7 +456,7 @@ class TestSettledFidelity:
             return got
 
         default = outcomes()
-        monkeypatch.setattr(measures, "PREDICTED", -np.inf)
+        monkeypatch.setattr(measures, "SETTLED", -np.inf)
         assert outcomes() == default
         failed = [got[0] for got in default if isinstance(got, tuple)]
         assert len(failed) == 18
@@ -504,13 +481,12 @@ class TestSettledTsallis:
     def test_williamson_runs_only_on_unsettled_states(self, monkeypatch):
         # wide states 64:16-31 in one stack: the fidelity bound settles the
         # Tsallis value of all but 64:20, and its spectral overlap settles 64:20,
-        # so the normal form never runs; with nothing picked or settled it runs
-        # on all 16, and every report is the same
-        d, cm = stack([wide_state(64, k) for k in range(16, 32)])
+        # so the normal form never runs; with nothing settled it runs on all
+        # 16, and every report is the same
+        d, cm = wide_stack(64, range(16, 32))
         seen = spied(monkeypatch, cm, "williamson_stack")["williamson_stack"]
         reports = measure_stack(d, cm)
         settled = [reports.report(k).to_dict() for k in range(16)]
-        monkeypatch.setattr(measures, "PREDICTED", -np.inf)
         monkeypatch.setattr(measures, "SETTLED", -np.inf)
         reports = measure_stack(d, cm)
         assert [reports.report(k).to_dict() for k in range(16)] == settled
@@ -518,8 +494,8 @@ class TestSettledTsallis:
         assert all(report["tsallis_imaginarity"] == 1.0 for report in settled)
 
     def test_mixed_stack_equals_one_item_calls(self, monkeypatch):
-        # 64:16, settled by the determinant bound; 64:38, which the covariance
-        # ratio does not pick, the chain fails and the spectral stage rescues;
+        # 64:16, settled by the determinant bound; 64:38, which the spectral
+        # stage does not settle, the chain fails and its spectral value rescues;
         # 64:20, which the spectral stage does not settle; and 64:17, settled by
         # the determinant bound.  64:20 and 64:17 have their normal form made to
         # fail, but the Tsallis value of every item is settled (64:38 and 64:20 by
@@ -539,7 +515,7 @@ class TestSettledTsallis:
         spectral = spied(monkeypatch, cm, "_spectral_f_tot4_stack")["_spectral_f_tot4_stack"]
         reports = measure_stack(d, cm)
         reports.failures
-        assert spectral == [[2], [1]]  # picked and not bound-settled, then the rescue
+        assert spectral == [[1, 2]]  # picked and not bound-settled; 64:38 keeps its value for the rescue
         for k, state in enumerate(states):
             assert reports.report(k).to_dict() == measure_all(state).to_dict()
         assert [row[1:] for row in reports.failures[:2]] == [(None, None)] * 2
@@ -592,7 +568,7 @@ class TestSettledTsallis:
         assert reports.failures == [(None, None, None)] * 5
         assert seen == {
             "_log_f_tot4_bound": [[0, 1]],
-            "_spectral_f_tot4_stack": [[1, 2], [4]],  # picked and not bound-settled, then the rescue
+            "_spectral_f_tot4_stack": [[1, 2, 4]],  # picked and not bound-settled
             "williamson_stack": [[3, 4]],
         }
         for k, state in enumerate(states):
@@ -604,7 +580,7 @@ class TestSettledTsallis:
     def test_no_certificate_runs_when_nothing_can_settle(self, monkeypatch):
         # wide states 64:16-31: with SETTLED at -inf neither the determinant
         # bound nor the spectral overlap runs, and every report is the same
-        d, cm = stack([wide_state(64, k) for k in range(16, 32)])
+        d, cm = wide_stack(64, range(16, 32))
         settled = [measure_stack(d, cm).report(k).to_dict() for k in range(16)]
         calls = []
 
@@ -626,9 +602,9 @@ class TestSettledTsallis:
             # both items are indefinite and fail the covariance ratio
             (np.zeros((2, 2)), np.stack([np.diag([1.0, -1.0]), -np.eye(2)])),
             # every item settles both fragile stages
-            stack([wide_state(64, k) for k in range(16)]),
+            wide_stack(64, range(16)),
             # no item settles
-            stack([wide_state(8, k) for k in range(4)]),
+            wide_stack(8, range(4)),
         ],
         ids=["empty", "all-failed", "all-settled", "none-settled"],
     )

@@ -5,9 +5,7 @@ into arrays it allocated itself, so its traced peak stays a few complex
 ``(B, 2n, 2n)`` stacks and its inputs come back bitwise unchanged.
 """
 
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,30 +14,7 @@ from gaussimag import linalg, measures
 from gaussimag.linalg import ItemErrors
 from gaussimag.measures import measure_stack
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def load_wide_state():
-    # the benchmark's pool, imported from its source without writing bytecode under perfbench/
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        from workloads import wide_state
-    finally:
-        sys.path.remove(str(PERFBENCH))
-        sys.dont_write_bytecode = saved
-    return wide_state
-
-
-wide_state = load_wide_state()
-
-
-def wide_stack(n, count):
-    # the first ``count`` states of the benchmark's n-mode pool, in one stack
-    states = [wide_state(n, k) for k in range(count)]
-    return np.stack([s.d for s in states]), np.stack([s.cm for s in states])
-
+from conftest import wide_stack
 
 B, N = 256, 16
 # one complex (B, 2n, 2n) stack, the unit of every bound below
@@ -50,10 +25,9 @@ COMPLEX_STACK = B * (2 * N) ** 2 * 16
 def stages():
     # the pool's first 256 16-mode states: the chain fails 57 of them, so the
     # fidelity stage's failure copies and spectral rescue are inside its peak
-    d, cm = wide_stack(N, B)
-    log_det_cm = linalg.logdet_spd(cm)
+    d, cm = wide_stack(N, range(B))
     return {
-        "fidelity": lambda: measures._fidelity_stack(d, cm, log_det_cm, ItemErrors(B)),
+        "fidelity": lambda: measures._fidelity_stack(d, cm, ItemErrors(B)),
         "spectral": lambda: measures._spectral_f_tot4_stack(cm, ItemErrors(B)),
         "williamson": lambda: linalg.williamson_stack(cm, ItemErrors(B)),
         "tsallis": lambda: measures._tsallis_stack(d, cm, 0.5, ItemErrors(B)),
@@ -82,28 +56,28 @@ def test_traced_peak_is_bounded(stages, stage, bound):
     assert traced_peak(stages[stage]) <= bound
 
 
-# stacks where the spectral stage settles items: of the pool's first 64
-# 32-mode states 10 settle, and the chain gets a copy of the other rows; all
-# of its first 16 64-mode states settle, and the spectral stage gets cm itself.
-# Measured 4.15 and 2.51 complex stacks of their own size with numpy 2.4.  At
-# n = 64, B = 64 the determinant bound settles 56 of the 63 picked items and
-# the spectral stage gets a copy of the other 7: measured 1.938 (2.961 while
-# the spectral stage got a copy of all 63), bounded at that plus 5%
+# stacks where the certificates settle items: of the pool's first 64 32-mode
+# states the determinant bound settles the 4 picked ones, and the chain gets a
+# copy of the other 60 rows; it settles all of the first 16 64-mode states, and
+# gets cm itself.  Measured 4.15 and 1.50 complex stacks of their own size with
+# numpy 2.4.  At n = 64, B = 64 all 64 items are picked, the determinant bound
+# settles 56 and the spectral stage gets a copy of the other 8: measured 1.938
+# (2.961 while the spectral stage got a copy of every picked item), bounded at
+# that plus 5%
 @pytest.mark.parametrize("n, count, bound", [(32, 64, 4.45), (64, 16, 2.95), (64, 64, 2.035)])
 def test_settled_fidelity_peak_is_bounded(n, count, bound):
-    d, cm = wide_stack(n, count)
-    log_det_cm = linalg.logdet_spd(cm)
+    d, cm = wide_stack(n, range(count))
     unit = count * (2 * n) ** 2 * 16
-    assert traced_peak(lambda: measures._fidelity_stack(d, cm, log_det_cm, ItemErrors(count)), unit) <= bound
+    assert traced_peak(lambda: measures._fidelity_stack(d, cm, ItemErrors(count)), unit) <= bound
 
 
 # both fragile stages as a report runs them, on the same stacks: the Tsallis
 # stage skips the items the fidelity bound settles, and gets a copy of the
-# other rows.  Measured 4.145 and 2.510 stacks with numpy 2.4; 1.938 at n = 64,
+# other rows.  Measured 4.145 and 1.502 stacks with numpy 2.4; 1.938 at n = 64,
 # B = 64, bounded at that plus 5%
 @pytest.mark.parametrize("n, count, bound", [(32, 64, 4.3), (64, 16, 2.62), (64, 64, 2.035)])
 def test_settled_fragile_peak_is_bounded(n, count, bound):
-    reports = measure_stack(*wide_stack(n, count))
+    reports = measure_stack(*wide_stack(n, range(count)))
     unit = count * (2 * n) ** 2 * 16
     assert traced_peak(lambda: reports._fragile, unit) <= bound
 
@@ -125,7 +99,7 @@ def read_everything(reports, count):
     "d, cm",
     [
         # wide state 8:9 fails the chain, so the spectral rescue runs
-        wide_stack(8, 12),
+        wide_stack(8, range(12)),
         # the middle item is indefinite and fails the covariance ratio
         (np.zeros((3, 2)), np.stack([np.eye(2), np.diag([1.0, -1.0]), 2.0 * np.eye(2)])),
     ],
@@ -140,14 +114,14 @@ def test_measure_stack_leaves_its_inputs_unchanged(d, cm):
 
 
 def test_stages_leave_their_inputs_unchanged():
-    d, cm = writable(*wide_stack(8, 12))
+    d, cm = writable(*wide_stack(8, range(12)))
     # the last item has its eigenvalues on the negative axis and fails
     square = np.concatenate([cm, -cm[:1]]).astype(complex)
     inputs = (d, cm, square)
     before = [a.tobytes() for a in inputs]
     measures._w_chain_stack(cm, ItemErrors(12))
     measures._spectral_f_tot4_stack(cm, ItemErrors(12))
-    measures._fidelity_stack(d, cm, linalg.logdet_spd(cm), ItemErrors(12))
+    measures._fidelity_stack(d, cm, ItemErrors(12))
     linalg.williamson_stack(cm, ItemErrors(12))
     measures._tsallis_stack(d, cm, 0.5, ItemErrors(12))
     linalg.sqrt_principal_stack(square, ItemErrors(13))
