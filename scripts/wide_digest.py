@@ -10,6 +10,12 @@ reproducibility notes), so it prints the OpenBLAS thread count first; compare
 digests only at the same count.  The pool comes from the benchmark's own
 module, imported without writing anything under ``perfbench/``.
 
+Per mode count it also prints how many items each fragile stage of ``measures``
+is handed, and how many of them it fails, counted by wrapping the stages for
+the length of the run: the determinant bound, the spectral stage (both runs),
+the fidelity chain, the spectral Tsallis overlap and the Williamson normal form.
+Two checkouts with the same counts routed every state the same way.
+
 Usage, from the root of a checkout:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/wide_digest.py
@@ -20,10 +26,12 @@ import hashlib
 import os
 import pathlib
 import sys
+from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 
-from gaussimag.measures import measure_all
+from gaussimag import measures
 
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
@@ -37,13 +45,51 @@ def blas_threads() -> str:
     return f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')}"
 
 
+# the fragile stages, each called as stage(..., errors) on a fresh ItemErrors, by report label
+STAGES = {
+    "bound": "_log_f_tot4_bound",
+    "spectral": "_spectral_f_tot4_stack",
+    "chain": "_w_chain_stack",
+    "overlap": "_log_overlap_stack",
+    "normal form": "williamson_stack",
+}
+
+
+@contextmanager
+def counted_stages(handed: Counter, failed: Counter):
+    # wraps each stage so that it adds the items it is handed and fails to the counters
+    def counting(label, stage):
+        def wrapped(*args):
+            live = len(args[-1].live)
+            result = stage(*args)
+            handed[label] += live
+            failed[label] += live - len(args[-1].live)
+            return result
+
+        return wrapped
+
+    stages = {name: getattr(measures, name) for name in STAGES.values()}
+    for label, name in STAGES.items():
+        setattr(measures, name, counting(label, stages[name]))
+    try:
+        yield
+    finally:
+        for name, stage in stages.items():
+            setattr(measures, name, stage)
+
+
 def main() -> int:
-    digest = hashlib.sha256()
+    digest, counts = hashlib.sha256(), []
     for n, per_round in WIDE_MIX:
-        for k in range(wide_pool_size(per_round)):
-            digest.update(repr(measure_all(wide_state(n, k)).to_dict()).encode())
+        handed, failed = Counter(), Counter()
+        with counted_stages(handed, failed):
+            for k in range(wide_pool_size(per_round)):
+                digest.update(repr(measures.measure_all(wide_state(n, k)).to_dict()).encode())
+        cells = (f"{label} {handed[label]} ({failed[label]} failed)" for label in STAGES)
+        counts.append(f"n = {n}: " + ", ".join(cells))
     print(f"openblas threads: {blas_threads()}")
     print(f"sha256: {digest.hexdigest()}")
+    print("items handed to each stage:", *counts, sep="\n  ")
     return 0
 
 

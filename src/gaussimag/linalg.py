@@ -49,8 +49,8 @@ class ItemErrors:
 
     ``errors[k]`` is None or the exception item k failed with.  ``live`` holds
     the indices of the items not failed yet; every stage works on those only.
-    A failed item stays failed: ``live`` only shrinks, and a second attempt at
-    failed items (the spectral rescue) runs on an ``ItemErrors`` of its own.
+    A failed item keeps its first failure: ``live`` only shrinks, and a stage
+    run on some rows of a stack (``measures._run_at``) gets one of its own.
     The one alignment rule: a stage returns only its own results, over ``live``
     as it leaves it.  A caller that holds an array across a stage reads
     ``live = errors.live`` before the call and indexes the array with

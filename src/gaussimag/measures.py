@@ -5,17 +5,11 @@ Three quantifiers of how far a state is from having a real density operator:
 * ``imaginarity`` -- determinant ratio of the covariance matrix against its
   position/momentum blocks plus a 0/1 indicator of momentum displacement.
   Cheap for any mode count; this is the measure the package is built around.
-* ``fidelity_imaginarity`` -- one minus the fidelity between the state and its
-  conjugate, through the closed-form Gaussian fidelity chain, or a real spectral
-  stage where the chain fails.  It is 1.0 without the chain where ``f0 E <= SETTLED``
-  by the bound from ``(sqrt(1 + mu) + sqrt(mu))^2 <= (1 + 1/t)(1 + (1 + t) mu)`` on
-  ``f_tot4 = prod(sqrt(1 + mu) + sqrt(mu))``, or else by the spectral stage; both need
-  the floor ``det(Sigma/2)^(-1/4) E <= f0 E`` (each factor is >= 1) to be at most ``SETTLED``.
+* ``fidelity_imaginarity`` -- one minus the fidelity ``f0 E = sqrt(F)`` between
+  the state and its conjugate, through the closed-form Gaussian fidelity chain.
 * ``tsallis_imaginarity`` -- one minus a Tsallis-type overlap Q_mu of order mu,
   through the symplectic normal form.  Both overlaps end in the same Gaussian
-  tail, a log-determinant and a displacement quadratic form.  By ``(f0 E)^2 <=
-  Q_mu <= (f0 E)^(2 min(mu, 1 - mu))`` it is 1.0 without the normal form where
-  the upper bound, or else Q_mu through the spectral form, is at most ``SETTLED``.
+  tail, a log-determinant and a displacement quadratic form.
 
 Single-mode closed forms of all three are provided for cross-validation.
 
@@ -23,6 +17,29 @@ All three are computed by one stacked core, ``measure_stack``, over arrays
 ``d: (B, 2n)`` and ``cm: (B, 2n, 2n)``; the single-state functions are its
 one-item case.  Its stages follow ``linalg``'s rule for stacked routines:
 each intermediate is freed at its last use, and nothing handed in is written.
+
+The certificate ladder.  A measure whose overlap is at most ``SETTLED`` (2^-58)
+is 1.0 in double, and where a certificate shows that, the fragile stage is skipped:
+
+1. The fidelity tail runs first.  Each factor of ``f_tot4 = prod(sqrt(1 + mu) +
+   sqrt(mu))`` is >= 1, so ``det(Sigma/2)^(-1/4) E <= f0 E``; only an item whose
+   floor is at most ``SETTLED`` is picked to try 2 and 3.
+2. The determinant bound ``f_tot4 <= (1 + 1/t)^n det((1 + t)(-Y^2) - t I)^(1/2)``
+   (t = ``BOUND_T``), from ``(sqrt(1 + mu) + sqrt(mu))^2 <= (1 + 1/t)(1 + (1 + t) mu)``,
+   tried where its value at det = 1 is at most ``SETTLED``.
+3. Else the spectral ``f_tot4``.  An item 2 or 3 settles skips the chain.
+4. The rest run the chain.  An item it fails takes the spectral ``f_tot4``: a picked
+   item's from 3, any other's from the spectral rescue.
+5. Tsallis: ``F = (f0 E)^2 <= Q_1/2 <= Q_mu <= Q_1/2^(2 min(mu, 1 - mu)) <= (f0 E)^(2
+   min(mu, 1 - mu))``, as log Q_s is convex (Audenaert et al., PRL 98, 160501, 2007).
+   The normal form is skipped where that upper bound, or else the spectral overlap
+   (tried where ``(f0 E)^OVERLAP_GATE <= SETTLED``), is at most ``SETTLED``.
+
+Each of 2-5 and the normal form runs on its items through ``_run_at``, on an
+``ItemErrors`` of its own.  A certificate that fails an item only leaves it
+unsettled.  Otherwise an item keeps its first failure: one that fails the tail
+never reaches the chain, and one the chain and the rescue both fail keeps the
+chain's exception.  The one-state ``tsallis_imaginarity`` always runs the normal form.
 """
 
 from __future__ import annotations
@@ -203,13 +220,11 @@ def _spectral_f_tot4_stack(cm: np.ndarray, errors: ItemErrors) -> np.ndarray:
         return np.prod(np.sqrt(1.0 + mu) + np.sqrt(mu), axis=-1)
 
 
-# Every 1 + mu >= 1, so f_tot4 >= 1 and f0 E >= det(Sigma/2)^(-1/4) E: only an item whose
-# floor det(Sigma/2)^(-1/4) E is at most SETTLED tries the certificates.  One whose determinant
-# bound (t = BOUND_T; t = 1, 4 and 16 settle 97, 112 and 105 of the benchmark's 128 64-mode
-# states) or else spectral f0 E is at most SETTLED skips the chain: its 1 - f0 E is 1.0 in
-# double, and the chain's would be too unless its f0 were more than 16x the spectral one (on
-# the wide pool their f_tot4 differ by at most 2.2e-5 relative wherever the chain passes).
-# No bound fails an item.
+# The constants of the module docstring's certificate ladder.  An item a certificate settles
+# takes 1.0, as the chain would unless its f0 were more than 16x the spectral one (on the wide
+# pool their f_tot4 differ by at most 2.2e-5 relative wherever the chain passes); t = 1, 4 and
+# 16 settle 97, 112 and 105 of the benchmark's 128 64-mode states, and log Q_1/2 >= 1.8 log(f0 E)
+# on the wide pool's F <= SETTLED
 SETTLED, BOUND_T, OVERLAP_GATE = 2.0**-58, 4.0, 1.85
 _LOG_MAX = float(np.log(np.finfo(float).max))  # np.exp overflows past this
 
@@ -238,74 +253,66 @@ def _f0(f_tot4: np.ndarray, log_det: np.ndarray) -> np.ndarray:
     return np.where(big, np.exp((np.log(f_tot4) - log_det) / 4), f0) if np.count_nonzero(big) else f0
 
 
-def _run_at(stage, at: np.ndarray, out: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
-    # ``out`` with stage(*rows of arrays, errors) where ``at``, on its own ItemErrors
-    errors = ItemErrors(np.count_nonzero(at))
+def _run_at(stage, at: np.ndarray, out: np.ndarray, *arrays: np.ndarray) -> dict:
+    # stage(*rows of arrays, errors) where ``at``, on its own ItemErrors: each passed item's
+    # value goes into ``out`` at its position, a failed item's row is left as it was, and
+    # {position: exception} of the failed items is returned
+    rows = np.flatnonzero(at)
+    errors = ItemErrors(len(rows))
     if errors.errors:
-        out[at] = errors.spread(stage(*(a if at.all() else a[at] for a in arrays), errors))
-    return out
+        whole = len(rows) == len(at)
+        values = stage(*(a if whole else a[rows] for a in arrays), errors)
+        out[rows[errors.live]] = values
+    return {k: exc for k, exc in zip(rows.tolist(), errors.errors) if exc is not None}
 
 
-def _fidelity_stack(d: np.ndarray, cm: np.ndarray, errors: ItemErrors):
-    # (f0 E, value) between each state and its conjugate, for the items still live.  The
-    # tail, log det(Sigma/2) and E = exp(-dd Sigma^{-1} dd / 4), comes first.  Then the
-    # determinant bound and the spectral stage on the picked items, the chain on the rest and
-    # the spectral stage on the items it failed, each on its own ItemErrors (an item both
-    # f_tot4 paths fail keeps the chain's exception)
-    count, n = len(cm), cm.shape[-1] // 2
+def _fidelity_stack(d: np.ndarray, cm: np.ndarray, errors: ItemErrors) -> np.ndarray:
+    # f0 E between each state and its conjugate, for the items still live, by the module
+    # docstring's ladder.  The tail, log det(Sigma/2) and E = exp(-dd Sigma^{-1} dd / 4),
+    # fails its items in ``errors`` first; every later stage runs through _run_at
+    n = cm.shape[-1] // 2
     o = momentum_signs(n)
-    tail = ItemErrors(count)
     # conjugation by diag(o) only flips signs, so it is applied elementwise
     half = cm + np.outer(o, o) * cm
     half *= 0.5
     # halving is exact in the solve and the dot product: quad / 8 is dd Sigma^{-1} dd / 4
-    log_det, quad = _overlap_tail(half, d, tail)
+    log_det, quad, cm = _overlap_tail(half, d, errors, cm)
     del half
-    log_det, e = tail.spread(log_det), tail.spread(_libm(math.exp, -0.125 * quad))
-    # the floor below every f0 E; a failed tail gives a NaN floor, which picks nothing
-    picked = np.exp(-0.25 * log_det) * e <= SETTLED
+    count, e = len(cm), _libm(math.exp, -0.125 * quad)
+    picked = np.exp(-0.25 * log_det) * e <= SETTLED  # the floor below every f0 E
     f_tot4, rest, bound = np.full(count, np.nan), np.ones(count, dtype=bool), None
     if picked.any():
         # the determinant bound is at least its value at det = 1, (1 + 1/t)^(n/4) times the floor
         floor = np.exp(0.25 * (n * math.log1p(1.0 / BOUND_T) - log_det)) * e
-        bound = _run_at(_log_f_tot4_bound, picked & (floor <= SETTLED), np.full(count, np.nan), cm)
+        bound = np.full(count, np.nan)
+        _run_at(_log_f_tot4_bound, picked & (floor <= SETTLED), bound, cm)
         bound = np.exp(0.25 * (bound - log_det)) * e
         rest = ~(bound <= SETTLED)
         _run_at(_spectral_f_tot4_stack, picked & rest, f_tot4, cm)
         rest[picked] &= ~(_f0(f_tot4[picked], log_det[picked]) * e[picked] <= SETTLED)
-    spectral = f_tot4.copy()
-    rows = np.flatnonzero(rest)
-    chain = ItemErrors(len(rows))
-    if chain.errors:
-        f_tot4[rows] = chain.spread(_w_chain_stack(cm if rest.all() else cm[rows], chain)[1].real)
+    # a picked item the chain fails keeps its spectral f_tot4; the rescue runs on the others
+    chain = _run_at(lambda sub, sub_errors: _w_chain_stack(sub, sub_errors)[1].real, rest, f_tot4, cm)
     lost = np.zeros(count, dtype=bool)
-    lost[rows] = chain.failed()
-    _run_at(_spectral_f_tot4_stack, lost & ~picked, spectral, cm)
-    f_tot4[lost] = spectral[lost]
-    chain_errors = dict(zip(rows.tolist(), chain.errors))
-    both = lost & ~np.isfinite(spectral)
+    lost[list(chain)] = True
+    _run_at(_spectral_f_tot4_stack, lost & ~picked, f_tot4, cm)
     f0_e = _f0(f_tot4, log_det) * e
     if bound is not None:
         f0_e = np.where(bound <= SETTLED, bound, f0_e)
-    (f0_e,) = errors.fail(
-        both | tail.failed(), lambda j: chain_errors[j] if both[j] else tail.errors[j], f0_e
-    )
-    return f0_e, 1.0 - f0_e
+    (f0_e,) = errors.fail(lost & ~np.isfinite(f_tot4), chain.__getitem__, f0_e)
+    return f0_e
 
 
 def fidelity_imaginarity(state: GaussianState) -> float:
     """One minus the fidelity between the state and its conjugate.
 
-    Where ``f0 E <= SETTLED`` (2^-58) by the bound ``f_tot4 <= (1 + 1/t)^n det((1 + t)
-    (-R^2) - t I)^(1/2)`` (t = 4) or else the spectral ``f_tot4``, the value is 1.0 without
-    the chain (as the chain's would be unless its ``f0`` were more than 16x the spectral one);
-    both are tried where the floor ``det(Sigma/2)^(-1/4) E`` of ``f0 E`` is at most ``SETTLED``.
-    Otherwise ``f_tot4`` comes from the chain, or the spectral stage where it fails.
+    Runs the module docstring's certificate ladder: 1.0 without the chain where a
+    certificate settles the state, else ``f_tot4`` from the chain, or from the
+    spectral stage where the chain fails.
     """
     errors = ItemErrors(1)
-    _, value = _fidelity_stack(state.d[None], state.cm[None], errors)
+    f0_e = _fidelity_stack(state.d[None], state.cm[None], errors)
     errors.raise_first()
-    return value[0].item()
+    return 1.0 - f0_e.item()
 
 
 def fidelity_imaginarity_single_mode(n_th: float, zeta: complex, alpha: complex) -> float:
@@ -377,9 +384,8 @@ def tsallis_imaginarity(state: GaussianState, mu: float) -> float:
 
     Needs the full symplectic normal form of the covariance matrix, so this is
     the most expensive of the three measures.  This one-state call always runs
-    it; ``measure_all`` and ``measure_stack`` skip it where the overlap is at most
-    ``SETTLED`` (2^-58), 16x below where ``1 - overlap`` stops printing as 1.0, by
-    ``F <= Q_mu <= (f0 E)^(2 min(mu, 1 - mu))`` or else the spectral form's overlap.
+    it; ``measure_all`` and ``measure_stack`` skip it where the module docstring's
+    certificate ladder settles the overlap.
     """
     _check_mu(mu)
     errors = ItemErrors(1)
@@ -456,27 +462,22 @@ class StackReport:
 
     @cached_property
     def _fragile(self):
-        # each stage on its own ItemErrors over the rows of d and cm
-        fid, ts = ItemErrors(len(self._d)), ItemErrors(len(self._d))
-        f0_e, fidelity = _fidelity_stack(self._d, self._cm, fid)
-        f0_e = fid.spread(f0_e)
-        # F = (f0 E)^2 <= Q_1/2 <= Q_mu <= Q_1/2^(2 min(mu, 1 - mu)) <= (f0 E)^(2 min(mu, 1 - mu))
-        # (log Q_s is convex: Audenaert et al., PRL 98, 160501, 2007).  An item whose upper bound, or
-        # else spectral overlap, is at most SETTLED takes 1.0 with no error; the overlap runs where
-        # (f0 E)^OVERLAP_GATE <= SETTLED (log Q_1/2 >= 1.8 log(f0 E) on the wide pool's F <= SETTLED)
-        settled = f0_e ** (2.0 * min(self.mu, 1.0 - self.mu)) <= SETTLED
+        # the fidelity stage on its own ItemErrors over the rows of d and cm, then the Tsallis
+        # certificates and normal form through _run_at, by the module docstring's ladder
+        fid, mu = ItemErrors(len(self._d)), self.mu
+        f0_e = fid.spread(_fidelity_stack(self._d, self._cm, fid))
+        settled = f0_e ** (2.0 * min(mu, 1.0 - mu)) <= SETTLED
         tried = ~settled & (f0_e**OVERLAP_GATE <= SETTLED)
         if np.count_nonzero(tried):
-            log_q, mu = np.full(len(tried), np.nan), self.mu
+            log_q = np.full(len(tried), np.nan)
             _run_at(lambda d, cm, e: _log_overlap_stack(d, cm, mu, e), tried, log_q, self._d, self._cm)
             settled |= log_q <= math.log(SETTLED)
-        d, cm = ts.fail(settled, lambda j: None, self._d, self._cm)
-        tsallis = _tsallis_stack(d, cm, self.mu, ts) if len(cm) else np.empty(0)
-        tsallis = np.where(settled, 1.0, ts.spread(tsallis))
-        rows = zip(fid.errors, ts.errors)
+        tsallis = np.where(settled, 1.0, np.nan)
+        ts = _run_at(lambda d, cm, e: _tsallis_stack(d, cm, mu, e), ~settled, tsallis, self._d, self._cm)
+        rows = zip(fid.errors, map(ts.get, range(len(tsallis))))
         failures = [(None, *next(rows)) if exc is None else (exc,) * 3 for exc in self._base.errors]
         spread = self._base.spread
-        return spread(fid.spread(fidelity)), spread(tsallis), failures
+        return spread(1.0 - f0_e), spread(tsallis), failures
 
     @property
     def fidelity_imaginarity(self) -> np.ndarray:  # (B,)
@@ -563,14 +564,9 @@ def measure_all(state: GaussianState, mu: float = 0.5, zero_tol: float = ZERO_TO
     """Evaluate all three measures; the fragile paths may fail and are flagged.
 
     Failures of the fidelity or Tsallis path are captured as messages instead
-    of raising; a fidelity failure means the chain and its spectral rescue
-    both failed, and the message is the chain's.  A state the determinant
-    bound or the spectral stage settles, tried where the floor of ``f0 E`` is
-    at most ``SETTLED``, never runs the chain: its fidelity value is 1.0 in
-    double (see ``fidelity_imaginarity``).  Where the Tsallis
-    overlap is at most ``SETTLED`` (see ``tsallis_imaginarity``) the Tsallis
-    value is 1.0 without the normal form, which ``tsallis_imaginarity`` always
-    runs.  A failure of the covariance-ratio measure raises: on valid
-    single-mode states its log-determinants fail from |zeta| ~ 9.2 on.
+    of raising; the module docstring's certificate ladder says which stages a
+    state runs and which failure it keeps.  A failure of the covariance-ratio
+    measure raises: on valid single-mode states its log-determinants fail from
+    |zeta| ~ 9.2 on.
     """
     return measure_stack(state.d[None], state.cm[None], mu, zero_tol).report(0)

@@ -126,7 +126,7 @@ def test_spectral_overlap_settles_only_what_the_normal_form_prints_as_one(n, cou
     # the wide pool's items that reach the Tsallis test, as StackReport._fragile picks them
     d, cm = wide_stack(n, range(count))
     errors = ItemErrors(count)
-    f0_e, _ = measures._fidelity_stack(d, cm, errors)
+    f0_e = measures._fidelity_stack(d, cm, errors)
     assert errors.errors == [None] * count
     tried = ~(f0_e <= SETTLED) & (f0_e * f0_e <= SETTLED)
     errors = ItemErrors(np.count_nonzero(tried))
@@ -147,7 +147,7 @@ def test_overlap_gate_misses_no_settle(n, count):
     # every item the spectral overlap settles passes the gate (f0 E)^OVERLAP_GATE <= SETTLED
     d, cm = wide_stack(n, range(count))
     errors = ItemErrors(count)
-    f0_e, _ = measures._fidelity_stack(d, cm, errors)
+    f0_e = measures._fidelity_stack(d, cm, errors)
     tried = ~(f0_e <= SETTLED) & (f0_e * f0_e <= SETTLED)
     assert tried.any()
     log_q = measures._log_overlap_stack(d[tried], cm[tried], 0.5, ItemErrors(np.count_nonzero(tried)))

@@ -854,7 +854,7 @@ class TestFragilePathFailures:
     def test_numeric_failure_is_a_measure_warning(self, coherent_file, capsys, monkeypatch):
         def boom(d, cm, errors):
             errors.fail(np.ones(len(errors.live), dtype=bool), lambda j: NonRealResult("synthetic failure"))
-            return np.empty(0), np.empty(0)
+            return np.empty(0)
 
         monkeypatch.setattr(measures, "_fidelity_stack", boom)
         assert main(["measure", coherent_file]) == 0

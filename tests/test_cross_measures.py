@@ -130,7 +130,7 @@ def test_log_overlaps_obey_the_settle_bound(n, count):
     # the first states of the benchmark's wide pool (squeezing up to 2)
     d, cm = wide_stack(n, range(count))
     errors = ItemErrors(count)
-    f0_e, _ = measures._fidelity_stack(d, cm, errors)
+    f0_e = measures._fidelity_stack(d, cm, errors)
     assert errors.errors == [None] * count
     log_f0_e = np.log(f0_e)
     q_half = log_overlap(d, cm, 0.5)

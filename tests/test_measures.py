@@ -108,9 +108,9 @@ class TestFidelityMeasure:
     def test_vacuum_value(self):
         vacuum = coherent_state([0])
         cm = vacuum.cm[None]
-        f0, value = _fidelity_stack(vacuum.d[None], cm, ItemErrors(1))
+        f0 = _fidelity_stack(vacuum.d[None], cm, ItemErrors(1))
         assert f0[0] == pytest.approx(1.0, abs=1e-14)
-        assert value[0] == pytest.approx(0.0, abs=1e-14)
+        assert 1 - f0[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_coherent_closed_form(self):
         for alpha in (1j, 0.5 - 0.25j, 2j):
@@ -286,7 +286,7 @@ class TestMeasureAll:
 
         def boom(d, cm, errors):
             errors.fail(np.ones(len(errors.live), dtype=bool), lambda j: NonRealResult("synthetic failure"))
-            return np.empty(0), np.empty(0)
+            return np.empty(0)
 
         monkeypatch.setattr(measures, "_fidelity_stack", boom)
         report = measures.measure_all(random_state(2, rng))

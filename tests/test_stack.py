@@ -29,6 +29,7 @@ from gaussimag.states import (
     GaussianState,
     coherent_state,
     displaced_squeezed_thermal,
+    momentum_signs,
     real_pattern,
     squeezed_thermal_stack,
     two_mode_squeezed_stack,
@@ -465,13 +466,15 @@ class TestSettledFidelity:
 
 def spied(monkeypatch, cm, *names):
     # per named stage of ``measures``, the items it is handed on each call, as
-    # lists of their positions in the stack ``cm``
+    # lists of their positions in the stack ``cm``; a stage's rows of cm are its
+    # one 3-D argument
     seen = {name: [] for name in names}
     for name in names:
-        def spy(rows, errors, name=name, stage=getattr(measures, name)):
+        def spy(*args, name=name, stage=getattr(measures, name)):
+            rows = next(a for a in args if np.ndim(a) == 3)
             same = (rows[:, None] == cm).all(axis=(-2, -1))
             seen[name].append(np.flatnonzero(same.any(axis=0)).tolist())
-            return stage(rows, errors)
+            return stage(*args)
 
         monkeypatch.setattr(measures, name, spy)
     return seen
@@ -609,12 +612,54 @@ class TestSettledTsallis:
         ids=["empty", "all-failed", "all-settled", "none-settled"],
     )
     def test_no_stage_is_handed_an_empty_stack(self, monkeypatch, d, cm):
-        names = "_w_chain_stack", "_spectral_f_tot4_stack", "williamson_stack"
+        names = (
+            "_log_f_tot4_bound",
+            "_spectral_f_tot4_stack",
+            "_w_chain_stack",
+            "_log_overlap_stack",
+            "williamson_stack",
+        )
         seen = spied(monkeypatch, cm, *names)
         measure_stack(d, cm).failures
         assert [] not in [rows for calls in seen.values() for rows in calls]
         if len(cm) == 4:
             assert seen["_w_chain_stack"] == seen["williamson_stack"] == [[0, 1, 2, 3]]
+
+
+class TestFirstFailure:
+    def test_a_tail_failure_is_kept_and_never_reaches_the_chain(self, monkeypatch, rng):
+        # the two-mode state the chain fails, with no spectral rescue, between two
+        # random states, and a LinAlgError planted on the log-determinant of its
+        # Sigma / 2: the item keeps the tail's failure, the chain never sees it, and
+        # every other value is the unplanted run's
+        bad = failing_fidelity_state(monkeypatch)
+        d, cm = stack([random_state(2, rng), bad, random_state(2, rng)])
+        clean = measure_stack(d, cm)
+        assert type(clean.failures[1][1]) is ComplexSqrtBranchFailure
+        o = momentum_signs(2)
+        half = 0.5 * (bad.cm + np.outer(o, o) * bad.cm)
+        logdet = measures.logdet_spd
+
+        def planted(a):
+            # the covariance-ratio stage hands in 2x2 blocks too
+            if a.shape[-2:] == half.shape and (a == half).all(axis=(-2, -1)).any():
+                raise np.linalg.LinAlgError("planted")
+            return logdet(a)
+
+        monkeypatch.setattr(measures, "logdet_spd", planted)
+        seen = spied(monkeypatch, cm, "_w_chain_stack")["_w_chain_stack"]
+        reports = measure_stack(d, cm)
+        exc = reports.failures[1][1]
+        assert type(exc) is np.linalg.LinAlgError and str(exc) == "planted"
+        assert seen == [[0, 2]]
+        assert [row[1] is None for row in reports.failures] == [True, False, True]
+        assert np.isnan(reports.fidelity_imaginarity[1])
+        np.testing.assert_array_equal(
+            reports.fidelity_imaginarity[[0, 2]], clean.fidelity_imaginarity[[0, 2]]
+        )
+        for field in ("imaginarity", "tsallis_imaginarity", "log_dets"):
+            np.testing.assert_array_equal(getattr(reports, field), getattr(clean, field))
+        assert [row[2] for row in reports.failures] == [None] * 3
 
 
 class TestChainDeterminantCheck:
