@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Wall time and traced memory peak of each stacked stage of the measure core.
 
-Runs ``states.validate``, the five stacked stages (covariance ratio,
-fidelity, spectral fidelity, Williamson normal form, Tsallis), the two settle
-certificates (``fidelity_bound``, the determinant bound on ``f_tot4``, and
-``spectral_overlap``, the Tsallis overlap through the spectral form) and
-``fragile``, the fidelity and Tsallis stages as ``measure_stack`` runs them
-(after the covariance ratio, with the Tsallis settle between them), on the
-first B states of the benchmark's seeded n-mode pool (squeezing up to 2), for
+Runs ``states.validate``, the six stacked stages (covariance ratio, fidelity,
+spectral fidelity, ``linalg.spectral_core``, Williamson normal form, Tsallis),
+the two settle certificates (``fidelity_bound``, the determinant bound on
+``f_tot4``, and ``spectral_overlap``, the Tsallis overlap through the spectral
+form) and ``fragile``, the fidelity and Tsallis stages as ``measure_stack``
+runs them (after the covariance ratio, with the Tsallis settle between them),
+on the first B states of the benchmark's seeded n-mode pool (squeezing up to 2), for
 n in {1, 2, 4, 8, 16, 32, 64} and B in {1, 64, 256}; the n = 16, B = 256 rows run
 the stack of ``tests/test_working_set.py``.  At n = 2 it also runs the two
 stages of the dynamics-family sweeps: ``dynamics.bath_stack`` over B baths and
@@ -82,6 +82,7 @@ STAGES = {
     ),
     "fidelity": per_item(measures._fidelity_stack),
     "spectral_f_tot4": per_item(lambda d, cm, e: measures._spectral_f_tot4_stack(cm, e)),
+    "spectral_core": per_item(lambda d, cm, e: linalg.spectral_core(cm, e)),
     "fidelity_bound": per_item(lambda d, cm, e: measures._log_f_tot4_bound(cm, e)),
     "spectral_overlap": per_item(lambda d, cm, e: measures._log_overlap_stack(d, cm, MU, e)),
     "williamson": per_item(lambda d, cm, e: linalg.williamson_stack(cm, e)),

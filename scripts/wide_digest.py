@@ -2,7 +2,7 @@
 """One sha256 over every report of the benchmark's wide pool.
 
 Scores the 2,560 states of the wide reference pool (1,024, 1,024, 384 and 128
-states of 8, 16, 32 and 64 modes) one at a time through ``measure_all`` and
+states of 8, 16, 32 and 64 modes) one at a time, as ``measure_all`` does, and
 hashes ``repr(report.to_dict())`` of each, in pool order.  Two checkouts that
 print the same digest gave the same value, ``det_cm`` and error string on every
 state.  The digest depends on the BLAS build and thread count (see README's
@@ -11,10 +11,10 @@ digests only at the same count.  The pool comes from the benchmark's own
 module, imported without writing anything under ``perfbench/``.
 
 Per mode count it also prints how many items each fragile stage of ``measures``
-is handed, and how many of them it fails, counted by wrapping the stages for
-the length of the run: the determinant bound, the spectral stage (both runs),
-the fidelity chain, the spectral Tsallis overlap and the Williamson normal form.
-Two checkouts with the same counts routed every state the same way.
+is handed, and how many of them it fails, counted from each state's route
+record (``StackReport.stages``): the determinant bound, the spectral stage
+(both runs), the fidelity chain, the spectral Tsallis overlap and the Williamson
+normal form.  Two checkouts with the same counts routed every state the same way.
 
 Usage, from the root of a checkout:
 
@@ -26,12 +26,10 @@ import hashlib
 import os
 import pathlib
 import sys
-from collections import Counter
-from contextlib import contextmanager
 
 import numpy as np
 
-from gaussimag import measures
+from gaussimag.measures import STAGES, measure_stack
 
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
@@ -45,47 +43,18 @@ def blas_threads() -> str:
     return f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')}"
 
 
-# the fragile stages, each called as stage(..., errors) on a fresh ItemErrors, by report label
-STAGES = {
-    "bound": "_log_f_tot4_bound",
-    "spectral": "_spectral_f_tot4_stack",
-    "chain": "_w_chain_stack",
-    "overlap": "_log_overlap_stack",
-    "normal form": "williamson_stack",
-}
-
-
-@contextmanager
-def counted_stages(handed: Counter, failed: Counter):
-    # wraps each stage so that it adds the items it is handed and fails to the counters
-    def counting(label, stage):
-        def wrapped(*args):
-            live = len(args[-1].live)
-            result = stage(*args)
-            handed[label] += live
-            failed[label] += live - len(args[-1].live)
-            return result
-
-        return wrapped
-
-    stages = {name: getattr(measures, name) for name in STAGES.values()}
-    for label, name in STAGES.items():
-        setattr(measures, name, counting(label, stages[name]))
-    try:
-        yield
-    finally:
-        for name, stage in stages.items():
-            setattr(measures, name, stage)
-
-
 def main() -> int:
     digest, counts = hashlib.sha256(), []
     for n, per_round in WIDE_MIX:
-        handed, failed = Counter(), Counter()
-        with counted_stages(handed, failed):
-            for k in range(wide_pool_size(per_round)):
-                digest.update(repr(measures.measure_all(wide_state(n, k)).to_dict()).encode())
-        cells = (f"{label} {handed[label]} ({failed[label]} failed)" for label in STAGES)
+        routes = []
+        for k in range(wide_pool_size(per_round)):
+            state = wide_state(n, k)
+            reports = measure_stack(state.d[None], state.cm[None])
+            digest.update(repr(reports.report(0).to_dict()).encode())
+            routes.append(reports.stages[0])
+        routes = np.array(routes)[:, None] >> 2 * np.arange(len(STAGES))
+        handed, failed = np.count_nonzero(routes & 1, axis=0), np.count_nonzero(routes & 2, axis=0)
+        cells = (f"{label} {h} ({f} failed)" for label, h, f in zip(STAGES, handed, failed))
         counts.append(f"n = {n}: " + ", ".join(cells))
     print(f"openblas threads: {blas_threads()}")
     print(f"sha256: {digest.hexdigest()}")

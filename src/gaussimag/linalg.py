@@ -57,11 +57,13 @@ class ItemErrors:
     ``kept(live)`` after it; ``carry`` of ``call`` and ``fail`` is for a
     stage's own arrays.  A check over a plain list of per-item failures goes
     through ``flag``, so an item keeps the failure of its first failed check.
+    ``stages[k]`` is item k's route record, which ``measures._run_at`` fills.
     """
 
     def __init__(self, count: int):
         self.errors: list[BaseException | None] = [None] * count
         self.live = np.arange(count)
+        self.stages = np.zeros(count, dtype=np.uint16)
 
     def fail(self, bad: np.ndarray, error, *carry: np.ndarray) -> tuple[np.ndarray, ...]:
         """Fail live item j where ``bad[j]`` with ``error(j)``; return ``carry`` without them."""
@@ -92,12 +94,6 @@ class ItemErrors:
             bad = np.isin(np.arange(len(args[0])), list(caught))
             kept = self.fail(bad, caught.__getitem__, *args, *carry)
             return (fn(*kept[: len(args)]), *kept[len(args) :])
-
-    def failed(self) -> np.ndarray:
-        """Mask of the failed items."""
-        mask = np.ones(len(self.errors), dtype=bool)
-        mask[self.live] = False
-        return mask
 
     def kept(self, live: np.ndarray):
         """Index of the items still live into an array over ``live``, an earlier ``self.live``."""
@@ -253,8 +249,8 @@ def williamson_stack(cm: np.ndarray, errors: ItemErrors, tol: float = 1e-8) -> t
     Returns ``(s, nus, residual)`` over the live items: ``residual`` is
     the larger of the two Frobenius reconstruction residuals (relative for the
     cm round trip, absolute for ``s Delta s^T = Delta``).  Indefinite or NaN
-    items fail with ``LinAlgError``, items whose residual exceeds ``tol`` with
-    ``WilliamsonResidualError``.  See ``williamson`` for the method.
+    items fail with ``LinAlgError``, items whose residual exceeds ``tol`` or is
+    NaN with ``WilliamsonResidualError``.  See ``williamson`` for the method.
     """
     n = cm.shape[-1] // 2
     delta = symplectic_form(n)
@@ -303,7 +299,7 @@ def williamson_stack(cm: np.ndarray, errors: ItemErrors, tol: float = 1e-8) -> t
     res_cm = frobenius((s * nus.repeat(2, axis=-1)[:, None, :]) @ _mT(s) - cm) / frobenius(cm)
     res_sympl = frobenius(s @ delta @ _mT(s) - delta)
     return errors.fail(
-        (res_cm > tol) | (res_sympl > tol),
+        ~((res_cm <= tol) & (res_sympl <= tol)),  # NaN residual included
         lambda j: WilliamsonResidualError(
             f"reconstruction residuals {res_cm[j]:.3e} / {res_sympl[j]:.3e} exceed tol={tol:.1e}"
         ),

@@ -26,20 +26,23 @@ is 1.0 in double, and where a certificate shows that, the fragile stage is skipp
    floor is at most ``SETTLED`` is picked to try 2 and 3.
 2. The determinant bound ``f_tot4 <= (1 + 1/t)^n det((1 + t)(-Y^2) - t I)^(1/2)``
    (t = ``BOUND_T``), from ``(sqrt(1 + mu) + sqrt(mu))^2 <= (1 + 1/t)(1 + (1 + t) mu)``,
-   tried where its value at det = 1 is at most ``SETTLED``.
-3. Else the spectral ``f_tot4``.  An item 2 or 3 settles skips the chain.
-4. The rest run the chain.  An item it fails takes the spectral ``f_tot4``: a picked
-   item's from 3, any other's from the spectral rescue.
+   tried where its value at det = 1 is at most ``SETTLED`` (stage "bound", bits 0-1).
+3. Else the spectral ``f_tot4`` ("spectral", bits 2-3).  An item 2 or 3 settles skips the chain.
+4. The rest run the chain ("chain", bits 4-5).  An item it fails takes the spectral
+   ``f_tot4``: a picked item's from 3, any other's from the spectral rescue ("spectral").
 5. Tsallis: ``F = (f0 E)^2 <= Q_1/2 <= Q_mu <= Q_1/2^(2 min(mu, 1 - mu)) <= (f0 E)^(2
    min(mu, 1 - mu))``, as log Q_s is convex (Audenaert et al., PRL 98, 160501, 2007).
-   The normal form is skipped where that upper bound, or else the spectral overlap
-   (tried where ``(f0 E)^OVERLAP_GATE <= SETTLED``), is at most ``SETTLED``.
+   The normal form ("normal form", bits 8-9) is skipped where that upper bound, or else the
+   spectral overlap ("overlap", bits 6-7, tried where ``(f0 E)^OVERLAP_GATE <= SETTLED``),
+   is at most ``SETTLED``.
 
 Each of 2-5 and the normal form runs on its items through ``_run_at``, on an
-``ItemErrors`` of its own.  A certificate that fails an item only leaves it
-unsettled.  Otherwise an item keeps its first failure: one that fails the tail
-never reaches the chain, and one the chain and the rescue both fail keeps the
-chain's exception.  The one-state ``tsallis_imaginarity`` always runs the normal form.
+``ItemErrors`` of its own, and sets its bits in each item's route record
+(``StackReport.stages``): the low one if it was handed the item, the high one if it
+failed it.  A certificate that fails an item only leaves it unsettled.  Otherwise an
+item keeps its first failure: one that fails the tail never reaches the chain, and
+one the chain and the rescue both fail keeps the chain's exception.  The one-state
+``tsallis_imaginarity`` always runs the normal form.
 """
 
 from __future__ import annotations
@@ -253,23 +256,34 @@ def _f0(f_tot4: np.ndarray, log_det: np.ndarray) -> np.ndarray:
     return np.where(big, np.exp((np.log(f_tot4) - log_det) / 4), f0) if np.count_nonzero(big) else f0
 
 
-def _run_at(stage, at: np.ndarray, out: np.ndarray, *arrays: np.ndarray) -> dict:
+# the fragile stages by their bits in a route record: stage i sets 1 << 2i on each item it
+# is handed and 2 << 2i on each item it fails
+STAGES = ("bound", "spectral", "chain", "overlap", "normal form")
+
+
+def _run_at(label: str, stage, at: np.ndarray, out: np.ndarray, route: np.ndarray, *arrays) -> dict:
     # stage(*rows of arrays, errors) where ``at``, on its own ItemErrors: each passed item's
-    # value goes into ``out`` at its position, a failed item's row is left as it was, and
+    # value goes into ``out`` at its position, a failed item's row is left as it was, the
+    # record ``route``, aligned with ``at``, gains the bits of stage ``label``, and
     # {position: exception} of the failed items is returned
-    rows = np.flatnonzero(at)
+    rows, bit = np.flatnonzero(at), 1 << 2 * STAGES.index(label)
     errors = ItemErrors(len(rows))
     if errors.errors:
         whole = len(rows) == len(at)
         values = stage(*(a if whole else a[rows] for a in arrays), errors)
         out[rows[errors.live]] = values
-    return {k: exc for k, exc in zip(rows.tolist(), errors.errors) if exc is not None}
+        route[rows] |= bit
+    failed = {k: exc for k, exc in zip(rows.tolist(), errors.errors) if exc is not None}
+    if failed:
+        route[list(failed)] |= 2 * bit
+    return failed
 
 
 def _fidelity_stack(d: np.ndarray, cm: np.ndarray, errors: ItemErrors) -> np.ndarray:
     # f0 E between each state and its conjugate, for the items still live, by the module
     # docstring's ladder.  The tail, log det(Sigma/2) and E = exp(-dd Sigma^{-1} dd / 4),
-    # fails its items in ``errors`` first; every later stage runs through _run_at
+    # fails its items in ``errors`` first; every later stage runs through _run_at, which marks
+    # ``errors.stages``
     n = cm.shape[-1] // 2
     o = momentum_signs(n)
     # conjugation by diag(o) only flips signs, so it is applied elementwise
@@ -278,23 +292,25 @@ def _fidelity_stack(d: np.ndarray, cm: np.ndarray, errors: ItemErrors) -> np.nda
     # halving is exact in the solve and the dot product: quad / 8 is dd Sigma^{-1} dd / 4
     log_det, quad, cm = _overlap_tail(half, d, errors, cm)
     del half
-    count, e = len(cm), _libm(math.exp, -0.125 * quad)
+    count, e, live = len(cm), _libm(math.exp, -0.125 * quad), errors.live
+    route = errors.stages[live]
     picked = np.exp(-0.25 * log_det) * e <= SETTLED  # the floor below every f0 E
     f_tot4, rest, bound = np.full(count, np.nan), np.ones(count, dtype=bool), None
     if picked.any():
         # the determinant bound is at least its value at det = 1, (1 + 1/t)^(n/4) times the floor
         floor = np.exp(0.25 * (n * math.log1p(1.0 / BOUND_T) - log_det)) * e
         bound = np.full(count, np.nan)
-        _run_at(_log_f_tot4_bound, picked & (floor <= SETTLED), bound, cm)
+        _run_at("bound", _log_f_tot4_bound, picked & (floor <= SETTLED), bound, route, cm)
         bound = np.exp(0.25 * (bound - log_det)) * e
         rest = ~(bound <= SETTLED)
-        _run_at(_spectral_f_tot4_stack, picked & rest, f_tot4, cm)
+        _run_at("spectral", _spectral_f_tot4_stack, picked & rest, f_tot4, route, cm)
         rest[picked] &= ~(_f0(f_tot4[picked], log_det[picked]) * e[picked] <= SETTLED)
     # a picked item the chain fails keeps its spectral f_tot4; the rescue runs on the others
-    chain = _run_at(lambda sub, sub_errors: _w_chain_stack(sub, sub_errors)[1].real, rest, f_tot4, cm)
+    chain = _run_at("chain", lambda sub, err: _w_chain_stack(sub, err)[1].real, rest, f_tot4, route, cm)
     lost = np.zeros(count, dtype=bool)
     lost[list(chain)] = True
-    _run_at(_spectral_f_tot4_stack, lost & ~picked, f_tot4, cm)
+    _run_at("spectral", _spectral_f_tot4_stack, lost & ~picked, f_tot4, route, cm)
+    errors.stages[live] = route
     f0_e = _f0(f_tot4, log_det) * e
     if bound is not None:
         f0_e = np.where(bound <= SETTLED, bound, f0_e)
@@ -327,15 +343,17 @@ def fidelity_imaginarity_single_mode(n_th: float, zeta: complex, alpha: complex)
     return 1.0 - numer / denom
 
 
-def _mu_weights(nus: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # q = exp(-eta) per symplectic eigenvalue; q = 0 is the pure-state limit.
-    # q**mu has a sqrt-type cusp at q = 0, so eigenvalues within rounding
-    # noise of 1 must be snapped to the limit or the cusp amplifies the noise.
+def _mu_weights(nus: np.ndarray, mu: float, errors: ItemErrors, *carry: np.ndarray) -> tuple:
+    # (factors, scale_mu, scale_1mu, *carry) over the live items, from q = exp(-eta) per
+    # symplectic eigenvalue; q = 0 is the pure-state limit.  q**mu has a sqrt-type cusp at
+    # q = 0, so eigenvalues within rounding noise of 1 must be snapped to the limit or the
+    # cusp amplifies the noise.  An item whose 1 - q**mu or 1 - q**(1 - mu) is 0 fails
     q = np.where(nus <= PURE_NU, 0.0, (nus - 1.0) / (nus + 1.0))
-    factors = (1.0 - q) / ((1.0 - q**mu) * (1.0 - q ** (1.0 - mu)))
-    scale_mu = 2.0 / (1.0 - q**mu) - 1.0
-    scale_1mu = 2.0 / (1.0 - q ** (1.0 - mu)) - 1.0
-    return factors, scale_mu, scale_1mu
+    a, b = 1.0 - q**mu, 1.0 - q ** (1.0 - mu)
+    message = "Tsallis weights overflow: q = (nu - 1)/(nu + 1) is within rounding of 1"
+    bad = ~(a * b > 0.0).all(axis=-1)
+    q, a, b, *carry = errors.fail(bad, lambda j: OverflowError(message), q, a, b, *carry)
+    return (1.0 - q) / (a * b), 2.0 / a - 1.0, 2.0 / b - 1.0, *carry
 
 
 def _check_mu(mu: float) -> None:
@@ -356,7 +374,7 @@ def _tsallis_stack(d: np.ndarray, cm: np.ndarray, mu: float, errors: ItemErrors)
     # Tsallis-type measure of each state, for the items still live, via the normal form
     n, live = cm.shape[-1] // 2, errors.live
     s, nus, _ = williamson_stack(cm, errors)
-    factors, scale_mu, scale_1mu = _mu_weights(nus, mu)
+    factors, scale_mu, scale_1mu, s = _mu_weights(nus, mu, errors, s)
     w_mu, w_1mu = scale_mu.repeat(2, axis=-1), scale_1mu.repeat(2, axis=-1)
     log_det, quad, factors = _overlap_sum(s, w_mu, w_1mu, d[errors.kept(live)], errors, factors)
     big = log_det > _LOG_MAX
@@ -374,7 +392,7 @@ def _log_overlap_stack(d: np.ndarray, cm: np.ndarray, mu: float, errors: ItemErr
     chol, k, nu2, u, d = spectral_core(cm, errors, d)
     t, nus = chol @ u, np.sqrt(nu2)
     del chol, k, u
-    factors, scale_mu, scale_1mu = _mu_weights(nus, mu)
+    factors, scale_mu, scale_1mu, t, nus, d = _mu_weights(nus, mu, errors, t, nus, d)
     log_det, quad, factors = _overlap_sum(t, scale_mu / nus, scale_1mu / nus, d, errors, factors)
     return cm.shape[-1] // 2 * math.log(2.0) + 0.5 * (np.log(factors).sum(axis=-1) - log_det - quad)
 
@@ -441,13 +459,15 @@ class StackReport:
 
     Item k holds what ``measure_all`` reports on state k: a failed value is
     NaN, and ``failures[k]`` holds the exceptions of its (imaginarity,
-    fidelity, Tsallis) paths, None where the path succeeded.
+    fidelity, Tsallis) paths, None where the path succeeded.  ``stages[k]``
+    is its route record: bit 2i is set if stage i of ``STAGES`` was handed
+    the item, bit 2i + 1 if it failed it; 0 after a covariance-ratio failure.
 
     The covariance-ratio arrays are computed when the report is built.  The
     fidelity and Tsallis stages run together, once, on the first read of
-    ``fidelity_imaginarity``, ``tsallis_imaginarity``, ``failures`` or
-    ``report``, over the items that passed the covariance-ratio stage; a
-    caller that reads only the covariance-ratio arrays never runs them.
+    ``fidelity_imaginarity``, ``tsallis_imaginarity``, ``failures``,
+    ``stages`` or ``report``, over the items that passed the covariance-ratio
+    stage; a caller that reads only the covariance-ratio arrays never runs them.
     """
 
     mu: float
@@ -464,20 +484,27 @@ class StackReport:
     def _fragile(self):
         # the fidelity stage on its own ItemErrors over the rows of d and cm, then the Tsallis
         # certificates and normal form through _run_at, by the module docstring's ladder
-        fid, mu = ItemErrors(len(self._d)), self.mu
-        f0_e = fid.spread(_fidelity_stack(self._d, self._cm, fid))
+        fid, mu, d, cm = ItemErrors(len(self._d)), self.mu, self._d, self._cm
+        f0_e = fid.spread(_fidelity_stack(d, cm, fid))
+        route = fid.stages
         settled = f0_e ** (2.0 * min(mu, 1.0 - mu)) <= SETTLED
         tried = ~settled & (f0_e**OVERLAP_GATE <= SETTLED)
         if np.count_nonzero(tried):
             log_q = np.full(len(tried), np.nan)
-            _run_at(lambda d, cm, e: _log_overlap_stack(d, cm, mu, e), tried, log_q, self._d, self._cm)
+            _run_at(
+                "overlap", lambda d, cm, e: _log_overlap_stack(d, cm, mu, e), tried, log_q, route, d, cm
+            )
             settled |= log_q <= math.log(SETTLED)
         tsallis = np.where(settled, 1.0, np.nan)
-        ts = _run_at(lambda d, cm, e: _tsallis_stack(d, cm, mu, e), ~settled, tsallis, self._d, self._cm)
+        ts = _run_at(
+            "normal form", lambda d, cm, e: _tsallis_stack(d, cm, mu, e), ~settled, tsallis, route, d, cm
+        )
         rows = zip(fid.errors, map(ts.get, range(len(tsallis))))
         failures = [(None, *next(rows)) if exc is None else (exc,) * 3 for exc in self._base.errors]
+        stages = np.zeros(len(failures), dtype=np.uint16)
+        stages[self._base.live] = route
         spread = self._base.spread
-        return spread(1.0 - f0_e), spread(tsallis), failures
+        return spread(1.0 - f0_e), spread(tsallis), failures, stages
 
     @property
     def fidelity_imaginarity(self) -> np.ndarray:  # (B,)
@@ -490,6 +517,10 @@ class StackReport:
     @property
     def failures(self) -> list[tuple[BaseException | None, ...]]:  # (B,) of 3-tuples
         return self._fragile[2]
+
+    @property
+    def stages(self) -> np.ndarray:  # (B,) uint16 route records over STAGES
+        return self._fragile[3]
 
     def report(self, k: int) -> MeasureReport:
         """Item k as a ``MeasureReport``, with fidelity and Tsallis failures as error strings.

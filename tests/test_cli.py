@@ -923,6 +923,23 @@ class TestFragilePathFailures:
                 empty += value is None
         assert empty > 0
 
+    def test_non_finite_tsallis_value_is_an_empty_cell(self, tmp_path, capsys):
+        # squeezed thermal states at n_th = 1e15 and 1e16, where the Tsallis value
+        # of the second is not finite
+        spec = {
+            "family": "squeezed_thermal",
+            "axis": "n_th",
+            "grid": {"start": 1e15, "stop": 1e16, "count": 2},
+            "fixed": {"abs_zeta": 0.3, "theta": 1.0},
+        }
+        assert main(["sweep", write_json(tmp_path / "spec.json", spec)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1:] == [
+            "1e+15,0.223000327401,0.11852415087,0.206671735783",
+            "1e+16,0.223000327401,0.11852415087,",
+        ]
+
     def test_rescued_chain_failure_is_measured(self, tmp_path, capsys):
         # the fidelity chain fails this state; the spectral stage gives its value
         state = random_state(2, np.random.default_rng([7, 2, 424]), max_squeeze=2.0)

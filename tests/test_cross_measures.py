@@ -115,7 +115,7 @@ def log_overlap(d, cm, mu):
     n = cm.shape[-1] // 2
     errors = ItemErrors(len(cm))
     s, nus, _ = williamson_stack(cm, errors)
-    factors, scale_mu, scale_1mu = measures._mu_weights(nus, mu)
+    factors, scale_mu, scale_1mu = measures._mu_weights(nus, mu, errors)
     s_t = s.swapaxes(-1, -2)
     o = momentum_signs(n)
     cm_sum = (s * scale_mu.repeat(2, axis=-1)[:, None, :]) @ s_t

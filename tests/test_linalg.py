@@ -200,6 +200,18 @@ class TestWilliamson:
             williamson_stack(np.diag([3.0, 2.0, 5.0, 1.0])[None], errors, tol=1e-18)
             errors.raise_first()
 
+    def test_a_nan_residual_fails_at_any_tol(self, rng):
+        # at n_th = 1e170 the cm round trip overflows and its residual is NaN; an
+        # infinite tol keeps the finite residual of the other item
+        good = random_cm(1, rng)
+        errors = ItemErrors(2)
+        cm = np.stack([displaced_squeezed_thermal(1e170, 0.3j, 0.2j).cm, good])
+        with np.errstate(over="ignore", invalid="ignore"):
+            *_, residual = williamson_stack(cm, errors, tol=np.inf)
+        assert isinstance(errors.errors[0], WilliamsonResidualError)
+        assert "nan" in str(errors.errors[0])
+        assert errors.live.tolist() == [1] and np.isfinite(residual).all()
+
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValueError):
             williamson(np.eye(3))

@@ -230,6 +230,21 @@ class TestTsallisMeasure:
             with pytest.raises(InvalidMu):
                 tsallis_imaginarity_single_mode(0.5, 0.5j, 0, mu)
 
+    @pytest.mark.parametrize("n_th", [5e15, 1e16, 1e150])
+    def test_overflowing_weights_are_a_named_failure(self, n_th):
+        # nu = 2 n_th + 1 puts the normal form's q = (nu - 1)/(nu + 1) within rounding
+        # of 1, where the overlap read NaN: both calls name the failure, and the
+        # fidelity path is unaffected
+        message = "Tsallis weights overflow: q = (nu - 1)/(nu + 1) is within rounding of 1"
+        state = displaced_squeezed_thermal(n_th, 0.3j, 0.2j)
+        report = measure_all(state)
+        assert report.tsallis_imaginarity is None
+        assert report.tsallis_error == "OverflowError: " + message
+        assert report.fidelity_error is None
+        with pytest.raises(OverflowError) as raised:
+            tsallis_imaginarity(state, 0.5)
+        assert str(raised.value) == message
+
 
 class TestCrossMeasureProperties:
     def test_ordering_on_coherent_family(self):

@@ -60,6 +60,18 @@ def failing_fidelity_state(monkeypatch):
     return state
 
 
+def routes(stages):
+    # per item of a route record, the labels of the stages it was handed, "!" on a failed one
+    return [
+        [
+            label + "!" * (route >> 2 * i + 1 & 1)
+            for i, label in enumerate(measures.STAGES)
+            if route >> 2 * i & 1
+        ]
+        for route in stages.tolist()
+    ]
+
+
 def mixed_states(n, rng):
     """Pure, thermal and displaced n-mode states, plus random ones."""
     states = [
@@ -88,6 +100,9 @@ class TestStackMatchesSingleCalls:
         assert len(reports.failures) == len(states)
         for k, state in enumerate(states):
             assert reports.report(k).to_dict() == measure_all(state, mu=0.3).to_dict()
+            assert reports.stages[k] == measure_stack(state.d[None], state.cm[None], mu=0.3).stages[0]
+        if n == 2:  # the chain and its rescue both fail the planted state
+            assert routes(reports.stages[3:4]) == [["spectral!", "chain!", "normal form"]]
 
     def test_forced_failure_leaves_other_items_unchanged(self, rng, monkeypatch):
         good = [random_state(2, rng) for _ in range(6)]
@@ -347,6 +362,7 @@ class TestLazyFragileStages:
         reports.fidelity_imaginarity
         reports.tsallis_imaginarity
         reports.failures
+        reports.stages
         for k in range(5):
             reports.report(k)
         assert calls == {"fidelity": 1, "tsallis": 1}
@@ -445,7 +461,7 @@ class TestSettledFidelity:
         ]
         no_cholesky = ItemErrors(len(states))
         no_cholesky.call(measures.logdet_spd, np.stack([s.cm for s in states]))
-        assert np.count_nonzero(no_cholesky.failed()) == 26
+        assert sum(exc is not None for exc in no_cholesky.errors) == 26
 
         def outcomes():
             got = []
@@ -576,6 +592,17 @@ class TestSettledTsallis:
         }
         for k, state in enumerate(states):
             assert reports.report(k).to_dict() == measure_all(state).to_dict()
+            assert reports.stages[k] == measure_stack(state.d[None], state.cm[None]).stages[0]
+        # the chain passes 64:20 under 1 BLAS thread and fails it under 2
+        got = [[label.replace("chain!", "chain") for label in route] for route in routes(reports.stages)]
+        assert got == [
+            ["bound"],
+            ["bound", "spectral"],
+            ["spectral", "chain", "overlap"],
+            ["chain", "normal form"],
+            ["spectral", "chain", "overlap!", "normal form"],
+        ]
+        assert "chain!" in routes(reports.stages)[4]
         assert reports.fidelity_imaginarity[:2].tolist() == [1.0, 1.0]
         assert reports.tsallis_imaginarity[:3].tolist() == [1.0, 1.0, 1.0]
         assert 0.0 < reports.tsallis_imaginarity[3] < 1.0
@@ -620,10 +647,39 @@ class TestSettledTsallis:
             "williamson_stack",
         )
         seen = spied(monkeypatch, cm, *names)
-        measure_stack(d, cm).failures
+        reports = measure_stack(d, cm)
+        reports.failures
         assert [] not in [rows for calls in seen.values() for rows in calls]
+        for k, route in enumerate(routes(reports.stages)):  # the record of the calls seen
+            assert route == [label for label, name in zip(measures.STAGES, names) if k in sum(seen[name], [])]
         if len(cm) == 4:
             assert seen["_w_chain_stack"] == seen["williamson_stack"] == [[0, 1, 2, 3]]
+
+
+class TestRouteRecord:
+    @pytest.mark.parametrize(
+        "n, count, handed, failed",
+        [
+            (8, 128, [1, 13, 127, 0, 127], [0, 0, 13, 0, 0]),
+            (16, 128, [0, 26, 128, 10, 125], [0, 0, 26, 0, 0]),
+            (32, 96, [5, 49, 91, 78, 21], [0, 0, 48, 0, 0]),
+            (64, 32, [31, 3, 1, 1, 0], [0, 0, {0, 1}, 0, 0]),
+        ],
+    )
+    def test_wide_stage_counts_are_pinned(self, n, count, handed, failed):
+        # per stage of measures.STAGES, how many of the wide pool's first states it is
+        # handed and fails in one stack, as scripts/wide_digest.py counts them one at a
+        # time; the chain passes 64:20 under 1 BLAS thread and fails it under 2
+        stages = measure_stack(*wide_stack(n, range(count))).stages
+        bits = stages[:, None] >> 2 * np.arange(len(measures.STAGES))
+        assert np.count_nonzero(bits & 1, axis=0).tolist() == handed
+        for got, want in zip(np.count_nonzero(bits & 2, axis=0).tolist(), failed):
+            assert got in want if isinstance(want, set) else got == want
+
+    def test_an_item_failing_the_covariance_ratio_has_no_route(self):
+        cm = np.stack([np.diag([1.0, -1.0]), np.eye(2)])
+        reports = measure_stack(np.zeros((2, 2)), cm)
+        assert routes(reports.stages) == [[], ["chain", "normal form"]]
 
 
 class TestFirstFailure:
@@ -652,6 +708,8 @@ class TestFirstFailure:
         exc = reports.failures[1][1]
         assert type(exc) is np.linalg.LinAlgError and str(exc) == "planted"
         assert seen == [[0, 2]]
+        assert routes(clean.stages)[1] == ["spectral!", "chain!", "normal form"]
+        assert routes(reports.stages)[1] == ["normal form"]
         assert [row[1] is None for row in reports.failures] == [True, False, True]
         assert np.isnan(reports.fidelity_imaginarity[1])
         np.testing.assert_array_equal(
