@@ -2,7 +2,9 @@
 """Regenerate the CSV data behind every checked-in figure spec.
 
 Time-axis specs of the dynamics families run through the ``dynamics`` command
-(adding the closed-form column); everything else runs through ``sweep``.
+(adding the closed-form column); everything else runs through ``sweep``.  The
+rule is the benchmark's own ``figure_command``, imported without writing
+anything under ``perfbench/``.
 
 Usage: python scripts/make_figure_data.py [--specs DIR] [--out DIR]
 """
@@ -13,6 +15,10 @@ import pathlib
 import sys
 
 from gaussimag.cli import main as cli_main
+
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import figure_command  # noqa: E402
 
 
 def run() -> int:
@@ -29,8 +35,7 @@ def run() -> int:
     for spec_path in sorted(spec_dir.glob("*.json")):
         with open(spec_path) as fh:
             spec = json.load(fh)
-        is_trajectory = spec["family"].endswith("_dynamics") and spec["axis"] == "t"
-        command = "dynamics" if is_trajectory else "sweep"
+        command = figure_command(spec)
         out_path = out_dir / (spec_path.stem + ".csv")
         code = cli_main([command, str(spec_path), "--out", str(out_path)])
         status = "ok" if code == 0 else f"FAILED (exit {code})"

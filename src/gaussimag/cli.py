@@ -26,8 +26,8 @@ from .dynamics import BathParams, BathStack, _evolved, bath_stack, trajectory
 from .errors import DimensionMismatch
 from .linalg import flag
 from .measures import _check_mu, _describe, _libm, measure_all, measure_stack
-from .states import ZERO_TOL, GaussianState, check_zero_tol, coherent_stack
-from .states import squeezed_thermal_stack, two_mode_squeezed_stack
+from .states import ZERO_TOL, GaussianState, _built, _finite_faults, check_zero_tol
+from .states import coherent_stack, squeezed_thermal_stack, two_mode_squeezed_stack
 
 FAMILY_PARAMS = {
     "coherent": {"re_alpha", "im_alpha"},
@@ -190,12 +190,8 @@ def _grid_inputs(spec: SweepSpec, grid: np.ndarray):
 def _grid_states(spec: SweepSpec, grid: np.ndarray):
     """Physical ``(d, cm)`` stacks of the longest valid grid prefix and the SpecError ending it."""
     d, cm, dynamics, errors = _grid_inputs(spec, grid)
-    finite = {  # built from checked parameters, a state is physical wherever cm + cm^T is finite
-        "covariance matrix is not finite": np.isfinite(cm + cm.swapaxes(-1, -2)).all(axis=(-2, -1)),
-        "displacement entries must be finite": np.isfinite(d).all(axis=-1),  # as GaussianState says
-    }
-    for fault, ok in finite.items():
-        flag(errors, ~ok, lambda k: _at_point(spec, grid[k], ValueError(fault)))
+    for fault, bad in _finite_faults(d, cm).items():
+        flag(errors, bad, lambda k: _at_point(spec, grid[k], ValueError(fault)))
     keep = next((k for k, exc in enumerate(errors) if exc), len(grid))
     d, cm = d[:keep], cm[:keep]
     if dynamics is not None:  # evolution keeps a state physical
@@ -324,10 +320,10 @@ def cmd_dynamics(args) -> int:
     d, cm, _, errors = _grid_inputs(spec, grid)
     if any(errors):
         raise SpecError(next(filter(None, errors)))
-    # the initial state and the bath do not depend on t, and both passed their checks
+    # the initial state and the bath do not depend on t; the bath passed its checks
     bath = BathParams(*(spec.fixed.get(k, 0.0) for k in BATH_KEYS))
     try:
-        state0 = GaussianState(d[0], cm[0])
+        state0 = _built(lambda: (d[:1], cm[:1]))
         result = trajectory(state0, bath, grid, mu=spec.mu, zero_tol=spec.zero_tol)
     except ValueError as exc:
         raise SpecError(_describe(exc)) from exc

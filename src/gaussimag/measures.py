@@ -161,8 +161,7 @@ def _w_chain_stack(cm: np.ndarray, errors: ItemErrors):
     root += eye
     f_tot4 = root @ w_aux
     del root
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_tot4 = np.linalg.det(f_tot4 @ i_delta)
+    f_tot4 = np.linalg.det(f_tot4 @ i_delta)
     imag = np.abs(f_tot4.imag) > 1e-9 * (1.0 + np.abs(f_tot4.real))
     return errors.fail(
         ~np.isfinite(f_tot4) | imag | (f_tot4.real <= 0.0),
@@ -219,8 +218,7 @@ def _spectral_f_tot4_stack(cm: np.ndarray, errors: ItemErrors) -> np.ndarray:
         mu,
     )
     mu = np.maximum(mu.real, 0.0)
-    with np.errstate(over="ignore"):  # an overflow to inf fails the item in _fidelity_stack
-        return np.prod(np.sqrt(1.0 + mu) + np.sqrt(mu), axis=-1)
+    return np.prod(np.sqrt(1.0 + mu) + np.sqrt(mu), axis=-1)  # inf fails in _fidelity_stack
 
 
 # The constants of the module docstring's certificate ladder.  An item a certificate settles
@@ -230,6 +228,7 @@ def _spectral_f_tot4_stack(cm: np.ndarray, errors: ItemErrors) -> np.ndarray:
 # on the wide pool's F <= SETTLED
 SETTLED, BOUND_T, OVERLAP_GATE = 2.0**-58, 4.0, 1.85
 _LOG_MAX = float(np.log(np.finfo(float).max))  # np.exp overflows past this
+_Q_AT_ONE = "Tsallis weights overflow: q = (nu - 1)/(nu + 1) is within rounding of 1"
 
 
 def _log_f_tot4_bound(cm: np.ndarray, errors: ItemErrors) -> np.ndarray:
@@ -265,12 +264,13 @@ def _run_at(label: str, stage, at: np.ndarray, out: np.ndarray, route: np.ndarra
     # stage(*rows of arrays, errors) where ``at``, on its own ItemErrors: each passed item's
     # value goes into ``out`` at its position, a failed item's row is left as it was, the
     # record ``route``, aligned with ``at``, gains the bits of stage ``label``, and
-    # {position: exception} of the failed items is returned
+    # {position: exception} of the failed items is returned; a stage fails, never warns, on overflow
     rows, bit = np.flatnonzero(at), 1 << 2 * STAGES.index(label)
     errors = ItemErrors(len(rows))
     if errors.errors:
         whole = len(rows) == len(at)
-        values = stage(*(a if whole else a[rows] for a in arrays), errors)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = stage(*(a if whole else a[rows] for a in arrays), errors)
         out[rows[errors.live]] = values
         route[rows] |= bit
     failed = {k: exc for k, exc in zip(rows.tolist(), errors.errors) if exc is not None}
@@ -350,9 +350,8 @@ def _mu_weights(nus: np.ndarray, mu: float, errors: ItemErrors, *carry: np.ndarr
     # cusp amplifies the noise.  An item whose 1 - q**mu or 1 - q**(1 - mu) is 0 fails
     q = np.where(nus <= PURE_NU, 0.0, (nus - 1.0) / (nus + 1.0))
     a, b = 1.0 - q**mu, 1.0 - q ** (1.0 - mu)
-    message = "Tsallis weights overflow: q = (nu - 1)/(nu + 1) is within rounding of 1"
     bad = ~(a * b > 0.0).all(axis=-1)
-    q, a, b, *carry = errors.fail(bad, lambda j: OverflowError(message), q, a, b, *carry)
+    q, a, b, *carry = errors.fail(bad, lambda j: OverflowError(_Q_AT_ONE), q, a, b, *carry)
     return (1.0 - q) / (a * b), 2.0 / a - 1.0, 2.0 / b - 1.0, *carry
 
 
@@ -407,7 +406,8 @@ def tsallis_imaginarity(state: GaussianState, mu: float) -> float:
     """
     _check_mu(mu)
     errors = ItemErrors(1)
-    value = _tsallis_stack(state.d[None], state.cm[None], mu, errors)
+    with np.errstate(over="ignore", invalid="ignore"):  # as _run_at runs the stage
+        value = _tsallis_stack(state.d[None], state.cm[None], mu, errors)
     errors.raise_first()
     return float(value[0])
 
@@ -418,6 +418,8 @@ def tsallis_imaginarity_single_mode(n_th: float, zeta: complex, alpha: complex, 
     r, theta, s2 = _squeezing_terms(n_th, zeta)
     x = n_th / (n_th + 1.0)
     pm = (1.0 - x**mu) * (1.0 - x ** (1.0 - mu))
+    if pm == 0.0:  # x = q within rounding of 1, from n_th ~ 1e16 on
+        raise OverflowError(_Q_AT_ONE)
     g = 2.0 * (1.0 - x) / pm
     h2 = (1.0 + x**mu) * (1.0 + x ** (1.0 - mu)) / pm
     prefactor = g / math.sqrt(g**2 + 4.0 * h2 * s2)

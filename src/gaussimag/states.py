@@ -1,7 +1,9 @@
 """Gaussian states as (displacement, covariance-matrix) pairs.
 
 Conventions: quadratures interleaved as (q1, p1, ..., qn, pn); the vacuum
-covariance matrix is the identity.  A state is physical iff cm + i*Delta >= 0.
+covariance matrix is the identity.  A state is physical iff cm + i*Delta >= 0: one the package
+builds from checked parameters is wherever it is finite, the one check of ``_built``; input from
+outside (``GaussianState(d, cm)``, ``GaussianState.checked``) runs the eigenvalue test ``validate``.
 """
 
 from __future__ import annotations
@@ -94,6 +96,23 @@ def _checked(d, cm) -> tuple[np.ndarray, np.ndarray, float]:
     return d, cm[0], float(margin[0])
 
 
+def _finite_faults(d: np.ndarray, cm: np.ndarray) -> dict:
+    return {  # {fault: (B,) flags} of built stacks, in the order _built raises them
+        "covariance matrix is not finite": ~np.isfinite(cm + cm.swapaxes(-1, -2)).all(axis=(-2, -1)),
+        "displacement entries must be finite": ~np.isfinite(d).all(axis=-1),
+    }
+
+
+def _built(build, *params) -> GaussianState:
+    # the state build stacks from one-item arrays of params, trusted once it is finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        d, cm = build(*(np.array([x]) for x in params))
+        for fault, bad in _finite_faults(d, cm).items():
+            if bad[0]:
+                raise ValueError(fault)
+    return GaussianState._trusted(d[0], cm[0])
+
+
 class _Frozen:
     """Read-only arrays named by ``__slots__[1:]``; ``n`` is half the first one's length."""
 
@@ -177,7 +196,7 @@ def coherent_state(alphas: Sequence[complex]) -> GaussianState:
     alphas = np.array([complex(a) for a in alphas])
     if not alphas.size:
         raise ValueError("need at least one mode")
-    return GaussianState(*(a[0] for a in coherent_stack(alphas[None])))
+    return _built(coherent_stack, alphas)
 
 
 def squeezed_thermal_stack(n_th: np.ndarray, zeta: np.ndarray, alpha: np.ndarray):
@@ -201,8 +220,7 @@ def displaced_squeezed_thermal(n_th: float, zeta: complex, alpha: complex) -> Ga
     """
     if n_th < 0:
         raise ValueError(f"thermal photon number must be >= 0, got {n_th}")
-    stacks = squeezed_thermal_stack(*(np.array([x]) for x in (n_th, complex(zeta), complex(alpha))))
-    return GaussianState(*(a[0] for a in stacks))
+    return _built(squeezed_thermal_stack, n_th, complex(zeta), complex(alpha))
 
 
 def two_mode_squeezed_layout(diagonal, cross) -> np.ndarray:
@@ -225,4 +243,4 @@ def two_mode_squeezed_vacuum(r: float) -> GaussianState:
     Note the r=0 limit is cm = 2*I, deliberately not the single-mode vacuum
     normalization; the dynamics closed forms assume this scaling.
     """
-    return GaussianState(*(a[0] for a in two_mode_squeezed_stack(np.array([r], dtype=float))))
+    return _built(two_mode_squeezed_stack, float(r))

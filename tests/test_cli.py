@@ -282,6 +282,17 @@ class TestBadGridValues:
             "invalid spec: bath squeezing R=1000.0 overflows the bath photon number\n"
         )
 
+    @pytest.mark.parametrize("command", ["sweep", "dynamics"])
+    def test_overflowing_initial_squeezing(self, tmp_path, capsys, command):
+        # cosh(800) overflows: both commands give the built initial state its one
+        # check, where dynamics once failed in the eigenvalue validation
+        fixed = {"r": 400.0, "n_th": 1.5, "R": 1.0, "phi": 15.0, "lam": 0.1}
+        self.run(tmp_path, command, "sv_dynamics", "t", {"start": 0, "stop": 1, "count": 5}, fixed)
+        where = "t=0: " if command == "sweep" else ""
+        assert capsys.readouterr().err == (
+            f"invalid spec: {where}ValueError: covariance matrix is not finite\n"
+        )
+
     def test_large_physical_bath_squeezing(self, tmp_path, capsys):
         # N(N+1) - |M|^2 = n_th(n_th+1) holds exactly, but at R = 10 both sides
         # are ~6e16 and their rounding once failed a bound check

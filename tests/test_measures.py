@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussimag.errors import InvalidMu, NonRealResult
+from gaussimag.errors import InvalidMu, NonRealResult, WilliamsonResidualError
 from gaussimag.linalg import ItemErrors
 from gaussimag.measures import (
     _fidelity_stack,
@@ -245,6 +245,16 @@ class TestTsallisMeasure:
             tsallis_imaginarity(state, 0.5)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("n_th", [1e16, 1e17])
+    def test_closed_form_names_its_overflowing_weights(self, n_th):
+        # x = n_th/(n_th + 1) rounds to 1 and the weights' denominator to 0, where the
+        # closed form raised a bare ZeroDivisionError; it names the failure as the normal form does
+        message = "Tsallis weights overflow: q = (nu - 1)/(nu + 1) is within rounding of 1"
+        with pytest.raises(OverflowError) as raised:
+            tsallis_imaginarity_single_mode(n_th, 0.3j, 0.2j, 0.5)
+        assert str(raised.value) == message
+        assert tsallis_imaginarity_single_mode(1e15, 0.3j, 0.2j, 0.5) == 0.18361353433963945
+
 
 class TestCrossMeasureProperties:
     def test_ordering_on_coherent_family(self):
@@ -309,6 +319,19 @@ class TestMeasureAll:
         assert "synthetic failure" in report.fidelity_error
         assert report.imaginarity is not None
         assert report.tsallis_imaginarity is not None
+
+    @pytest.mark.parametrize("n_th", [1e170, 1e300])
+    def test_overflowing_stages_leave_no_numpy_warning(self, n_th):
+        # the fidelity and Tsallis stages overflow on these states; every warning is an
+        # error here, so each path must fail its item by name and warn nothing
+        state = displaced_squeezed_thermal(n_th, 0.3j, 0.2j)
+        report = measure_all(state)
+        assert report.fidelity_error == "LinAlgError: Array must not contain infs or NaNs"
+        assert report.tsallis_error.startswith("WilliamsonResidualError: reconstruction residuals nan")
+        with pytest.raises(np.linalg.LinAlgError, match="^Array must not contain infs or NaNs$"):
+            fidelity_imaginarity(state)
+        with pytest.raises(WilliamsonResidualError, match="^reconstruction residuals nan"):
+            tsallis_imaginarity(state, 0.5)
 
     def test_four_mode_state_still_reports(self, rng):
         report = measure_all(random_state(4, rng))

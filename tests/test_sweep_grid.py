@@ -10,7 +10,7 @@ import pytest
 from gaussimag.cli import FAMILY_PARAMS, SweepSpec, _grid_inputs, _grid_states
 from gaussimag.dynamics import BathParams, evolve
 from gaussimag.states import coherent_state, displaced_squeezed_thermal, two_mode_squeezed_vacuum
-from gaussimag.states import validate
+from gaussimag.states import squeezed_thermal_stack, two_mode_squeezed_stack, validate
 
 FIGURES = sorted((pathlib.Path(__file__).resolve().parent.parent / "figures").glob("*.json"))
 
@@ -202,3 +202,33 @@ def test_finiteness_check_rejects_exactly_what_validate_rejects(spec, grid):
             d, _, error = _grid_states(spec, np.array([value]))
             want = f"{spec.axis}={value:.12g}: ValueError: covariance matrix is not finite"
             assert (len(d), str(error)) == (0, want)
+
+
+def constructor_scans():
+    # (constructor of one parameter, its stack over the parameters, the parameters)
+    r = np.linspace(0.0, 360.0, 3601)
+    for theta in (0.0, 1.0):
+        zeta = r * complex(math.cos(theta), math.sin(theta))
+        for n_th in (0.0, 1e150):
+            yield pytest.param(
+                lambda z, n_th=n_th: displaced_squeezed_thermal(n_th, z, 0j),
+                lambda z, n_th=n_th: squeezed_thermal_stack(np.full(z.shape, n_th), z, 0j * z.real),
+                zeta,
+                id=f"squeezed_thermal-theta={theta:g}-n_th={n_th:g}",
+            )
+    yield pytest.param(two_mode_squeezed_vacuum, two_mode_squeezed_stack, r, id="two_mode_r")
+
+
+@pytest.mark.parametrize("build, stack, params", constructor_scans())
+def test_constructors_reject_exactly_what_validate_rejects(build, stack, params):
+    # every warning is an error here, and the constructors run outside any errstate
+    with np.errstate(all="ignore"):
+        sym, _, errors = validate(stack(params)[1])
+    rejected = [exc is not None for exc in errors]
+    assert any(rejected) and not all(rejected)
+    for x, cm, exc in zip(params.tolist(), sym, errors):
+        if exc is None:
+            assert build(x).cm.tobytes() == cm.tobytes()
+        else:
+            with pytest.raises(ValueError, match="^covariance matrix is not finite$"):
+                build(x)

@@ -9,8 +9,10 @@ in a fresh module, so nothing is written under ``perfbench/``.
 import types
 from pathlib import Path
 
+import numpy as np
+
 from gaussimag import measures
-from gaussimag.states import GaussianState, coherent_state
+from gaussimag.states import GaussianState
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -28,7 +30,8 @@ def test_every_boundary_installs_and_uninstalls():
     tracer.install()
     try:
         assert measures.imaginarity is not originals[0]
-        measures.imaginarity(coherent_state([0]))
+        # the constructors trust what they build; only outside input reaches GaussianState
+        measures.imaginarity(GaussianState(np.zeros(2), np.eye(2)))
     finally:
         tracer.uninstall()
     assert (measures.imaginarity, GaussianState.__init__) == originals
